@@ -10,6 +10,7 @@ from .family import (
     BRACKETING,
     FLATTENING,
     UNCONSTRAINED,
+    BlockSumEngine,
     Caps,
     EMPTY,
     Family,
@@ -21,10 +22,12 @@ from .family import (
     disjoint_union,
     enumerate_partitions,
     families_within,
+    format_family_literal,
     intersect,
     is_omega,
     is_subfamily,
     map_family,
+    static_truncation,
     subfamilies,
 )
 from .core import (
@@ -47,7 +50,6 @@ from .core import (
     compose_homs,
     kleene_equal,
     partition_sums,
-    sum_family,
     verify_hom,
 )
 from .instances import (

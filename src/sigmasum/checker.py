@@ -13,10 +13,12 @@ from .family import (
     FLATTENING,
     UNCONSTRAINED,
     EMPTY,
+    BlockSumEngine,
     Family,
     disjoint_union,
     map_family,
     enumerate_partitions,
+    format_family_literal,
     subfamilies,
 )
 from .core import (
@@ -72,11 +74,7 @@ class LawReport:
 
 
 def _format_family(inst, fam: Family) -> str:
-    codec = inst.codec
-    fmt = codec.format if codec else repr
-    fin = ", ".join(fmt(e) for e, c in fam.finite for _ in range(c))
-    om = ", ".join(fmt(e) for e in fam.omega)
-    return "{finite: [" + fin + "], omega: [" + om + "]}"
+    return format_family_literal(fam, inst.codec)
 
 
 def _format_partition(inst, part) -> list:
@@ -149,46 +147,40 @@ def _law_neutral(inst, budget, fams):
     return LawVerdict("neutral_element", PASS, checked=checked)
 
 
-def _law_regroup(inst, budget, fams, law, shape, direction):
+def _law_regroup(inst, budget, fams, law, engine, direction):
     """direction 'bracketing': defined whole must regroup to the same value;
-    'flattening': defined regrouping forces the whole."""
+    'flattening': defined regrouping forces the whole.
+
+    The scan and the shrinker look only at the distinct block-sum families the
+    engine gives; the shrunk witness's partition is the first violating one in
+    partition-stream order."""
     checked = 0
     truncated = False
 
-    def summable_block(b):
-        return inst.sum(b).defined
+    def bad(r, sums):
+        rs = inst.sum(sums)
+        if direction == "bracketing":
+            return r.defined and rs != r
+        return rs.defined and r != rs
 
-    def find(fam):
-        stream = enumerate_partitions(fam, shape, budget.caps,
-                                      block_filter=summable_block)
+    def violates(fam):
         r = inst.sum(fam)
-        hit = None
-        for part in stream:
-            sums = partition_sums(inst, part)
-            if sums is None:
-                continue
-            rs = inst.sum(sums)
-            if direction == "bracketing":
-                if r.defined and rs != r:
-                    hit = (part, sums)
-                    break
-            else:
-                if rs.defined and r != rs:
-                    hit = (part, sums)
-                    break
-        return hit, stream.truncated
+        return any(bad(r, sums) for sums in engine.block_sums(fam)[0])
 
     for fam in fams:
         if direction == "bracketing" and not inst.sum(fam).defined:
             continue
         checked += 1
-        hit, trunc = find(fam)
-        truncated |= trunc
-        if hit:
-            def violates(cand):
-                return find(cand)[0] is not None
+        truncated |= engine.block_sums(fam)[1]
+        if violates(fam):
             fam = shrink_family(fam, violates)
-            part, sums = find(fam)[0]
+            r = inst.sum(fam)
+            for part in enumerate_partitions(
+                    fam, engine.shape, budget.caps,
+                    block_filter=lambda b: inst.sum(b).defined):
+                sums = partition_sums(inst, part)
+                if bad(r, sums):
+                    break
             return LawVerdict(law, FAIL, {
                 "family": _format_family(inst, fam),
                 "partition": _format_partition(inst, part),
@@ -314,10 +306,9 @@ def check_weak(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     report = LawReport(inst.name, budget)
     report.laws.append(_law_singleton(inst, budget, fams))
     report.laws.append(_law_neutral(inst, budget, fams))
-    report.laws.append(_law_regroup(inst, budget, fams, "bracketing",
-                                    BRACKETING, "bracketing"))
-    report.laws.append(_law_regroup(inst, budget, fams, "flattening",
-                                    FLATTENING, "flattening"))
+    for law in (BRACKETING, FLATTENING):  # each law names its shape
+        engine = BlockSumEngine(inst, law, budget.caps)
+        report.laws.append(_law_regroup(inst, budget, fams, law, engine, law))
     return report
 
 
@@ -327,10 +318,11 @@ def check_strong(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     fams = budget_families(inst, budget)
     report = LawReport(inst.name, budget)
     report.laws.append(_law_subsummability(inst, budget, fams))
+    engine = BlockSumEngine(inst, UNCONSTRAINED, budget.caps)
     report.laws.append(_law_regroup(inst, budget, fams, "strong_bracketing",
-                                    UNCONSTRAINED, "bracketing"))
+                                    engine, "bracketing"))
     report.laws.append(_law_regroup(inst, budget, fams, "strong_flattening",
-                                    UNCONSTRAINED, "flattening"))
+                                    engine, "flattening"))
     report.laws.append(_law_zero_sum(inst, budget, fams))
     return report
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .family import OMEGA, Family, canonicalize
+from .family import OMEGA, Family, canonicalize, format_family_literal
 from .core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED, SigmaInstance, FiniteCarrier
 from .checker import suite_for
 from .instances import (
@@ -83,9 +84,13 @@ def load_definition_file(path: str) -> SigmaInstance:
     codec = ElementCodec(lambda s: s.strip(), str)
     table = {}
     for row in rows:
-        fam = canonicalize(
-            [(str(e), 1) for e in row.get("finite", [])]
-            + [(str(e), OMEGA) for e in row.get("omega", [])])
+        finite = [str(e) for e in row.get("finite", [])]
+        omega = [str(e) for e in row.get("omega", [])]
+        for e in finite + omega:
+            if e not in elements:
+                raise UsageError(f"table element {e!r} not among the elements")
+        fam = canonicalize([(e, 1) for e in finite]
+                           + [(e, OMEGA) for e in omega])
         value = str(row["value"])
         if value not in elements:
             raise UsageError(f"table value {value!r} not among the elements")
@@ -134,6 +139,8 @@ def parse_family_literal(text: str, codec: ElementCodec) -> Family:
             raise UsageError(f"unknown family section {key!r}")
         if not (rest.startswith("[") and rest.endswith("]")):
             raise UsageError(f"section {key!r} must be a [...] list")
+        if key in sections:
+            raise UsageError(f"repeated family section {key!r}")
         sections[key] = _split_top_level(rest[1:-1])
     try:
         pairs = [(codec.parse(e), 1) for e in sections.get("finite", [])]
@@ -141,12 +148,6 @@ def parse_family_literal(text: str, codec: ElementCodec) -> Family:
     except ValueError as exc:
         raise UsageError(f"bad element: {exc}")
     return canonicalize(pairs + omegas)
-
-
-def format_family_literal(fam: Family, codec: ElementCodec) -> str:
-    fin = ", ".join(codec.format(e) for e, c in fam.finite for _ in range(c))
-    om = ", ".join(codec.format(e) for e in fam.omega)
-    return "{finite: [" + fin + "], omega: [" + om + "]}"
 
 
 def _default_seed() -> int:
@@ -194,15 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_check(args, out) -> int:
     inst = resolve_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
-    budget = Budget(
-        max_finite_size=args.max_size,
-        max_omega_elems=args.omega,
-        block_count=args.block_count,
-        block_size=args.block_size,
-        omega_splits=args.omega_splits,
-        trials=args.trials,
-        seed=seed,
-    )
+    try:
+        budget = Budget(
+            max_finite_size=args.max_size,
+            max_omega_elems=args.omega,
+            block_count=args.block_count,
+            block_size=args.block_size,
+            omega_splits=args.omega_splits,
+            trials=args.trials,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = suite_for(args.laws)(inst, budget)
     lines = []
     for verdict in report.laws:
@@ -257,6 +261,8 @@ def cmd_sum(args, out) -> int:
 
 
 def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise UsageError("the sum overflows the float range")
     return str(int(x)) if x == int(x) else repr(x)
 
 
@@ -269,6 +275,8 @@ def cmd_net(args, out) -> int:
         raise UsageError(f"generator {gf.description} has no certificate")
     if args.eps <= 0:
         raise UsageError("--eps must be positive")
+    if args.max_terms <= 0:
+        raise UsageError("--max-terms must be positive")
     verdict = extended_sum_real(gf, args.eps, args.max_terms)
     if verdict.kind == "converged":
         out.write(f"converged {_fmt_float(verdict.value)} "

@@ -132,10 +132,6 @@ class SigmaInstance:
         return f"<SigmaInstance {self.name} ({self.flavor})>"
 
 
-def sum_family(inst: SigmaInstance, fam: Family) -> SumResult:
-    return inst.sum(fam)
-
-
 @dataclass(frozen=True)
 class ClassElement:
     """Element of a quotient carrier, identified by its canonical representative."""

@@ -141,6 +141,15 @@ class Family:
 EMPTY = Family()
 
 
+def format_family_literal(fam: Family, codec=None) -> str:
+    """``{finite: [e, e, ...], omega: [e, ...]}`` text, elements written by the
+    instance's codec (``repr`` without one); the command line parses it back."""
+    fmt = codec.format if codec else repr
+    fin = ", ".join(fmt(e) for e, c in fam.finite for _ in range(c))
+    om = ", ".join(fmt(e) for e in fam.omega)
+    return "{finite: [" + fin + "], omega: [" + om + "]}"
+
+
 def canonicalize(raw) -> Family:
     """Canonical family from (element, count) pairs; counts in N u {OMEGA}.
 
@@ -267,6 +276,15 @@ class Partition:
         return f"Partition[{inner}]"
 
 
+def static_truncation(fam: Family, caps: Caps) -> bool:
+    """Do the caps clip some partition of ``fam``? True when the family has an
+    omega part (omega splits and finite takes from omega elements are capped)
+    or its finite size exceeds ``block_size`` (the one-block partition) or
+    ``block_count`` (the all-singletons partition)."""
+    return (bool(fam.omega) or fam.finite_total > caps.block_size
+            or fam.finite_total > caps.block_count)
+
+
 class PartitionStream:
     """Iterable over the partitions of a family, one shape at a time.
 
@@ -274,8 +292,8 @@ class PartitionStream:
     omega), ``flattening`` (finitely many blocks in total, blocks may be
     infinite), ``unconstrained`` (both relaxations; used for the strong laws).
 
-    ``truncated`` reports whether the caps clipped the search space; it is
-    never silently folded into the output and should be read after iterating.
+    ``truncated`` reports whether the caps clipped the search space, by the
+    rule of ``static_truncation``; it is never silently folded into the output.
     """
 
     def __init__(self, fam: Family, shape: str, caps: Caps, block_filter=None):
@@ -285,18 +303,9 @@ class PartitionStream:
         self.shape = shape
         self.caps = caps
         self.block_filter = block_filter
-        self.truncated = self._static_truncation()
-
-    def _static_truncation(self) -> bool:
-        fam, caps = self.family, self.caps
-        if fam.finite_total > caps.block_size:
-            return True  # the one-block partition is clipped
-        if fam.finite_total > caps.block_count:
-            return True  # the all-singletons partition is clipped
-        if fam.omega:
-            # omega splits and finite takes from omega elements are capped
-            return True
-        return False
+        # the static rule decides the flag: a family it does not clip has
+        # room for every block (see test_stream_truncation_is_static)
+        self.truncated = static_truncation(fam, caps)
 
     def __iter__(self):
         return self._generate()
@@ -351,13 +360,10 @@ class PartitionStream:
         # ``weight`` counts blocks, with an omega-multiplicity entry as one;
         # rem/osup/entries are mutated and restored around each recursion
         caps = self.caps
-        complete = need == 0 and not any(rem)
-        if complete:
+        if need == 0 and not any(rem):
             yield Partition(tuple(entries), self.shape)
         room = caps.block_count - weight
         if room <= 0:
-            if not complete:
-                self.truncated = True
             return
         allow_inf_mult = self.shape != FLATTENING
         for j in range(start, len(compiled)):
@@ -372,16 +378,12 @@ class PartitionStream:
             blocked = False
             for i in om_take:
                 if osup[i] >= caps.omega_splits:
-                    self.truncated = True
                     blocked = True
                     break
             if blocked:
                 continue
             if touch:
-                mmax = min(rem[i] // t for i, t in touch)
-                if mmax > room:
-                    self.truncated = True
-                    mmax = room
+                mmax = min(room, min(rem[i] // t for i, t in touch))
                 finite_mults = range(1, mmax + 1)
                 omega_mult_ok = False
             else:
@@ -415,8 +417,6 @@ class PartitionStream:
                     entries.pop()
                     for i in suppliers:
                         osup[i] -= 1
-                elif suppliers:
-                    self.truncated = True
 
 
 def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),
@@ -429,3 +429,149 @@ def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),
     only quantifies over such partitions); filtering prunes the search tree.
     """
     return PartitionStream(fam, shape, caps, block_filter)
+
+
+class BlockSumEngine:
+    """Distinct block-sum families of the partitions into summable blocks, for
+    one (instance, shape, caps): the set ``PartitionStream`` would reach.
+
+    Memoised recursion on the residual state: remaining finite counts, omega
+    splits used per omega element (none used: still needs a supplier) and room
+    under ``block_count``. The next block holds the least remaining finite
+    element; once none remain, omega-only blocks follow in any order. Reusing
+    a block adds nothing, as (b, m1), (b, m2) sum like (b, m1 + m2), which
+    takes no more room and fewer splits. States are keyed by element ids, so
+    the subfamilies of a family pool share entries; the memo is never evicted,
+    so scope an engine to one batch of queries.
+    """
+
+    def __init__(self, inst, shape: str, caps: Caps):
+        if shape not in _SHAPES:
+            raise ValueError(f"unknown partition shape {shape!r}")
+        self.inst = inst
+        self.shape = shape
+        self.caps = caps
+        self._ids: dict = {}     # element -> id
+        self._elems: list = []   # id -> element
+        self._memo: dict = {}
+        self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
+        self._sums: dict = {}    # block takes -> block sum id, None if undefined
+        self._plus: dict = {}    # (sums id, value id, mult) -> sums id
+        self._families: list = [EMPTY]   # sums id -> block-sum family
+        self._family_ids: dict = {EMPTY: 0}
+
+    def block_sums(self, fam: Family):
+        """(frozenset of block-sum families, truncated) for ``fam``; the flag
+        is the stream's, decided by ``static_truncation``."""
+        rem = tuple((self._id(e), c) for e, c in fam.finite)
+        om = tuple(self._id(e) for e in fam.omega)
+        sums = self._solve(rem, om, (0,) * len(om), self.caps.block_count)
+        return (frozenset(self._families[i] for i in sums),
+                static_truncation(fam, self.caps))
+
+    def _id(self, e) -> int:
+        i = self._ids.get(e)
+        if i is None:
+            i = self._ids[e] = len(self._elems)
+            self._elems.append(e)
+        return i
+
+    def _solve(self, rem, om, used, room):
+        """Ids of the block-sum families that complete the residual state."""
+        key = (rem, om, used, room)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        found = set()
+        splits = self.caps.omega_splits
+        if rem:
+            for value, touch, _, om_take in self._compiled(rem, om):
+                if any(used[j] >= splits for j in om_take):
+                    continue
+                used2 = _supply(used, om_take)
+                mmax = min(room, min(rem[i][1] // t for i, t in touch))
+                for m in range(1, mmax + 1):
+                    left = list(rem)
+                    for i, t in touch:
+                        left[i] = (left[i][0], left[i][1] - m * t)
+                    rem2 = tuple(p for p in left if p[1])
+                    self._extend(found, (rem2, om, used2, room - m), value, m)
+        else:
+            if all(used):
+                found.add(0)  # the empty family: every omega element supplied
+            blocks = self._compiled(rem, om) if room > 0 else ()
+            for value, _, om_fin, om_take in blocks:
+                if any(used[j] >= splits for j in om_take):
+                    continue
+                used2 = _supply(used, om_take)
+                for m in range(1, room + 1):
+                    self._extend(found, (rem, om, used2, room - m), value, m)
+                suppliers = set(om_take) | set(om_fin)
+                if (self.shape != FLATTENING
+                        and all(used[j] < splits for j in suppliers)):
+                    self._extend(found, (rem, om, _supply(used, suppliers),
+                                         room - 1), value, OMEGA)
+        out = self._memo[key] = frozenset(found)
+        return out
+
+    def _extend(self, found: set, state, value: int, mult):
+        """Add ``mult`` copies of ``value`` to each family completing
+        ``state``; the sums are interned, so sets hold small ids."""
+        plus = self._plus
+        for sub in self._solve(*state):
+            key = (sub, value, mult)
+            fid = plus.get(key)
+            if fid is None:
+                fam = canonicalize(self._families[sub].items()
+                                   + ((self._elems[value], mult),))
+                fid = self._family_ids.get(fam)
+                if fid is None:
+                    fid = self._family_ids[fam] = len(self._families)
+                    self._families.append(fam)
+                plus[key] = fid
+            found.add(fid)
+
+    def _compiled(self, rem, om):
+        """Summable blocks holding the least remaining finite element (or, with
+        none left, made of omega elements alone), as (sum, finite takes by
+        index into ``rem``, omega elements taken finitely, taken omega)."""
+        key = (rem, om)
+        blocks = self._blocks.get(key)
+        if blocks is not None:
+            return blocks
+        size = self.caps.block_size
+        axes = [range(1 if i == 0 else 0, min(c, size) + 1)
+                for i, (_, c) in enumerate(rem)]
+        om_takes = list(range(size + 1))
+        if self.shape != BRACKETING:
+            om_takes.append(OMEGA)
+        axes += [om_takes] * len(om)
+        ids = [i for i, _ in rem] + list(om)
+        blocks = self._blocks[key] = []
+        for combo in itertools.product(*axes):
+            if not 1 <= sum(1 if is_omega(t) else t for t in combo) <= size:
+                continue
+            takes = tuple((i, t) for i, t in zip(ids, combo) if t)
+            value = self._sums.get(takes, False)
+            if value is False:
+                r = self.inst.sum(canonicalize(
+                    (self._elems[i], t) for i, t in takes))
+                value = self._sums[takes] = (self._id(r.value) if r.defined
+                                             else None)
+            if value is None:
+                continue
+            touch = tuple((i, t) for i, t in enumerate(combo[:len(rem)]) if t)
+            om_part = combo[len(rem):]
+            blocks.append((
+                value, touch,
+                tuple(j for j, t in enumerate(om_part) if t and not is_omega(t)),
+                tuple(j for j, t in enumerate(om_part) if is_omega(t)),
+            ))
+        return blocks
+
+
+def _supply(used, supplied) -> tuple:
+    if not supplied:
+        return used
+    return tuple(u + 1 if j in supplied else u for j, u in enumerate(used))
+

@@ -15,6 +15,7 @@ from .family import (
     EMPTY,
     OMEGA,
     UNCONSTRAINED,
+    BlockSumEngine,
     Caps,
     Family,
     canonicalize,
@@ -145,21 +146,17 @@ class CongruenceGraph:
                 yield fam.pad(zero, OMEGA)
 
     def _build(self):
-        summable = lambda blk: self.inst.sum(blk).defined
+        engine = BlockSumEngine(self.inst, UNCONSTRAINED, self.caps.caps)
         for fam in self.universe:
             targets = set()
-            stream = enumerate_partitions(fam, UNCONSTRAINED, self.caps.caps,
-                                          block_filter=summable)
-            for part in stream:
-                sums = partition_sums(self.inst, part)
-                if sums is None:
-                    continue
+            block_sums, truncated = engine.block_sums(fam)
+            for sums in block_sums:
                 for padded in self._zero_paddings(sums):
                     if padded in self._uset:
                         targets.add(padded)
                     else:
-                        self.truncated = True
-            self.truncated |= stream.truncated
+                        truncated = True
+            self.truncated |= truncated
             self._succ[fam] = targets
         self._undirected: dict = {fam: set() for fam in self.universe}
         for fam, targets in self._succ.items():

@@ -114,7 +114,10 @@ def powerset_parity_instance(universe) -> SigmaInstance:
 
 
 def _rational_parse(text):
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
 
 
 def _rational_format(value):

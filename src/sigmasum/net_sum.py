@@ -10,6 +10,7 @@ terms are the identity, so the extended sum is a direct fold.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -266,6 +267,8 @@ def parse_generator_spec(text: str) -> GeneratorFamily:
         raise ValueError(f"bad generator spec {text!r}")
     kind, args = m.group(1), m.group(2)
     values = [float(v) for v in args.split(",")] if args else []
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"generator parameters must be finite in {text!r}")
     if kind == "geometric":
         if len(values) != 2:
             raise ValueError("geometric takes (a, r)")

@@ -277,3 +277,56 @@ def test_definition_file_errors(tmp_path):
     path2.write_text(json.dumps({"elements": ["a"], "zero": "z", "sums": []}))
     code, _ = run_cli(["sum", "--instance", str(path2), "--family", "{finite:[]}"])
     assert code == 2
+
+
+# -- malformed input: exit 2 with a one-line error, never a traceback -------------
+
+
+def assert_usage_error(argv, capsys):
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_check_negative_budget_exits_two(capsys):
+    assert_usage_error(["check", "--instance", "pm", "--max-size", "-1"], capsys)
+
+
+def test_sum_zero_denominator_exits_two(capsys):
+    assert_usage_error(["sum", "--instance", "real",
+                        "--family", "{finite:[1/0]}"], capsys)
+
+
+@pytest.mark.parametrize("spec", ["finite(inf)", "geometric(1e308,2)",
+                                  "finite(1e308,1e308)"])
+def test_net_non_finite_or_overflowing_exits_two(spec, capsys):
+    assert_usage_error(["net", "--gen", spec], capsys)
+
+
+def test_net_nan_parameter_exits_two(capsys):
+    assert_usage_error(["net", "--gen", "power(nan)"], capsys)
+
+
+@pytest.mark.parametrize("max_terms", ["0", "-5"])
+def test_net_non_positive_max_terms_exits_two(max_terms, capsys):
+    assert_usage_error(["net", "--gen", "finite(1,2)",
+                        "--max-terms", max_terms], capsys)
+
+
+@pytest.mark.parametrize("literal", ["{finite:[+], finite:[-]}",
+                                     "{omega:[0], omega:[+]}"])
+def test_sum_repeated_family_section_exits_two(literal, capsys):
+    assert_usage_error(["sum", "--instance", "pm", "--family", literal], capsys)
+
+
+def test_definition_file_row_with_unknown_element_exits_two(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "elements": ["0", "a"], "zero": "0",
+        "sums": [{"finite": ["a"], "value": "a"},
+                 {"finite": ["zz"], "value": "a"}]}))
+    assert_usage_error(["sum", "--instance", str(path),
+                        "--family", "{finite:[a]}"], capsys)
