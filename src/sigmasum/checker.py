@@ -19,6 +19,7 @@ from .family import (
     map_family,
     enumerate_partitions,
     format_family_literal,
+    static_truncation,
     subfamilies,
 )
 from .core import (
@@ -114,6 +115,22 @@ def shrink_family(fam: Family, violates) -> Family:
 # -- individual laws --------------------------------------------------------
 
 
+def _first_violation(law, fams, violates, witness, applies=None):
+    """Scan ``fams`` in order, counting the families ``applies`` admits (all
+    of them without it); the first admitted family that ``violates`` the law
+    is shrunk and reported as ``witness(shrunk)``. ``violates`` must check the
+    precondition itself: the shrinker calls it on families never admitted."""
+    checked = 0
+    for fam in fams:
+        if applies is not None and not applies(fam):
+            continue
+        checked += 1
+        if violates(fam):
+            return LawVerdict(law, FAIL, witness(shrink_family(fam, violates)),
+                              checked)
+    return LawVerdict(law, PASS, checked=checked)
+
+
 def _law_singleton(inst, budget, fams):
     for i, x in enumerate(inst.samples()):
         if inst.sum(Family.of(x)) != Defined(x):
@@ -124,27 +141,24 @@ def _law_singleton(inst, budget, fams):
 
 
 def _law_neutral(inst, budget, fams):
-    checked = 1
     if inst.sum(EMPTY) != Defined(inst.zero):
         return LawVerdict("neutral_element", FAIL,
-                          {"family": _format_family(inst, EMPTY)}, checked)
+                          {"family": _format_family(inst, EMPTY)}, 1)
+
+    def defined(fam):
+        return inst.sum(fam).defined
 
     def violates(fam):
-        return (inst.sum(fam).defined
-                and not inst.sum(fam.without(inst.zero)).defined)
+        return defined(fam) and not defined(fam.without(inst.zero))
 
-    for fam in fams:
-        if not inst.sum(fam).defined:
-            continue
-        checked += 1
-        if violates(fam):
-            fam = shrink_family(fam, violates)
-            return LawVerdict(
-                "neutral_element", FAIL,
-                {"family": _format_family(inst, fam),
-                 "stripped": _format_family(inst, fam.without(inst.zero))},
-                checked)
-    return LawVerdict("neutral_element", PASS, checked=checked)
+    def witness(fam):
+        return {"family": _format_family(inst, fam),
+                "stripped": _format_family(inst, fam.without(inst.zero))}
+
+    verdict = _first_violation("neutral_element", fams, violates, witness,
+                               defined)
+    verdict.checked += 1  # the empty family
+    return verdict
 
 
 def _law_regroup(inst, budget, fams, law, engine, direction):
@@ -154,8 +168,9 @@ def _law_regroup(inst, budget, fams, law, engine, direction):
     The scan and the shrinker look only at the distinct block-sum families the
     engine gives; the shrunk witness's partition is the first violating one in
     partition-stream order."""
-    checked = 0
-    truncated = False
+
+    def applies(fam):
+        return direction != "bracketing" or inst.sum(fam).defined
 
     def bad(r, sums):
         rs = inst.sum(sums)
@@ -165,32 +180,28 @@ def _law_regroup(inst, budget, fams, law, engine, direction):
 
     def violates(fam):
         r = inst.sum(fam)
-        return any(bad(r, sums) for sums in engine.block_sums(fam)[0])
+        return any(bad(r, sums) for sums in engine.block_sums(fam))
 
-    for fam in fams:
-        if direction == "bracketing" and not inst.sum(fam).defined:
-            continue
-        checked += 1
-        truncated |= engine.block_sums(fam)[1]
-        if violates(fam):
-            fam = shrink_family(fam, violates)
-            r = inst.sum(fam)
-            for part in enumerate_partitions(
-                    fam, engine.shape, budget.caps,
-                    block_filter=lambda b: inst.sum(b).defined):
-                sums = partition_sums(inst, part)
-                if bad(r, sums):
-                    break
-            return LawVerdict(law, FAIL, {
-                "family": _format_family(inst, fam),
+    def witness(fam):
+        r = inst.sum(fam)
+        for part in enumerate_partitions(
+                fam, engine.shape, budget.caps,
+                block_filter=lambda b: inst.sum(b).defined):
+            sums = partition_sums(inst, part)
+            if bad(r, sums):
+                break
+        return {"family": _format_family(inst, fam),
                 "partition": _format_partition(inst, part),
-                "block_sums": _format_family(inst, sums),
-            }, checked)
-    return LawVerdict(law, TRUNCATED if truncated else PASS, checked=checked)
+                "block_sums": _format_family(inst, sums)}
+
+    verdict = _first_violation(law, fams, violates, witness, applies)
+    if verdict.status == PASS and any(static_truncation(fam, budget.caps)
+                                      for fam in fams if applies(fam)):
+        verdict.status = TRUNCATED
+    return verdict
 
 
 def _law_subsummability(inst, budget, fams):
-    checked = 0
     omega_cap = budget.caps.block_size
 
     def bad_sub(fam):
@@ -201,58 +212,34 @@ def _law_subsummability(inst, budget, fams):
                 return sub
         return None
 
-    for fam in fams:
-        if not inst.sum(fam).defined:
-            continue
-        checked += 1
-        sub = bad_sub(fam)
-        if sub is not None:
-            fam = shrink_family(fam, lambda cand: bad_sub(cand) is not None)
-            sub = bad_sub(fam)
-            return LawVerdict("subsummability", FAIL, {
-                "family": _format_family(inst, fam),
-                "subfamily": _format_family(inst, sub),
-            }, checked)
-    return LawVerdict("subsummability", PASS, checked=checked)
+    def witness(fam):
+        return {"family": _format_family(inst, fam),
+                "subfamily": _format_family(inst, bad_sub(fam))}
+
+    return _first_violation("subsummability", fams,
+                            lambda fam: bad_sub(fam) is not None, witness,
+                            lambda fam: inst.sum(fam).defined)
 
 
 def _law_zero_sum(inst, budget, fams):
-    checked = 0
-
     def violates(fam):
         return (inst.sum(fam) == Defined(inst.zero)
                 and any(e != inst.zero for e in fam.support()))
 
-    for fam in fams:
-        checked += 1
-        if violates(fam):
-            fam = shrink_family(fam, violates)
-            return LawVerdict("zero_sum_all_zero", FAIL,
-                              {"family": _format_family(inst, fam)}, checked)
-    return LawVerdict("zero_sum_all_zero", PASS, checked=checked)
+    return _first_violation("zero_sum_all_zero", fams, violates,
+                            lambda fam: {"family": _format_family(inst, fam)})
 
 
 def _law_finite_totality(inst, budget, fams):
-    checked = 0
-
     def violates(fam):
         return fam.is_finite and not inst.sum(fam).defined
 
-    for fam in fams:
-        if not fam.is_finite:
-            continue
-        checked += 1
-        if violates(fam):
-            fam = shrink_family(fam, violates)
-            return LawVerdict("finite_totality", FAIL,
-                              {"family": _format_family(inst, fam)}, checked)
-    return LawVerdict("finite_totality", PASS, checked=checked)
+    return _first_violation("finite_totality", fams, violates,
+                            lambda fam: {"family": _format_family(inst, fam)},
+                            lambda fam: fam.is_finite)
 
 
 def _law_inverses(inst, budget, fams):
-    if inst.inversion is None:
-        return LawVerdict("inverses_exist", FAIL,
-                          {"reason": "no inversion map installed"})
     for i, x in enumerate(inst.samples()):
         pair = Family.of(x, inst.inversion(x))
         if inst.sum(pair) != Defined(inst.zero):
@@ -263,9 +250,6 @@ def _law_inverses(inst, budget, fams):
 
 
 def _law_inversion_hom(inst, budget, fams):
-    if inst.inversion is None:
-        return LawVerdict("inversion_hom", FAIL,
-                          {"reason": "no inversion map installed"})
     verdict = check_hom(inst.inversion, inst, inst, budget)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
@@ -275,26 +259,15 @@ def _law_inversion_hom(inst, budget, fams):
 
 
 def _law_inverse_cancellation(inst, budget, fams):
-    if inst.inversion is None:
-        return LawVerdict("inverse_cancellation", FAIL,
-                          {"reason": "no inversion map installed"})
-    checked = 0
-
     def violates(fam):
         if not inst.sum(fam).defined:
             return False
         both = disjoint_union(fam, map_family(inst.inversion, fam))
         return inst.sum(both) != Defined(inst.zero)
 
-    for fam in fams:
-        if not inst.sum(fam).defined:
-            continue
-        checked += 1
-        if violates(fam):
-            fam = shrink_family(fam, violates)
-            return LawVerdict("inverse_cancellation", FAIL,
-                              {"family": _format_family(inst, fam)}, checked)
-    return LawVerdict("inverse_cancellation", PASS, checked=checked)
+    return _first_violation("inverse_cancellation", fams, violates,
+                            lambda fam: {"family": _format_family(inst, fam)},
+                            lambda fam: inst.sum(fam).defined)
 
 
 # -- suites ------------------------------------------------------------------
@@ -335,10 +308,14 @@ def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
     fams = budget_families(inst, budget)
     report = LawReport(inst.name, budget)
     report.laws.append(_law_finite_totality(inst, budget, fams))
-    if inst.inversion is not None or require_group:
-        report.laws.append(_law_inverses(inst, budget, fams))
-        report.laws.append(_law_inversion_hom(inst, budget, fams))
-        report.laws.append(_law_inverse_cancellation(inst, budget, fams))
+    if inst.inversion is not None:
+        for law in (_law_inverses, _law_inversion_hom,
+                    _law_inverse_cancellation):
+            report.laws.append(law(inst, budget, fams))
+    elif require_group:
+        report.laws += [LawVerdict(law, FAIL,
+                                   {"reason": "no inversion map installed"})
+                        for law in GROUP_LAWS]
     return report
 
 

@@ -69,9 +69,9 @@ def load_definition_file(path: str) -> SigmaInstance:
     """Declarative finite instance: elements, zero, and an explicit table of
     summable families (everything else is undefined)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load instance file: {exc}")
     try:
         elements = [str(e) for e in data["elements"]]
@@ -81,11 +81,20 @@ def load_definition_file(path: str) -> SigmaInstance:
         raise UsageError(f"bad instance file: missing {exc}")
     if zero not in elements:
         raise UsageError("zero must be one of the elements")
+    if not (isinstance(data["elements"], list) and isinstance(rows, list)):
+        raise UsageError("bad instance file: elements and sums must be lists")
     codec = ElementCodec(lambda s: s.strip(), str)
     table = {}
     for row in rows:
-        finite = [str(e) for e in row.get("finite", [])]
-        omega = [str(e) for e in row.get("omega", [])]
+        if not isinstance(row, dict) or "value" not in row:
+            raise UsageError("bad instance file: each sums row must be an "
+                             "object with a value")
+        finite, omega = row.get("finite", []), row.get("omega", [])
+        if not (isinstance(finite, list) and isinstance(omega, list)):
+            raise UsageError("bad instance file: finite and omega must be "
+                             "lists")
+        finite = [str(e) for e in finite]
+        omega = [str(e) for e in omega]
         for e in finite + omega:
             if e not in elements:
                 raise UsageError(f"table element {e!r} not among the elements")
@@ -244,10 +253,10 @@ def cmd_sum(args, out) -> int:
     literal = args.family
     if literal is None:
         try:
-            with open(args.family_file) as fh:
+            with open(args.family_file, encoding="utf-8") as fh:
                 literal = fh.read()
-        except OSError as exc:
-            raise UsageError(str(exc))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read family file: {exc}")
     fam = parse_family_literal(literal, inst.codec)
     try:
         result = inst.sum(fam)
@@ -273,11 +282,14 @@ def cmd_net(args, out) -> int:
         raise UsageError(str(exc))
     if args.require_certificate and gf.certificate is None:
         raise UsageError(f"generator {gf.description} has no certificate")
-    if args.eps <= 0:
+    if not args.eps > 0:
         raise UsageError("--eps must be positive")
     if args.max_terms <= 0:
         raise UsageError("--max-terms must be positive")
-    verdict = extended_sum_real(gf, args.eps, args.max_terms)
+    try:
+        verdict = extended_sum_real(gf, args.eps, args.max_terms)
+    except OverflowError:
+        raise UsageError("the sum overflows the float range")
     if verdict.kind == "converged":
         out.write(f"converged {_fmt_float(verdict.value)} "
                   f"±{_fmt_float(verdict.error_bound)}\n")

@@ -113,10 +113,8 @@ def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
             return r
         return UNDEFINED
 
-    inst = SigmaInstance(name or f"eq({x.name})", carrier, x.zero, rule,
+    return SigmaInstance(name or f"eq({x.name})", carrier, x.zero, rule,
                          flavor=x.flavor, codec=x.codec)
-    inst.ambient = x
-    return inst
 
 
 def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
@@ -205,7 +203,6 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
         class_of=class_of, classes=tuple(classes.values()),
         flavor=stages[0].flavor if len({s.flavor for s in stages}) == 1 else "weak",
     )
-    inst.stages = tuple(stages)
     inst.stage_map = lambda i: (lambda e: class_of((i, e)))
     return inst
 
@@ -268,12 +265,8 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
             return UNDEFINED
         return Defined(s)
 
-    inst = SigmaInstance(name or f"[{x.name},{y.name}]", carrier, zero, rule,
+    return SigmaInstance(name or f"[{x.name},{y.name}]", carrier, zero, rule,
                          flavor="weak")
-    inst.certified_budget = budget
-    inst.hom_source = x
-    inst.hom_target = y
-    return inst
 
 
 def unit_instance() -> SigmaInstance:

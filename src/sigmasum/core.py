@@ -8,7 +8,7 @@ outside the carrier is a caller error, never Undefined.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable
 
 from .family import (
@@ -58,6 +58,19 @@ UNDEFINED = SumResult(False)
 def kleene_equal(a: SumResult, b: SumResult) -> bool:
     """Both undefined, or both defined with equal values."""
     return a == b
+
+
+def fold_rule(zero, fold) -> Callable[[Family], SumResult]:
+    """Summation rule for "all but finitely many terms are zero": a family
+    whose omega part lies in {zero} sums to ``fold`` of its finite
+    (element, count) pairs; any other family is undefined."""
+
+    def rule(fam: Family) -> SumResult:
+        if any(e != zero for e in fam.omega):
+            return UNDEFINED
+        return Defined(fold(fam.finite))
+
+    return rule
 
 
 class FiniteCarrier:
@@ -170,10 +183,9 @@ class Budget:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("max_finite_size", "max_omega_elems", "block_count",
-                     "block_size", "omega_splits", "trials"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if f.name != "seed" and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     @property
     def caps(self) -> Caps:
@@ -181,26 +193,12 @@ class Budget:
 
     def meet(self, other: "Budget") -> "Budget":
         """Componentwise minimum (intersection of budgets); keeps this seed."""
-        return Budget(
-            min(self.max_finite_size, other.max_finite_size),
-            min(self.max_omega_elems, other.max_omega_elems),
-            min(self.block_count, other.block_count),
-            min(self.block_size, other.block_size),
-            min(self.omega_splits, other.omega_splits),
-            min(self.trials, other.trials),
-            self.seed,
-        )
+        return replace(self, **{
+            f.name: min(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.name != "seed"})
 
     def to_dict(self) -> dict:
-        return {
-            "max_finite_size": self.max_finite_size,
-            "max_omega_elems": self.max_omega_elems,
-            "block_count": self.block_count,
-            "block_size": self.block_size,
-            "omega_splits": self.omega_splits,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def budget_families(inst: SigmaInstance, budget: Budget) -> list:

@@ -460,14 +460,13 @@ class BlockSumEngine:
         self._families: list = [EMPTY]   # sums id -> block-sum family
         self._family_ids: dict = {EMPTY: 0}
 
-    def block_sums(self, fam: Family):
-        """(frozenset of block-sum families, truncated) for ``fam``; the flag
-        is the stream's, decided by ``static_truncation``."""
+    def block_sums(self, fam: Family) -> frozenset:
+        """The block-sum families of ``fam``; whether the caps clipped them is
+        ``static_truncation(fam, caps)``, as for the stream."""
         rem = tuple((self._id(e), c) for e, c in fam.finite)
         om = tuple(self._id(e) for e in fam.omega)
         sums = self._solve(rem, om, (0,) * len(om), self.caps.block_count)
-        return (frozenset(self._families[i] for i in sums),
-                static_truncation(fam, self.caps))
+        return frozenset(self._families[i] for i in sums)
 
     def _id(self, e) -> int:
         i = self._ids.get(e)

@@ -24,6 +24,7 @@ from .family import (
     families_within,
     is_omega,
     map_family,
+    static_truncation,
 )
 from .core import (
     Budget,
@@ -34,6 +35,7 @@ from .core import (
     Hom,
     QuotientInstance,
     SigmaInstance,
+    SymbolicCarrier,
     UNDEFINED,
     check_hom,
     partition_sums,
@@ -149,8 +151,8 @@ class CongruenceGraph:
         engine = BlockSumEngine(self.inst, UNCONSTRAINED, self.caps.caps)
         for fam in self.universe:
             targets = set()
-            block_sums, truncated = engine.block_sums(fam)
-            for sums in block_sums:
+            truncated = static_truncation(fam, self.caps.caps)
+            for sums in engine.block_sums(fam):
                 for padded in self._zero_paddings(sums):
                     if padded in self._uset:
                         targets.add(padded)
@@ -228,15 +230,17 @@ class CongruenceGraph:
         return comps
 
 
-def equivalent(inst: SigmaInstance, a: Family, b: Family, depth: int = 4,
+def equivalent(inst: SigmaInstance, a: Family, b: Family,
+               depth: int | None = None,
                caps: CongruenceCaps = CongruenceCaps(),
                graph: CongruenceGraph | None = None) -> CongruenceVerdict:
     """Are two families joined by a zig-zag chain of one-step moves of length
-    at most ``depth``, inside the cap-bounded universe?"""
+    at most ``depth`` (``caps.depth`` by default), inside the cap-bounded
+    universe?"""
     if graph is None:
         extra = [e for f in (a, b) for e in f.support()]
         graph = CongruenceGraph(inst, caps, extra_elements=extra)
-    return graph.related(a, b, depth)
+    return graph.related(a, b, caps.depth if depth is None else depth)
 
 
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
@@ -299,9 +303,7 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         FiniteCarrier(admitted), class_of_family[EMPTY], rule,
         class_of=class_of, classes=classes, flavor="strong",
     )
-    inst.base = weak
     inst.graph = graph
-    inst.congruence_caps = caps
     return inst
 
 
@@ -322,7 +324,12 @@ def intersect_instances(instances, *, name=None) -> SigmaInstance:
                   if all(e in i.carrier for i in instances[1:])]
         carrier = FiniteCarrier(common)
     else:
-        carrier = SymbolicCarrierIntersection(instances)
+        carrier = SymbolicCarrier(
+            lambda e: all(e in i.carrier for i in instances),
+            samples=tuple(e for e in first.samples()
+                          if all(e in i.carrier for i in instances[1:])),
+            description=" & ".join(i.name for i in instances),
+        )
 
     def rule(fam: Family):
         results = [i.sum(fam) for i in instances]
@@ -335,23 +342,6 @@ def intersect_instances(instances, *, name=None) -> SigmaInstance:
     return SigmaInstance(name or "&".join(i.name for i in instances),
                          carrier, first.zero, rule, flavor=flavor,
                          codec=first.codec)
-
-
-class SymbolicCarrierIntersection:
-    is_finite = False
-
-    def __init__(self, instances):
-        self.instances = instances
-        self.samples_pool = tuple(
-            e for e in instances[0].samples()
-            if all(e in i.carrier for i in instances[1:])
-        )
-
-    def __contains__(self, e):
-        return all(e in i.carrier for i in self.instances)
-
-    def sample(self):
-        return self.samples_pool
 
 
 @dataclass(frozen=True)

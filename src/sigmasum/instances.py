@@ -18,6 +18,7 @@ from .core import (
     FiniteCarrier,
     SigmaInstance,
     SymbolicCarrier,
+    fold_rule,
 )
 
 INFINITY = math.inf
@@ -97,19 +98,13 @@ def powerset_parity_instance(universe) -> SigmaInstance:
     for mask in range(1 << len(universe)):
         subsets.append(frozenset(u for i, u in enumerate(universe) if mask >> i & 1))
 
-    def rule(fam: Family):
-        for subset in fam.omega:
-            if subset:
-                return UNDEFINED
-        odd = set()
-        for x in uset:
-            n = sum(c for subset, c in fam.finite if x in subset)
-            if n % 2 == 1:
-                odd.add(x)
-        return Defined(frozenset(odd))
+    def odd_points(pairs):
+        return frozenset(x for x in uset
+                         if sum(c for subset, c in pairs if x in subset) % 2)
 
     name = "parity(" + ",".join(str(u) for u in universe) + ")"
-    return SigmaInstance(name, FiniteCarrier(subsets), frozenset(), rule,
+    return SigmaInstance(name, FiniteCarrier(subsets), frozenset(),
+                         fold_rule(frozenset(), odd_points),
                          flavor="weak", codec=_subset_codec(universe))
 
 
@@ -139,18 +134,14 @@ def real_abs_instance() -> SigmaInstance:
     partial sums); the value is the exact finite sum.
     """
 
-    def rule(fam: Family):
-        for e in fam.omega:
-            if e != 0:
-                return UNDEFINED
-        return Defined(sum((Fraction(e) * c for e, c in fam.finite), Fraction(0)))
-
     carrier = SymbolicCarrier(
         _is_rational,
         samples=(Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4),
                  Fraction(1)),
         description="exact rationals",
     )
+    rule = fold_rule(Fraction(0), lambda pairs: sum(
+        (Fraction(e) * c for e, c in pairs), Fraction(0)))
     return SigmaInstance("real", carrier, Fraction(0), rule,
                          flavor="sigma_group", inversion=lambda x: -x,
                          codec=RATIONAL_CODEC)
@@ -163,17 +154,12 @@ def int_group_instance() -> SigmaInstance:
     """Integers with the same summability rule as the rationals; inversion is
     negation, making this the stock group-flavored fixture."""
 
-    def rule(fam: Family):
-        for e in fam.omega:
-            if e != 0:
-                return UNDEFINED
-        return Defined(sum(e * c for e, c in fam.finite))
-
     carrier = SymbolicCarrier(
         lambda e: isinstance(e, int) and not isinstance(e, bool),
         samples=(0, 1, 5, -5),
         description="integers",
     )
+    rule = fold_rule(0, lambda pairs: sum(e * c for e, c in pairs))
     return SigmaInstance("int", carrier, 0, rule, flavor="sigma_group",
                          inversion=lambda x: -x, codec=INT_CODEC)
 
@@ -225,12 +211,7 @@ def cyclic_instance(n: int) -> SigmaInstance:
     if n < 1:
         raise ConstructionError("modulus must be >= 1")
 
-    def rule(fam: Family):
-        for e in fam.omega:
-            if e != 0:
-                return UNDEFINED
-        return Defined(sum(e * c for e, c in fam.finite) % n)
-
+    rule = fold_rule(0, lambda pairs: sum(e * c for e, c in pairs) % n)
     return SigmaInstance(f"zmod{n}", FiniteCarrier(range(n)), 0, rule,
                          flavor="sigma_group", inversion=lambda x: (n - x) % n,
                          codec=INT_CODEC)
@@ -283,9 +264,7 @@ def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
         carrier, zero, rule, flavor=flavor,
         codec=codec if codec is not None else (parent.codec if identity_embed else None),
     )
-    inst.parent = parent
     inst.embed = fn
-    inst.embed_inverse = inv
     return inst
 
 

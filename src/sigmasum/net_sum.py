@@ -1,10 +1,10 @@
 """Summation as the limit of the net of finite partial sums.
 
 For certified real generator families the engine folds the prefix in order of
-decreasing bound with compensated summation until the certified tail drops
-below the tolerance. Without a certificate it can only report divergence
-evidence (two nested finite subfamilies whose partial sums stay apart) or an
-honest Inconclusive. For finite commutative monoids with the discrete
+decreasing bound, exactly, until the certified tail drops below the tolerance;
+the value is the correctly rounded sum of the terms consumed. Without a
+certificate it can only report divergence evidence (two nested finite
+subfamilies whose partial sums stay apart) or an honest Inconclusive. For finite commutative monoids with the discrete
 topology the net is eventually constant exactly when all but finitely many
 terms are the identity, so the extended sum is a direct fold.
 """
@@ -19,11 +19,10 @@ from .family import Family
 from .core import (
     CarrierError,
     ConstructionError,
-    Defined,
     FiniteCarrier,
     SigmaInstance,
     SumResult,
-    UNDEFINED,
+    fold_rule,
 )
 
 
@@ -72,6 +71,26 @@ class NetVerdict:
         return self.kind == "converged"
 
 
+def _add_exact(partials: list, x: float) -> None:
+    """Add ``x`` to ``partials``, nonoverlapping floats of increasing
+    magnitude whose exact sum is the running total (Shewchuk, Discrete
+    Comput. Geom. 18, 1997); ``math.fsum(partials)`` rounds it correctly.
+    Raises OverflowError when the total leaves the float range."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    if not math.isfinite(x):
+        raise OverflowError("the sum overflows the float range")
+    partials[i:] = [x]
+
+
 class KahanSum:
     """Compensated accumulator; keeps the running carry of rounding error."""
 
@@ -94,13 +113,14 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
 
     With a certificate, terms are consumed in order of decreasing bound until
     the certified tail is below ``eps``; the verdict carries that tail as the
-    error bound. Without one, the engine probes for divergence: either a
-    one-signed partial sum beyond ``divergence_factor * (1 + largest term)``,
-    or a one-signed partial sum still growing by more than the Cauchy
-    tolerance between the half-budget and full-budget prefixes. Anything else
-    is Inconclusive.
+    error bound and the correctly rounded sum of the consumed terms as the
+    value, or raises OverflowError when that sum leaves the float range.
+    Without one, the engine probes for divergence: either a one-signed partial
+    sum beyond ``divergence_factor * (1 + largest term)``, or a one-signed
+    partial sum still growing by more than the Cauchy tolerance between the
+    half-budget and full-budget prefixes. Anything else is Inconclusive.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if gf.certificate is not None:
         return _certified(gf, eps, max_terms)
@@ -112,16 +132,17 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
 def _certified(gf, eps, max_terms):
     cert = gf.certificate
     order = sorted(range(max_terms), key=lambda i: (-cert.bound(i), i))
-    acc = KahanSum()
+    partials = []
     for n, i in enumerate(order):
         term = gf.gen(i)
         if abs(term) > cert.bound(i) + 1e-12:
             raise CertificateError(
                 f"|gen({i})| = {abs(term)} exceeds bound {cert.bound(i)}")
-        acc.add(term)
+        _add_exact(partials, term)
         tail = cert.sorted_tail(n)
         if tail < eps:
-            return NetVerdict("converged", acc.total, tail, terms_used=n + 1)
+            return NetVerdict("converged", math.fsum(partials), tail,
+                              terms_used=n + 1)
     return NetVerdict("inconclusive", terms_used=max_terms)
 
 
@@ -321,14 +342,15 @@ def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
     for e in fam.support():
         if e not in monoid.elements:
             raise CarrierError(f"{e!r} not in {monoid.name}")
-    for e in fam.omega:
-        if e != monoid.identity:
-            return UNDEFINED
-    acc = monoid.identity
-    for e, c in fam.finite:
-        for _ in range(c):
-            acc = monoid.op(acc, e)
-    return Defined(acc)
+
+    def fold(pairs):
+        acc = monoid.identity
+        for e, c in pairs:
+            for _ in range(c):
+                acc = monoid.op(acc, e)
+        return acc
+
+    return fold_rule(monoid.identity, fold)(fam)
 
 
 def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:

@@ -212,3 +212,54 @@ def test_shrink_demotes_omega():
 
     fam = Family.from_counts([], omega=["x"])
     assert shrink_family(fam, violates) == Family.of("x")
+
+
+# -- pinned counts -------------------------------------------------------------------------
+
+PIN_BUDGET = Budget(max_finite_size=3, max_omega_elems=1, trials=3, seed=7)
+
+PINNED = {
+    pm_instance: ("weak", [
+        ("singleton", "pass", 3), ("neutral_element", "pass", 21),
+        ("bracketing", "truncated", 20), ("flattening", "truncated", 52),
+        ("subsummability", "fail", 13), ("strong_bracketing", "truncated", 20),
+        ("strong_flattening", "truncated", 52),
+        ("zero_sum_all_zero", "fail", 15), ("finite_totality", "fail", 5)]),
+    int_group_instance: ("sigma_group", [
+        ("singleton", "pass", 4), ("neutral_element", "pass", 57),
+        ("bracketing", "truncated", 56), ("flattening", "truncated", 116),
+        ("subsummability", "pass", 56), ("strong_bracketing", "truncated", 56),
+        ("strong_flattening", "truncated", 116),
+        ("zero_sum_all_zero", "fail", 25), ("finite_totality", "pass", 35),
+        ("inverses_exist", "pass", 4), ("inversion_hom", "pass", 56),
+        ("inverse_cancellation", "pass", 56)]),
+    ext_nat_instance: ("strong", [
+        ("singleton", "pass", 4), ("neutral_element", "pass", 117),
+        ("bracketing", "truncated", 116), ("flattening", "truncated", 116),
+        ("subsummability", "pass", 116),
+        ("strong_bracketing", "truncated", 116),
+        ("strong_flattening", "truncated", 116),
+        ("zero_sum_all_zero", "pass", 116), ("finite_totality", "pass", 35)]),
+    unit_interval_instance: ("weak", [
+        ("singleton", "pass", 4), ("neutral_element", "pass", 41),
+        ("bracketing", "truncated", 40), ("flattening", "truncated", 116),
+        ("subsummability", "fail", 30), ("strong_bracketing", "truncated", 40),
+        ("strong_flattening", "truncated", 116),
+        ("zero_sum_all_zero", "fail", 58), ("finite_totality", "fail", 14)]),
+}
+
+
+@pytest.mark.parametrize("make", list(PINNED), ids=lambda mk: mk.__name__)
+def test_law_status_and_checked_counts_are_pinned(make):
+    report = conclude_flavor(make(), PIN_BUDGET)
+    flavor, rows = PINNED[make]
+    assert report.flavor == flavor
+    assert [(v.law, v.status, v.checked) for v in report.laws] == rows
+
+
+def test_group_laws_without_inversion_are_pinned():
+    report = check_ft_and_group(pm_instance(), PIN_BUDGET, require_group=True)
+    assert [(v.law, v.status, v.checked, v.witness) for v in report.laws] == [
+        ("finite_totality", "fail", 5, {"family": "{finite: [+, +], omega: []}"}),
+    ] + [(law, "fail", 0, {"reason": "no inversion map installed"})
+         for law in ("inverses_exist", "inversion_hom", "inverse_cancellation")]

@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
 import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmasum.cli import (
     format_family_literal,
@@ -330,3 +333,109 @@ def test_definition_file_row_with_unknown_element_exits_two(tmp_path, capsys):
                  {"finite": ["zz"], "value": "a"}]}))
     assert_usage_error(["sum", "--instance", str(path),
                         "--family", "{finite:[a]}"], capsys)
+
+
+def test_family_file_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_bytes(b"{finite:[\xff]}")
+    assert_usage_error(["sum", "--instance", "pm",
+                        "--family-file", str(path)], capsys)
+
+
+def test_definition_file_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"elements": ["\xff"], "zero": "0"}')
+    assert_usage_error(["sum", "--instance", str(path),
+                        "--family", "{finite:[]}"], capsys)
+
+
+@pytest.mark.parametrize("row", [
+    ["a"],                                  # not an object
+    {"finite": ["a"]},                      # no value
+    {"finite": "a", "value": "a"},          # a string, not a list
+    {"omega": "0", "value": "0"},
+], ids=["not_object", "no_value", "finite_string", "omega_string"])
+def test_definition_file_malformed_row_exits_two(row, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"elements": ["0", "a"], "zero": "0",
+                                "sums": [row]}))
+    assert_usage_error(["sum", "--instance", str(path),
+                        "--family", "{finite:[a]}"], capsys)
+
+
+@pytest.mark.parametrize("data", [
+    {"elements": "0a", "zero": "0"},
+    {"elements": ["0", "a"], "zero": "0", "sums": {"value": "a"}},
+], ids=["elements_string", "sums_object"])
+def test_definition_file_sections_not_lists_exit_two(data, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error(["sum", "--instance", str(path),
+                        "--family", "{finite:[a]}"], capsys)
+
+
+def test_net_nan_eps_exits_two(capsys):
+    assert_usage_error(["net", "--gen", "finite(1,2)", "--eps", "nan"], capsys)
+
+
+# -- argv fuzzing: exit 0, 1 or 2, never a traceback; only check fails laws ------
+
+ELEMENT_TEXT = st.sampled_from(["0", "+", "-", "1", "-5", "1/2", "3/4", "1/0",
+                                "inf", "[a]", "[a,b]", "[]", "x", "", "2.5"])
+FAMILY_TEXT = st.one_of(
+    st.builds(lambda fin, om: "{finite: [%s], omega: [%s]}"
+              % (", ".join(fin), ", ".join(om)),
+              st.lists(ELEMENT_TEXT, max_size=4),
+              st.lists(ELEMENT_TEXT, max_size=1)),
+    st.text(alphabet="{}[](),: finteomga+-01/", max_size=24))
+INSTANCES = ["pm", "parity:a,b", "interval", "zmod:3", "real", "int",
+             "extnat", "unit"]
+NUMBER_TEXT = st.sampled_from(["0.5", "-0.5", "2", "1", "0", "1e308", "-1e308",
+                               "1e-300", "nan", "inf", "x", ""])
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed argv; half of them get one option value replaced
+    by a malformed one."""
+    command = draw(st.sampled_from(["check", "sum", "net", "bogus"]))
+    if command == "check":
+        opts = {"--instance": st.sampled_from(INSTANCES),
+                "--laws": st.sampled_from(["weak", "strong", "ft", "group",
+                                           "all"]),
+                "--max-size": st.integers(0, 2),
+                "--omega": st.integers(0, 1),
+                "--block-count": st.integers(0, 3),
+                "--block-size": st.integers(0, 3),
+                "--omega-splits": st.integers(0, 2),
+                "--trials": st.integers(0, 3),
+                "--seed": st.integers(0, 20)}
+        bad = st.sampled_from(["-1", "x", "", "zmod:0", "parity:", "nope"])
+    elif command == "sum":
+        opts = {"--instance": st.sampled_from(INSTANCES),
+                "--family": FAMILY_TEXT}
+        bad = st.sampled_from(["zmod:0", "parity:", "nope"])
+    elif command == "net":
+        kind = draw(st.sampled_from(["geometric", "power", "finite",
+                                     "alternating_harmonic", "nope"]))
+        opts = {"--gen": st.lists(NUMBER_TEXT, max_size=3).map(
+                    lambda args: kind + "(" + ",".join(args) + ")"),
+                "--eps": st.sampled_from(["1e-9", "1e-3", "1", "inf"]),
+                "--max-terms": st.integers(1, 1000)}
+        bad = st.sampled_from(["0", "-1", "nan", "x"])
+    else:
+        return [command]
+    values = {opt: str(draw(value)) for opt, value in opts.items()}
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(sorted(values)))] = draw(bad)
+    return [command] + [x for opt, value in values.items()
+                        for x in (opt, value)]
+
+
+@settings(max_examples=150)
+@given(argvs())
+def test_main_never_raises_and_only_check_fails_laws(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "check"

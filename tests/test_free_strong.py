@@ -142,6 +142,16 @@ def test_depth_exhaustion_flagged():
     assert verdict.related
 
 
+def test_equivalent_depth_defaults_to_caps_depth():
+    pm = pm_instance()
+    a, b = Family.of("+"), Family.of("+", "+", "-")
+    shallow = CongruenceCaps(depth=0)
+    verdict = equivalent(pm, a, b, caps=shallow)
+    assert not verdict.related and verdict.depth_exhausted
+    assert equivalent(pm, a, b, caps=CAPS).related
+    assert equivalent(pm, a, b, depth=1, caps=shallow).related
+
+
 # -- the quotient ---------------------------------------------------------------------
 
 

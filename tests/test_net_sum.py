@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigmasum.core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED
 from sigmasum.family import Family, families_within, map_family
@@ -42,6 +45,43 @@ def test_finite_support_exact():
     verdict = extended_sum_real(finite_terms(1, 2, 3), eps=1e-9)
     assert verdict.converged
     assert verdict.value == 6.0 and verdict.error_bound == 0.0
+
+
+# an eps below every nonzero term makes the engine consume the whole family,
+# so the bound is zero and the value must be the correctly rounded sum
+CONSUME_ALL = 5e-324
+
+
+def sum_whole(values):
+    return extended_sum_real(finite_terms(*values), CONSUME_ALL,
+                             len(values) + 1)
+
+
+@pytest.mark.parametrize("values", [
+    [6.342554509871312e-20, -4.7980997016689566e+19,
+     -9.352233222740169e-18, -8.125380847859553e+19],
+    [-3.678659301417242e+16, 8.86999236164998e-19,
+     -4.750307123698028e+16, 1.0602864401637314e-18],
+])
+def test_certified_sum_is_correctly_rounded(values):
+    verdict = sum_whole(values)
+    assert verdict.converged
+    assert verdict.value == math.fsum(values) and verdict.error_bound == 0
+
+
+@given(st.lists(st.builds(lambda m, e: m * 10.0 ** e,
+                          st.floats(-10, 10), st.integers(-20, 20)),
+                min_size=1, max_size=8))
+def test_certified_sum_matches_exact_rounding(values):
+    verdict = sum_whole(values)
+    assert verdict.converged and verdict.error_bound == 0
+    assert verdict.value == math.fsum(values)
+    assert verdict.value == float(sum(map(Fraction, values)))
+
+
+def test_certified_sum_beyond_float_range_overflows():
+    with pytest.raises(OverflowError):
+        extended_sum_real(finite_terms(1e308, 1e308), 1e-9, 3)
 
 
 def test_power_terms_certified_tail():
