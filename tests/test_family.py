@@ -1,3 +1,7 @@
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from sigmasum.family import (
     map_family,
     subfamilies,
 )
+from sigmasum.instances import pm_instance, real_abs_instance
 
 
 # -- canonical form ----------------------------------------------------------
@@ -341,6 +346,93 @@ def test_block_filter_prunes():
     stream = enumerate_partitions(fam, BRACKETING, Caps(),
                                   block_filter=lambda b: b.count("a") < 2)
     assert all(b.count("a") < 2 for p in stream for b, _ in p.blocks)
+
+
+# -- stream order: witnesses name the first violating partition, so the order
+# is part of the report format
+
+
+_PM_OMEGA_ORDER = {
+    BRACKETING: [
+        "Partition[Family({'0':2})xinf, Family({'+':1, '-':1})x1]",
+        "Partition[Family({'+':1, '-':1})x1, Family({'0':1})xinf]",
+    ],
+    FLATTENING: [
+        "Partition[Family({'-':1, '0':1})x1, Family({'+':1}, omega={'0'})x1]",
+        "Partition[Family({'+':1, '0':1})x1, Family({'-':1}, omega={'0'})x1]",
+        "Partition[Family({'+':1, '-':1})x1, Family({}, omega={'0'})x1]",
+        "Partition[Family({'-':1}, omega={'0'})x1, Family({'+':1}, omega={'0'})x1]",
+        "Partition[Family({'-':1}, omega={'0'})x1, Family({'+':1})x1]",
+        "Partition[Family({'+':1}, omega={'0'})x1, Family({'-':1})x1]",
+    ],
+    UNCONSTRAINED: [
+        "Partition[Family({'0':2})xinf, Family({'+':1, '-':1})x1]",
+        "Partition[Family({'-':1, '0':1})x1, Family({'+':1}, omega={'0'})x1]",
+        "Partition[Family({'+':1, '0':1})x1, Family({'-':1}, omega={'0'})x1]",
+        "Partition[Family({'+':1, '-':1})x1, Family({'0':1})xinf]",
+        "Partition[Family({'+':1, '-':1})x1, Family({}, omega={'0'})x1]",
+        "Partition[Family({'+':1, '-':1})x1, Family({}, omega={'0'})xinf]",
+        "Partition[Family({'-':1}, omega={'0'})x1, Family({'+':1}, omega={'0'})x1]",
+        "Partition[Family({'-':1}, omega={'0'})x1, Family({'+':1})x1]",
+        "Partition[Family({'+':1}, omega={'0'})x1, Family({'-':1})x1]",
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", [BRACKETING, FLATTENING, UNCONSTRAINED])
+def test_stream_order_pm_with_omega(shape):
+    fam = Family.from_counts([("+", 1), ("-", 1)], omega=["0"])
+    stream = enumerate_partitions(fam, shape, Caps(2, 2, 2))
+    assert [repr(p) for p in stream] == _PM_OMEGA_ORDER[shape]
+    assert stream.truncated
+
+
+def test_stream_order_real_summable_blocks():
+    real = real_abs_instance()
+    half, quarter = Fraction(1, 2), Fraction(-1, 4)
+    fam = Family.from_counts([(half, 2), (quarter, 1)])
+    stream = enumerate_partitions(fam, UNCONSTRAINED, Caps(3, 2, 1),
+                                  block_filter=lambda b: real.sum(b).defined)
+    assert [repr(p) for p in stream] == [
+        "Partition[Family({Fraction(1, 2):2})x1, Family({Fraction(-1, 4):1})x1]",
+        "Partition[Family({Fraction(-1, 4):1, Fraction(1, 2):1})x1, "
+        "Family({Fraction(1, 2):1})x1]",
+        "Partition[Family({Fraction(1, 2):1})x2, Family({Fraction(-1, 4):1})x1]",
+    ]
+    assert stream.truncated
+
+
+def _order_corpus(seed, n):
+    """Seeded random (family, shape, caps, block_filter) cases over the pm and
+    real sample pools, half of them restricted to summable blocks."""
+    rng = random.Random(seed)
+    insts = (pm_instance(), real_abs_instance())
+    for _ in range(n):
+        inst = rng.choice(insts)
+        elems = inst.samples()
+        fam = Family.from_counts(
+            [(rng.choice(elems), 1) for _ in range(rng.randint(0, 4))],
+            rng.sample(elems, rng.randint(0, 2)))
+        shape = rng.choice((BRACKETING, FLATTENING, UNCONSTRAINED))
+        caps = Caps(rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
+        summable = None
+        if rng.random() < 0.5:
+            summable = lambda b, inst=inst: inst.sum(b).defined  # noqa: E731
+        yield fam, shape, caps, summable
+
+
+def test_stream_order_digest_over_seeded_corpus():
+    digest = hashlib.sha256()
+    total = 0
+    for fam, shape, caps, summable in _order_corpus(2308, 150):
+        stream = enumerate_partitions(fam, shape, caps, summable)
+        for part in stream:
+            digest.update(repr(part).encode() + b"\n")
+            total += 1
+        digest.update(f"truncated={stream.truncated}\n".encode())
+    assert total == 43109
+    assert digest.hexdigest() == (
+        "3f6a4c754171b22e6cd1461c027bb37b6ff9771b376de517fd2866ebc9df9d56")
 
 
 # -- budget enumeration ------------------------------------------------------
