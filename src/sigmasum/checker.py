@@ -17,7 +17,6 @@ from .family import (
     Family,
     disjoint_union,
     map_family,
-    enumerate_partitions,
     format_family_literal,
     static_truncation,
     subfamilies,
@@ -28,7 +27,7 @@ from .core import (
     SigmaInstance,
     budget_families,
     check_hom,
-    partition_sums,
+    first_partition_sums,
 )
 
 PASS, FAIL, TRUNCATED = "pass", "fail", "truncated"
@@ -184,12 +183,8 @@ def _law_regroup(inst, budget, fams, law, engine, direction):
 
     def witness(fam):
         r = inst.sum(fam)
-        for part in enumerate_partitions(
-                fam, engine.shape, budget.caps,
-                block_filter=lambda b: inst.sum(b).defined):
-            sums = partition_sums(inst, part)
-            if bad(r, sums):
-                break
+        part, sums = first_partition_sums(inst, fam, engine.shape, budget.caps,
+                                          lambda sums: bad(r, sums))
         return {"family": _format_family(inst, fam),
                 "partition": _format_partition(inst, part),
                 "block_sums": _format_family(inst, sums)}

@@ -65,6 +65,9 @@ def resolve_instance(selector: str) -> SigmaInstance:
     raise UsageError(f"unknown instance selector {selector!r}")
 
 
+_FLAVORS = ("weak", "strong", "finitely_total", "sigma_group")
+
+
 def load_definition_file(path: str) -> SigmaInstance:
     """Declarative finite instance: elements, zero, and an explicit table of
     summable families (everything else is undefined)."""
@@ -83,6 +86,11 @@ def load_definition_file(path: str) -> SigmaInstance:
         raise UsageError("zero must be one of the elements")
     if not (isinstance(data["elements"], list) and isinstance(rows, list)):
         raise UsageError("bad instance file: elements and sums must be lists")
+    name = data.get("name", os.path.basename(path))
+    flavor = data.get("flavor", "weak")
+    if not isinstance(name, str) or flavor not in _FLAVORS:
+        raise UsageError("bad instance file: name must be a string and flavor "
+                         "one of " + ", ".join(_FLAVORS))
     codec = ElementCodec(lambda s: s.strip(), str)
     table = {}
     for row in rows:
@@ -109,9 +117,8 @@ def load_definition_file(path: str) -> SigmaInstance:
         value = table.get(fam)
         return Defined(value) if value is not None else UNDEFINED
 
-    return SigmaInstance(data.get("name", os.path.basename(path)),
-                         FiniteCarrier(elements), zero, rule,
-                         flavor=data.get("flavor", "weak"), codec=codec)
+    return SigmaInstance(name, FiniteCarrier(elements), zero, rule,
+                         flavor=flavor, codec=codec)
 
 
 def _split_top_level(text: str) -> list:

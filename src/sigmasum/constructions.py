@@ -55,7 +55,6 @@ def product(x: SigmaInstance, y: SigmaInstance, *, samples=None,
             lambda p: isinstance(p, tuple) and len(p) == 2
             and p[0] in x.carrier and p[1] in y.carrier,
             samples=pool,
-            description=f"{x.name} x {y.name}",
         )
     flavor = x.flavor if x.flavor == y.flavor else "weak"
     inst = SigmaInstance(name or f"{x.name}x{y.name}", carrier,
@@ -102,7 +101,6 @@ def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
         carrier = SymbolicCarrier(
             lambda e: e in x.carrier and f(e) == g(e),
             samples=tuple(e for e in x.samples() if f(e) == g(e)),
-            description=f"equaliser in {x.name}",
         )
     if x.zero not in carrier:
         raise ConstructionError("the zero element must be in the agreement set")
@@ -194,7 +192,6 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
         carrier = SymbolicCarrier(
             lambda c: isinstance(c, ClassElement),
             samples=tuple(dict.fromkeys(pool)),
-            description="chain colimit classes",
         )
 
     inst = QuotientInstance(

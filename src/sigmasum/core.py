@@ -14,8 +14,10 @@ from typing import Any, Callable
 from .family import (
     Family,
     Caps,
+    NonNegative,
     canonicalize,
     canonical_key,
+    enumerate_partitions,
     families_within,
     map_family,
 )
@@ -95,10 +97,9 @@ class SymbolicCarrier:
 
     is_finite = False
 
-    def __init__(self, contains: Callable[[Any], bool], samples, description=""):
+    def __init__(self, contains: Callable[[Any], bool], samples):
         self._contains = contains
         self.samples = tuple(samples)
-        self.description = description
 
     def __contains__(self, e):
         return self._contains(e)
@@ -170,7 +171,7 @@ class QuotientInstance(SigmaInstance):
 
 
 @dataclass(frozen=True)
-class Budget:
+class Budget(NonNegative):
     """Bounds for every law/hom check; identical budget + seed means identical
     verdicts. ``trials`` adds seeded random families beyond the exhaustive part."""
 
@@ -181,11 +182,7 @@ class Budget:
     omega_splits: int = 2
     trials: int = 50
     seed: int = 7
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name != "seed" and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+    _exempt = ("seed",)
 
     @property
     def caps(self) -> Caps:
@@ -318,3 +315,16 @@ def partition_sums(inst: SigmaInstance, partition) -> Family | None:
             return None
         pairs.append((r.value, mult))
     return canonicalize(pairs)
+
+
+def first_partition_sums(inst: SigmaInstance, fam: Family, shape: str,
+                         caps: Caps, accept):
+    """The first partition of ``fam`` into summable blocks, in stream order,
+    whose family of block sums satisfies ``accept``, as (partition, sums);
+    (None, None) when no partition within the caps does."""
+    for part in enumerate_partitions(
+            fam, shape, caps, block_filter=lambda b: inst.sum(b).defined):
+        sums = partition_sums(inst, part)
+        if accept(sums):
+            return part, sums
+    return None, None

@@ -8,7 +8,7 @@ keep families in a canonical sorted form so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 OMEGA = float("inf")
@@ -220,28 +220,39 @@ def subfamilies(fam: Family, omega_finite_cap: int = 2) -> list:
     return out
 
 
-def families_within(pool, max_size: int, max_omega: int, omega_pool=None) -> list:
+def families_within(pool, max_size: int, max_omega: int) -> list:
     """Every family with finite part drawn from ``pool`` (total size <= max_size)
-    and omega part a subset of ``omega_pool`` (at most ``max_omega`` elements).
+    and omega part a subset of ``pool`` (at most ``max_omega`` elements).
 
     Deterministic order: (finite size, omega count, element order).
     """
     pool = sorted(dict.fromkeys(pool), key=canonical_key)
-    om_pool = pool if omega_pool is None else sorted(dict.fromkeys(omega_pool), key=canonical_key)
     fams = []
     for k in range(max_size + 1):
         for combo in itertools.combinations_with_replacement(pool, k):
             pairs = [(e, 1) for e in combo]
             for j in range(max_omega + 1):
-                for osub in itertools.combinations(om_pool, j):
+                for osub in itertools.combinations(pool, j):
                     fams.append(canonicalize(pairs + [(e, OMEGA) for e in osub]))
     fams = list(dict.fromkeys(fams))
     fams.sort(key=Family.sort_key)
     return fams
 
 
+class NonNegative:
+    """Base of the dataclasses of bounds: a negative field, other than those
+    named in ``_exempt``, raises ValueError naming it."""
+
+    _exempt = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name not in self._exempt and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+
+
 @dataclass(frozen=True)
-class Caps:
+class Caps(NonNegative):
     """Bounds on partition search.
 
     ``block_count`` caps the number of blocks, where an omega-repeated block
@@ -308,115 +319,55 @@ class PartitionStream:
         self.truncated = static_truncation(fam, caps)
 
     def __iter__(self):
-        return self._generate()
-
-    # -- internals ---------------------------------------------------------
-
-    def _block_universe(self):
         fam, caps = self.family, self.caps
-        allow_inf_blocks = self.shape != BRACKETING
-        axes = []
-        for e, c in fam.finite:
-            axes.append([(e, t) for t in range(min(c, caps.block_size) + 1)])
-        for e in fam.omega:
-            takes = [(e, t) for t in range(caps.block_size + 1)]
-            if allow_inf_blocks:
-                takes.append((e, OMEGA))
-            axes.append(takes)
-        blocks = []
-        for combo in itertools.product(*axes) if axes else [()]:
-            size = sum(1 if is_omega(t) else t for _, t in combo)
-            if 1 <= size <= caps.block_size:
-                blocks.append(canonicalize(combo))
-        blocks = list(dict.fromkeys(blocks))
-        if self.block_filter is not None:
-            blocks = [b for b in blocks if self.block_filter(b)]
-        blocks.sort(key=Family.sort_key, reverse=True)
-        return blocks
+        # subfamilies come in increasing sort_key order; blocks go largest first
+        blocks = [b for b in subfamilies(fam, caps.block_size)
+                  if 1 <= b.size_measure <= caps.block_size
+                  and not (self.shape == BRACKETING and b.omega)
+                  and (self.block_filter is None or self.block_filter(b))]
+        blocks.reverse()
+        return self._rec(blocks, 0, dict(fam.finite),
+                         dict.fromkeys(fam.omega, 0), (), caps.block_count)
 
-    def _generate(self):
-        fam = self.family
-        universe = self._block_universe()
-        fin_pos = {e: i for i, (e, _) in enumerate(fam.finite)}
-        om_pos = {e: i for i, e in enumerate(fam.omega)}
-        compiled = []
-        for block in universe:
-            touch = []   # (finite element index, take)
-            om_fin = []  # omega elements taken finitely
-            for e, t in block.finite:
-                i = fin_pos.get(e)
-                if i is None:
-                    om_fin.append(om_pos[e])
-                else:
-                    touch.append((i, t))
-            om_take = tuple(om_pos[e] for e in block.omega)
-            compiled.append((block, tuple(touch), tuple(om_fin), om_take))
-        rem = [c for _, c in fam.finite]
-        osup = [0] * len(fam.omega)
-        need = (1 << len(fam.omega)) - 1
-        yield from self._rec(compiled, 0, rem, osup, need, [], 0)
-
-    def _rec(self, compiled, start, rem, osup, need, entries, weight):
-        # ``weight`` counts blocks, with an omega-multiplicity entry as one;
-        # rem/osup/entries are mutated and restored around each recursion
-        caps = self.caps
-        if need == 0 and not any(rem):
-            yield Partition(tuple(entries), self.shape)
-        room = caps.block_count - weight
+    def _rec(self, blocks, start, rem, used, entries, room):
+        """``entries`` if complete, then its extensions by ``blocks[start:]``
+        in order, each block with multiplicities 1, 2, ... and then omega.
+        ``rem`` holds the finite counts still to cover, ``used`` the entries
+        supplying omega to each omega element (each needs one), ``room`` what
+        is left under ``block_count``; omega multiplicity takes one unit."""
+        if not any(rem.values()) and all(used.values()):
+            yield Partition(entries, self.shape)
         if room <= 0:
             return
-        allow_inf_mult = self.shape != FLATTENING
-        for j in range(start, len(compiled)):
-            block, touch, om_fin, om_take = compiled[j]
-            fits = True
-            for i, t in touch:
-                if t > rem[i]:
-                    fits = False
-                    break
-            if not fits:
+        splits = self.caps.omega_splits
+        for j in range(start, len(blocks)):
+            block = blocks[j]
+            if any(used[e] >= splits for e in block.omega):
                 continue
-            blocked = False
-            for i in om_take:
-                if osup[i] >= caps.omega_splits:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            if touch:
-                mmax = min(room, min(rem[i] // t for i, t in touch))
-                finite_mults = range(1, mmax + 1)
-                omega_mult_ok = False
-            else:
-                finite_mults = range(1, room + 1)
-                omega_mult_ok = allow_inf_mult
-            for m in finite_mults:
-                for i, t in touch:
-                    rem[i] -= m * t
-                need2 = need
-                for i in om_take:
-                    osup[i] += 1
-                    need2 &= ~(1 << i)
-                entries.append((block, m))
-                yield from self._rec(compiled, j + 1, rem, osup, need2,
-                                     entries, weight + m)
-                entries.pop()
-                for i in om_take:
-                    osup[i] -= 1
-                for i, t in touch:
-                    rem[i] += m * t
-            if omega_mult_ok:
-                suppliers = set(om_take) | set(om_fin)
-                if all(osup[i] < caps.omega_splits for i in suppliers):
-                    need2 = need
-                    for i in suppliers:
-                        osup[i] += 1
-                        need2 &= ~(1 << i)
-                    entries.append((block, OMEGA))
-                    yield from self._rec(compiled, j + 1, rem, osup, need2,
-                                         entries, weight + 1)
-                    entries.pop()
-                    for i in suppliers:
-                        osup[i] -= 1
+            touch = [(e, t) for e, t in block.finite if e in rem]
+            mmax = min([room] + [rem[e] // t for e, t in touch])
+            for m in range(1, mmax + 1):
+                left = dict(rem)
+                for e, t in touch:
+                    left[e] -= m * t
+                yield from self._rec(blocks, j + 1, left,
+                                     _supplied(used, block.omega),
+                                     entries + ((block, m),), room - m)
+            # omega copies of a block must leave the finite counts alone; then
+            # each of its elements is an omega element and gains a supplier
+            if (not touch and self.shape != FLATTENING
+                    and all(used[e] < splits for e in block.support())):
+                yield from self._rec(blocks, j + 1, rem,
+                                     _supplied(used, block.support()),
+                                     entries + ((block, OMEGA),), room - 1)
+
+
+def _supplied(used: dict, elements) -> dict:
+    """``used`` with one more supplying entry for each of ``elements``."""
+    out = dict(used)
+    for e in elements:
+        out[e] += 1
+    return out
 
 
 def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),

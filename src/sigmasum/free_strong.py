@@ -18,9 +18,9 @@ from .family import (
     BlockSumEngine,
     Caps,
     Family,
+    NonNegative,
     canonicalize,
     count_mul,
-    enumerate_partitions,
     families_within,
     is_omega,
     map_family,
@@ -38,12 +38,12 @@ from .core import (
     SymbolicCarrier,
     UNDEFINED,
     check_hom,
-    partition_sums,
+    first_partition_sums,
 )
 
 
 @dataclass(frozen=True)
-class CongruenceCaps:
+class CongruenceCaps(NonNegative):
     """Bounds for congruence exploration: the family universe (size and omega
     entries), the partition caps, and the zig-zag chain depth."""
 
@@ -86,15 +86,10 @@ def leads_to(inst: SigmaInstance, a: Family, b: Family,
              caps: CongruenceCaps = CongruenceCaps()) -> LeadsTo:
     """One-step relation: some partition of ``a`` into summable blocks has
     block sums forming exactly ``b`` (up to extra zeros, i.e. empty blocks)."""
-    stream = enumerate_partitions(a, UNCONSTRAINED, caps.caps,
-                                  block_filter=lambda blk: inst.sum(blk).defined)
-    for part in stream:
-        sums = partition_sums(inst, part)
-        if sums is None:
-            continue
-        if _matches_up_to_zeros(sums, b, inst.zero):
-            return LeadsTo(True, part, stream.truncated)
-    return LeadsTo(False, None, stream.truncated)
+    part, _ = first_partition_sums(
+        inst, a, UNCONSTRAINED, caps.caps,
+        lambda sums: _matches_up_to_zeros(sums, b, inst.zero))
+    return LeadsTo(part is not None, part, static_truncation(a, caps.caps))
 
 
 @dataclass
@@ -123,12 +118,12 @@ class CongruenceGraph:
     """
 
     def __init__(self, inst: SigmaInstance, caps: CongruenceCaps = CongruenceCaps(),
-                 pool=None, extra_elements=()):
+                 pool=None):
         self.inst = inst
         self.caps = caps
         if pool is None:
             pool = inst.samples()
-        pool = list(pool) + list(extra_elements) + [inst.zero]
+        pool = list(pool) + [inst.zero]
         self.pool = sorted(dict.fromkeys(pool), key=lambda e: Family.of(e).sort_key())
         self.universe = families_within(self.pool, caps.max_family_size,
                                         caps.max_omega_elems)
@@ -232,14 +227,12 @@ class CongruenceGraph:
 
 def equivalent(inst: SigmaInstance, a: Family, b: Family,
                depth: int | None = None,
-               caps: CongruenceCaps = CongruenceCaps(),
-               graph: CongruenceGraph | None = None) -> CongruenceVerdict:
+               caps: CongruenceCaps = CongruenceCaps()) -> CongruenceVerdict:
     """Are two families joined by a zig-zag chain of one-step moves of length
     at most ``depth`` (``caps.depth`` by default), inside the cap-bounded
-    universe?"""
-    if graph is None:
-        extra = [e for f in (a, b) for e in f.support()]
-        graph = CongruenceGraph(inst, caps, extra_elements=extra)
+    universe over the samples and the elements of ``a`` and ``b``?"""
+    pool = list(inst.samples()) + [e for f in (a, b) for e in f.support()]
+    graph = CongruenceGraph(inst, caps, pool=pool)
     return graph.related(a, b, caps.depth if depth is None else depth)
 
 
@@ -328,7 +321,6 @@ def intersect_instances(instances, *, name=None) -> SigmaInstance:
             lambda e: all(e in i.carrier for i in instances),
             samples=tuple(e for e in first.samples()
                           if all(e in i.carrier for i in instances[1:])),
-            description=" & ".join(i.name for i in instances),
         )
 
     def rule(fam: Family):

@@ -138,7 +138,6 @@ def real_abs_instance() -> SigmaInstance:
         _is_rational,
         samples=(Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4),
                  Fraction(1)),
-        description="exact rationals",
     )
     rule = fold_rule(Fraction(0), lambda pairs: sum(
         (Fraction(e) * c for e, c in pairs), Fraction(0)))
@@ -157,7 +156,6 @@ def int_group_instance() -> SigmaInstance:
     carrier = SymbolicCarrier(
         lambda e: isinstance(e, int) and not isinstance(e, bool),
         samples=(0, 1, 5, -5),
-        description="integers",
     )
     rule = fold_rule(0, lambda pairs: sum(e * c for e, c in pairs))
     return SigmaInstance("int", carrier, 0, rule, flavor="sigma_group",
@@ -199,7 +197,6 @@ def ext_nat_instance() -> SigmaInstance:
     carrier = SymbolicCarrier(
         lambda e: e == INFINITY or (isinstance(e, int) and not isinstance(e, bool) and e >= 0),
         samples=(0, 1, 2, INFINITY),
-        description="naturals with infinity",
     )
     return SigmaInstance("extnat", carrier, 0, rule, flavor="strong",
                          codec=EXTNAT_CODEC)
@@ -275,7 +272,6 @@ def unit_interval_instance() -> SigmaInstance:
     carrier = SymbolicCarrier(
         lambda e: _is_rational(e) and -1 <= e <= 1,
         samples=(Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4)),
-        description="rationals in [-1, 1]",
     )
     return restrict_instance(real_abs_instance(), carrier, name="interval",
                              flavor="weak")

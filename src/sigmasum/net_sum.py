@@ -26,6 +26,10 @@ from .core import (
 )
 
 
+DIVERGENCE_FACTOR = 1e6  # the probe's thresholds, see extended_sum_real
+CAUCHY_FLOOR = 1e-3
+
+
 class CertificateError(ValueError):
     """A certificate bound was violated by the generated terms."""
 
@@ -106,9 +110,7 @@ class KahanSum:
 
 
 def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
-                      max_terms: int = 200_000, *,
-                      divergence_factor: float = 1e6,
-                      cauchy_tolerance: float | None = None) -> NetVerdict:
+                      max_terms: int = 200_000) -> NetVerdict:
     """Evaluate the net of finite partial sums of a real generator family.
 
     With a certificate, terms are consumed in order of decreasing bound until
@@ -116,17 +118,16 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
     error bound and the correctly rounded sum of the consumed terms as the
     value, or raises OverflowError when that sum leaves the float range.
     Without one, the engine probes for divergence: either a one-signed partial
-    sum beyond ``divergence_factor * (1 + largest term)``, or a one-signed
-    partial sum still growing by more than the Cauchy tolerance between the
-    half-budget and full-budget prefixes. Anything else is Inconclusive.
+    sum beyond ``DIVERGENCE_FACTOR * (1 + largest term)``, or a one-signed
+    partial sum still growing by more than ``max(CAUCHY_FLOOR, 1000 * eps)``
+    between the half-budget and full-budget prefixes. Anything else is
+    Inconclusive.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if gf.certificate is not None:
         return _certified(gf, eps, max_terms)
-    return _probe(gf, eps, max_terms, divergence_factor,
-                  cauchy_tolerance if cauchy_tolerance is not None
-                  else max(1e-3, 1000 * eps))
+    return _probe(gf, eps, max_terms)
 
 
 def _certified(gf, eps, max_terms):
@@ -146,7 +147,8 @@ def _certified(gf, eps, max_terms):
     return NetVerdict("inconclusive", terms_used=max_terms)
 
 
-def _probe(gf, eps, max_terms, divergence_factor, cauchy_tol):
+def _probe(gf, eps, max_terms):
+    cauchy_tol = max(CAUCHY_FLOOR, 1000 * eps)
     half = max_terms // 2
     pos, neg = KahanSum(), KahanSum()
     pos_half = neg_half = 0.0
@@ -174,7 +176,7 @@ def _probe(gf, eps, max_terms, divergence_factor, cauchy_tol):
         if i + 1 == half:
             pos_half, neg_half = pos.total, neg.total
             pos_n_half, neg_n_half = pos_n, neg_n
-        threshold = divergence_factor * (1 + largest)
+        threshold = DIVERGENCE_FACTOR * (1 + largest)
         if pos.total > threshold or neg.total > threshold:
             sign, acc, n = (("positive", pos, pos_n) if pos.total > threshold
                             else ("negative", neg, neg_n))

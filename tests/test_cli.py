@@ -374,6 +374,34 @@ def test_definition_file_sections_not_lists_exit_two(data, tmp_path, capsys):
                         "--family", "{finite:[a]}"], capsys)
 
 
+@pytest.mark.parametrize("field", [
+    {"name": 5},
+    {"name": None},
+    {"flavor": [1]},
+    {"flavor": "group"},
+], ids=["name_number", "name_null", "flavor_list", "flavor_unknown"])
+def test_definition_file_bad_name_or_flavor_exits_two(field, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"elements": ["0", "a"], "zero": "0",
+                                "sums": [], **field}))
+    assert_usage_error(["check", "--instance", str(path),
+                        "--max-size", "1", "--trials", "0"], capsys)
+
+
+@pytest.mark.parametrize("flavor", ["weak", "strong", "finitely_total",
+                                    "sigma_group"])
+def test_definition_file_accepts_each_flavor(flavor, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"name": "tiny", "flavor": flavor,
+                                "elements": ["0"], "zero": "0",
+                                "sums": [{"finite": [], "value": "0"},
+                                         {"finite": ["0"], "value": "0"}]}))
+    code, out = run_cli(["check", "--instance", str(path), "--laws", "weak",
+                         "--max-size", "1", "--trials", "0"])
+    assert code == 0
+    assert {json.loads(line)["instance"] for line in out.splitlines()} == {"tiny"}
+
+
 def test_net_nan_eps_exits_two(capsys):
     assert_usage_error(["net", "--gen", "finite(1,2)", "--eps", "nan"], capsys)
 

@@ -162,3 +162,8 @@ def test_symbolic_carrier_without_samples_is_unsupported():
 def test_budget_rejects_negative_bounds():
     with pytest.raises(ValueError):
         Budget(max_finite_size=-1)
+    for field in ("max_omega_elems", "block_count", "block_size",
+                  "omega_splits", "trials"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            Budget(**{field: -1})
+    assert Budget(seed=-1).seed == -1  # any integer seeds the trials

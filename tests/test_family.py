@@ -415,9 +415,8 @@ def _order_corpus(seed, n):
             rng.sample(elems, rng.randint(0, 2)))
         shape = rng.choice((BRACKETING, FLATTENING, UNCONSTRAINED))
         caps = Caps(rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
-        summable = None
-        if rng.random() < 0.5:
-            summable = lambda b, inst=inst: inst.sum(b).defined  # noqa: E731
+        summable = ((lambda b, inst=inst: inst.sum(b).defined)
+                    if rng.random() < 0.5 else None)
         yield fam, shape, caps, summable
 
 
@@ -433,6 +432,14 @@ def test_stream_order_digest_over_seeded_corpus():
     assert total == 43109
     assert digest.hexdigest() == (
         "3f6a4c754171b22e6cd1461c027bb37b6ff9771b376de517fd2866ebc9df9d56")
+
+
+@pytest.mark.parametrize("field", ["block_count", "block_size",
+                                   "omega_splits"])
+def test_caps_reject_a_negative_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+        Caps(**{field: -1})
+    assert getattr(Caps(**{field: 0}), field) == 0
 
 
 # -- budget enumeration ------------------------------------------------------

@@ -279,7 +279,7 @@ def test_intersect_with_restriction_agrees_only_where_both_do():
     finite_nat = restrict_instance(
         en,
         SymbolicCarrier(lambda e: isinstance(e, int) and e >= 0,
-                        samples=(0, 1, 2), description="finite naturals"),
+                        samples=(0, 1, 2)),
         name="nat", flavor="strong")
     both = intersect_instances([en, finite_nat])
     assert both.sum(Family.of(1, 2)) == Defined(3)
@@ -319,3 +319,12 @@ def test_extension_on_opposite_pair_class():
     fac = factorize(pm, en, const0, CAPS)
     cls = fac.quotient.class_of(Family.of("+", "-"))
     assert fac.extension(cls) == 0
+
+
+@pytest.mark.parametrize("field", ["max_family_size", "max_omega_elems",
+                                   "block_count", "block_size",
+                                   "omega_splits", "depth"])
+def test_congruence_caps_reject_a_negative_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+        CongruenceCaps(**{field: -1})
+    assert getattr(CongruenceCaps(**{field: 0}), field) == 0
