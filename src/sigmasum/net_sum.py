@@ -10,6 +10,7 @@ terms are the identity, so the extended sum is a direct fold.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -37,10 +38,20 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class AbsoluteBound:
     """Per-index bound b(i) >= |gen(i)| with a tail function: sorted_tail(n)
-    bounds the total of all bounds outside the n+1 largest."""
+    bounds the total of all bounds outside the n+1 largest.
+
+    ``nonincreasing_from = k`` declares that b(i) does not increase for
+    i >= k, so the engine sorts only the indices below k and merges the rest
+    in index order; ``None`` declares nothing and every index is sorted. The
+    declaration is checked as the engine consumes the tail."""
 
     bound: Callable[[int], float]
     sorted_tail: Callable[[int], float]
+    nonincreasing_from: int | None = None
+
+    def __post_init__(self):
+        if self.nonincreasing_from is not None and self.nonincreasing_from < 0:
+            raise ValueError("nonincreasing_from must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,20 +136,38 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
     if gf.certificate is not None:
         return _certified(gf, eps, max_terms)
     return _probe(gf, eps, max_terms)
 
 
 def _certified(gf, eps, max_terms):
+    """Consume indices below ``max_terms`` in order of decreasing bound, ties
+    by index: the head below the declared ``nonincreasing_from`` (all of them
+    when undeclared) is sorted, the tail is merged in lazily, so bounds are
+    evaluated only for the terms used. A consumed term above its bound (up to
+    a relative 1e-12) or a tail bound above the previous one raises
+    CertificateError."""
     cert = gf.certificate
-    order = sorted(range(max_terms), key=lambda i: (-cert.bound(i), i))
+    k = cert.nonincreasing_from
+    k = max_terms if k is None else min(k, max_terms)
+    head = sorted((-cert.bound(i), i) for i in range(k))
+    rest = ((-cert.bound(i), i) for i in range(k, max_terms))
     partials = []
-    for n, i in enumerate(order):
+    floor_index, floor = None, math.inf  # the last tail index consumed
+    for n, (neg_bound, i) in enumerate(heapq.merge(head, rest)):
+        b = -neg_bound
+        if i >= k:
+            if b > floor:
+                raise CertificateError(
+                    f"bound({i}) = {b} exceeds bound({floor_index}) = {floor}, "
+                    f"though declared non-increasing from {k}")
+            floor_index, floor = i, b
         term = gf.gen(i)
-        if abs(term) > cert.bound(i) + 1e-12:
-            raise CertificateError(
-                f"|gen({i})| = {abs(term)} exceeds bound {cert.bound(i)}")
+        if abs(term) > b + 1e-12 * b:
+            raise CertificateError(f"|gen({i})| = {abs(term)} exceeds bound {b}")
         _add_exact(partials, term)
         tail = cert.sorted_tail(n)
         if tail < eps:
@@ -218,7 +247,9 @@ def reordered(gf: GeneratorFamily, perm) -> GeneratorFamily:
         def bound(i):
             return old_bound(perm[i]) if i < len(perm) else old_bound(i)
 
-        cert = AbsoluteBound(bound, cert.sorted_tail)
+        k = cert.nonincreasing_from
+        cert = AbsoluteBound(bound, cert.sorted_tail,
+                             None if k is None else max(len(perm), k))
     return GeneratorFamily(gen, cert, gf.description + " (reordered)")
 
 
@@ -235,6 +266,7 @@ def geometric(a: float, r: float) -> GeneratorFamily:
         cert = AbsoluteBound(
             bound=lambda i: abs(a) * abs(r) ** i,
             sorted_tail=lambda n: abs(a) * abs(r) ** (n + 1) / (1 - abs(r)),
+            nonincreasing_from=0,
         )
     return GeneratorFamily(gen, cert, f"geometric({a},{r})")
 
@@ -249,6 +281,7 @@ def power_terms(p: float) -> GeneratorFamily:
         cert = AbsoluteBound(
             bound=lambda i: (i + 1.0) ** -p,
             sorted_tail=lambda n: (n + 1.0) ** (1 - p) / (p - 1),
+            nonincreasing_from=0,
         )
     return GeneratorFamily(gen, cert, f"power({p})")
 
@@ -268,6 +301,7 @@ def finite_terms(*values: float) -> GeneratorFamily:
     cert = AbsoluteBound(
         bound=lambda i: abs(values[i]) if i < len(values) else 0.0,
         sorted_tail=lambda n: suffix[n + 1] if n + 1 < len(suffix) else 0.0,
+        nonincreasing_from=len(values),
     )
     return GeneratorFamily(gen, cert, f"finite{values}")
 

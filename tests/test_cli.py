@@ -122,6 +122,14 @@ def test_net_finite():
     assert (code, out) == (0, "converged 6 ±0\n")
 
 
+def test_net_huge_max_terms_costs_only_the_terms_used():
+    # the certified order is built lazily, so a budget of 1e9 terms allocates
+    # nothing per index
+    code, out = run_cli(["net", "--gen", "geometric(0.5,0.5)",
+                         "--max-terms", "1000000000"])
+    assert code == 0 and out.startswith("converged 0.999999999")
+
+
 def test_net_alternating_harmonic_diverges():
     code, out = run_cli(["net", "--gen", "alternating_harmonic"])
     assert code == 0 and out.startswith("diverged")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from sigmasum.net_sum import (
     FiniteMonoid,
     GeneratorFamily,
     KahanSum,
+    NetVerdict,
     alternating_harmonic,
     check_hausdorff_axioms,
     cyclic_monoid,
@@ -107,9 +109,165 @@ def test_certificate_violation_detected():
         extended_sum_real(lying, eps=1e-9)
 
 
+def test_certificate_slack_scales_with_a_large_bound():
+    # gen and bound differ by an ulp or so; an absolute slack of 1e-12 is
+    # below one ulp of 3e19
+    a, r = 3e20, 0.1
+    gf = GeneratorFamily(
+        gen=lambda i: a * math.exp(i * math.log(r)),
+        certificate=AbsoluteBound(lambda i: a * r ** i,
+                                  lambda n: a * r ** (n + 1) / (1 - r), 0))
+    assert gf.gen(1) > gf.certificate.bound(1)
+    verdict = extended_sum_real(gf, eps=1e-9)
+    assert verdict.converged and verdict.value == pytest.approx(a / (1 - r))
+
+
+def test_certificate_slack_is_none_at_a_zero_bound():
+    gf = GeneratorFamily(
+        gen=lambda i: 5e-13 if i == 0 else 0.0,
+        certificate=AbsoluteBound(lambda i: 0.0, lambda n: 0.0))
+    with pytest.raises(CertificateError):
+        extended_sum_real(gf, eps=1e-9)
+
+
 def test_eps_must_be_positive():
     with pytest.raises(ValueError):
         extended_sum_real(geometric(0.5, 0.5), eps=0)
+
+
+@pytest.mark.parametrize("gf", [geometric(0.5, 0.5), alternating_harmonic()])
+@pytest.mark.parametrize("max_terms", [0, -5])
+def test_max_terms_must_be_positive(gf, max_terms):
+    with pytest.raises(ValueError):
+        extended_sum_real(gf, 1e-9, max_terms)
+
+
+# -- the lazy certified order ------------------------------------------------------
+
+
+def full_sort_oracle(gf, eps, max_terms):
+    """The certified loop as a full sort of every index by (-bound, index)."""
+    cert = gf.certificate
+    order = sorted(range(max_terms), key=lambda i: (-cert.bound(i), i))
+    terms = []
+    for n, i in enumerate(order):
+        term = gf.gen(i)
+        b = cert.bound(i)
+        if abs(term) > b + 1e-12 * b:
+            raise CertificateError(f"|gen({i})| = {abs(term)} exceeds bound {b}")
+        terms.append(term)
+        tail = cert.sorted_tail(n)
+        if tail < eps:
+            return NetVerdict("converged", math.fsum(terms), tail,
+                              terms_used=n + 1)
+    return NetVerdict("inconclusive", terms_used=max_terms)
+
+
+def instrumented(gf):
+    """``gf`` with gen and bound wrapped to log the indices they are called
+    with."""
+    log = {"gen": [], "bound": []}
+
+    def gen(i):
+        log["gen"].append(i)
+        return gf.gen(i)
+
+    def bound(i):
+        log["bound"].append(i)
+        return gf.certificate.bound(i)
+
+    cert = dataclasses.replace(gf.certificate, bound=bound)
+    return dataclasses.replace(gf, gen=gen, certificate=cert), log
+
+
+def outcome(engine, gf, eps, max_terms):
+    gf, log = instrumented(gf)
+    try:
+        result = engine(gf, eps, max_terms)
+    except CertificateError as exc:
+        result = (type(exc), str(exc))
+    return result, log["gen"]
+
+
+SMALL = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0, 2.0, 3.0])
+
+
+@st.composite
+def hand_built(draw):
+    """Bounds over a finite index range with ties and zeros; terms mostly
+    within them. Declared or not: a declared tail is non-increasing."""
+    head = draw(st.lists(SMALL.map(abs), max_size=8))
+    declared = draw(st.booleans())
+    tail = (sorted(draw(st.lists(SMALL.map(abs), max_size=8)), reverse=True)
+            if declared else [])
+    bounds = head + tail
+    scale = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, 0.0, 1.5]),
+                          min_size=len(bounds), max_size=len(bounds)))
+    terms = [b * s for b, s in zip(bounds, scale)]
+    ranked = sorted(bounds, reverse=True)
+    return GeneratorFamily(
+        gen=lambda i: terms[i] if i < len(terms) else 0.0,
+        certificate=AbsoluteBound(
+            bound=lambda i: bounds[i] if i < len(bounds) else 0.0,
+            sorted_tail=lambda n: math.fsum(ranked[n + 1:]),
+            nonincreasing_from=len(head) if declared else None))
+
+
+STOCK = st.one_of(
+    st.lists(SMALL, max_size=8).map(lambda vs: finite_terms(*vs)),
+    st.builds(geometric, st.sampled_from([1.0, -3.0, 0.5]),
+              st.sampled_from([-0.75, -0.5, 0.0, 0.25, 0.5])),
+    st.builds(power_terms, st.sampled_from([1.5, 2.0, 3.0])),
+    hand_built(),
+)
+
+
+@st.composite
+def certified_families(draw):
+    gf = draw(STOCK)
+    if draw(st.booleans()):
+        gf = reordered(gf, draw(st.permutations(range(draw(st.integers(0, 12))))))
+    return gf
+
+
+@given(certified_families(), st.sampled_from([1e-30, 1e-9, 1e-3, 0.1, 10.0]),
+       st.integers(-3, 3), st.integers(1, 60))
+def test_lazy_order_matches_full_sort(gf, eps, offset, free_terms):
+    k = gf.certificate.nonincreasing_from
+    for max_terms in {max(1, (k or 0) + offset), free_terms}:
+        assert outcome(extended_sum_real, gf, eps, max_terms) == \
+            outcome(full_sort_oracle, gf, eps, max_terms)
+
+
+PERM64 = random.Random(3).sample(range(64), 64)
+
+
+@pytest.mark.parametrize("gf", [
+    finite_terms(1, 2, 3), geometric(0.5, 0.5),
+    reordered(geometric(0.5, 0.5), PERM64)])
+def test_certified_cost_follows_the_terms_used(gf):
+    gf, log = instrumented(gf)
+    verdict = extended_sum_real(gf)
+    assert verdict.converged
+    head = gf.certificate.nonincreasing_from
+    assert len(log["bound"]) <= head + 4 * (verdict.terms_used + 1)
+    assert len(log["gen"]) == verdict.terms_used
+
+
+def test_negative_declaration_is_rejected():
+    with pytest.raises(ValueError):
+        AbsoluteBound(lambda i: 0.0, lambda n: 0.0, nonincreasing_from=-1)
+
+
+def test_rising_bound_in_a_declared_tail_is_detected():
+    bounds = [1.0, 0.5, 0.25, 0.75] + [0.0] * 10
+    gf = GeneratorFamily(
+        gen=lambda i: bounds[i] if i < len(bounds) else 0.0,
+        certificate=AbsoluteBound(
+            lambda i: bounds[i] if i < len(bounds) else 0.0,
+            lambda n: 1.0, nonincreasing_from=0))
+    with pytest.raises(CertificateError, match=r"bound\(3\)"):
+        extended_sum_real(gf, eps=1e-9)
 
 
 # -- divergence and inconclusive ---------------------------------------------------
