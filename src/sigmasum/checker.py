@@ -7,10 +7,9 @@ shrunk witnesses; searches clipped by the partition caps are reported as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .family import (
-    BRACKETING,
-    FLATTENING,
     UNCONSTRAINED,
     EMPTY,
     BlockSumEngine,
@@ -67,10 +66,6 @@ class LawReport:
             if v.law == law:
                 return v
         raise KeyError(law)
-
-    def merged(self, other: "LawReport") -> "LawReport":
-        return LawReport(self.instance, self.budget, self.laws + other.laws,
-                         self.flavor)
 
 
 def _format_family(inst, fam: Family) -> str:
@@ -130,7 +125,7 @@ def _first_violation(law, fams, violates, witness, applies=None):
     return LawVerdict(law, PASS, checked=checked)
 
 
-def _law_singleton(inst, budget, fams):
+def _law_singleton(inst, budget, fams, engines):
     for i, x in enumerate(inst.samples()):
         if inst.sum(Family.of(x)) != Defined(x):
             return LawVerdict("singleton", FAIL,
@@ -139,7 +134,7 @@ def _law_singleton(inst, budget, fams):
     return LawVerdict("singleton", PASS, checked=len(inst.samples()))
 
 
-def _law_neutral(inst, budget, fams):
+def _law_neutral_element(inst, budget, fams, engines):
     if inst.sum(EMPTY) != Defined(inst.zero):
         return LawVerdict("neutral_element", FAIL,
                           {"family": _format_family(inst, EMPTY)}, 1)
@@ -160,13 +155,17 @@ def _law_neutral(inst, budget, fams):
     return verdict
 
 
-def _law_regroup(inst, budget, fams, law, engine, direction):
-    """direction 'bracketing': defined whole must regroup to the same value;
-    'flattening': defined regrouping forces the whole.
+def _regroup(law, inst, budget, fams, engines):
+    """(strong_)bracketing: a defined whole must regroup to the same value;
+    (strong_)flattening: a defined regrouping forces the whole. A weak law
+    names its partition shape, a strong one scans the unconstrained shape.
 
     The scan and the shrinker look only at the distinct block-sum families the
-    engine gives; the shrunk witness's partition is the first violating one in
-    partition-stream order."""
+    run's engine for the shape gives; the shrunk witness's partition is the
+    first violating one in partition-stream order."""
+    direction = law.removeprefix("strong_")
+    shape = direction if direction == law else UNCONSTRAINED
+    engine = engines.setdefault(shape, BlockSumEngine(inst, shape, budget.caps))
 
     def applies(fam):
         return direction != "bracketing" or inst.sum(fam).defined
@@ -196,7 +195,13 @@ def _law_regroup(inst, budget, fams, law, engine, direction):
     return verdict
 
 
-def _law_subsummability(inst, budget, fams):
+_law_bracketing = partial(_regroup, "bracketing")
+_law_flattening = partial(_regroup, "flattening")
+_law_strong_bracketing = partial(_regroup, "strong_bracketing")
+_law_strong_flattening = partial(_regroup, "strong_flattening")
+
+
+def _law_subsummability(inst, budget, fams, engines):
     omega_cap = budget.caps.block_size
 
     def bad_sub(fam):
@@ -216,7 +221,7 @@ def _law_subsummability(inst, budget, fams):
                             lambda fam: inst.sum(fam).defined)
 
 
-def _law_zero_sum(inst, budget, fams):
+def _law_zero_sum_all_zero(inst, budget, fams, engines):
     def violates(fam):
         return (inst.sum(fam) == Defined(inst.zero)
                 and any(e != inst.zero for e in fam.support()))
@@ -225,7 +230,7 @@ def _law_zero_sum(inst, budget, fams):
                             lambda fam: {"family": _format_family(inst, fam)})
 
 
-def _law_finite_totality(inst, budget, fams):
+def _law_finite_totality(inst, budget, fams, engines):
     def violates(fam):
         return fam.is_finite and not inst.sum(fam).defined
 
@@ -234,7 +239,7 @@ def _law_finite_totality(inst, budget, fams):
                             lambda fam: fam.is_finite)
 
 
-def _law_inverses(inst, budget, fams):
+def _law_inverses_exist(inst, budget, fams, engines):
     for i, x in enumerate(inst.samples()):
         pair = Family.of(x, inst.inversion(x))
         if inst.sum(pair) != Defined(inst.zero):
@@ -244,7 +249,7 @@ def _law_inverses(inst, budget, fams):
     return LawVerdict("inverses_exist", PASS, checked=len(inst.samples()))
 
 
-def _law_inversion_hom(inst, budget, fams):
+def _law_inversion_hom(inst, budget, fams, engines):
     verdict = check_hom(inst.inversion, inst, inst, budget)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
@@ -253,7 +258,7 @@ def _law_inversion_hom(inst, budget, fams):
     return LawVerdict("inversion_hom", PASS, checked=verdict.checked)
 
 
-def _law_inverse_cancellation(inst, budget, fams):
+def _law_inverse_cancellation(inst, budget, fams, engines):
     def violates(fam):
         if not inst.sum(fam).defined:
             return False
@@ -268,31 +273,35 @@ def _law_inverse_cancellation(inst, budget, fams):
 # -- suites ------------------------------------------------------------------
 
 
+def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
+              require_group: bool = False) -> LawReport:
+    """Run ``laws`` in order over one family pool; the regrouping laws share
+    ``engines``, one block-sum engine per partition shape. Without an
+    inversion map installed the group laws are skipped, or fail with that
+    reason when ``require_group`` is set. Each law runs as the module's
+    ``_law_<law>``, looked up at call time."""
+    fams = budget_families(inst, budget)
+    engines = {}
+    report = LawReport(inst.name, budget)
+    for law in laws:
+        if law in GROUP_LAWS and inst.inversion is None:
+            if require_group:
+                report.laws.append(LawVerdict(
+                    law, FAIL, {"reason": "no inversion map installed"}))
+            continue
+        report.laws.append(globals()["_law_" + law](inst, budget, fams, engines))
+    return report
+
+
 def check_weak(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Singleton, neutral element, bracketing and flattening, within budget."""
-    fams = budget_families(inst, budget)
-    report = LawReport(inst.name, budget)
-    report.laws.append(_law_singleton(inst, budget, fams))
-    report.laws.append(_law_neutral(inst, budget, fams))
-    for law in (BRACKETING, FLATTENING):  # each law names its shape
-        engine = BlockSumEngine(inst, law, budget.caps)
-        report.laws.append(_law_regroup(inst, budget, fams, law, engine, law))
-    return report
+    return _run_laws(inst, budget, WEAK_LAWS)
 
 
 def check_strong(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Subsummability plus unconstrained-shape regrouping, and the probe that
     families summing to zero contain only zeros."""
-    fams = budget_families(inst, budget)
-    report = LawReport(inst.name, budget)
-    report.laws.append(_law_subsummability(inst, budget, fams))
-    engine = BlockSumEngine(inst, UNCONSTRAINED, budget.caps)
-    report.laws.append(_law_regroup(inst, budget, fams, "strong_bracketing",
-                                    engine, "bracketing"))
-    report.laws.append(_law_regroup(inst, budget, fams, "strong_flattening",
-                                    engine, "flattening"))
-    report.laws.append(_law_zero_sum(inst, budget, fams))
-    return report
+    return _run_laws(inst, budget, STRONG_LAWS)
 
 
 def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
@@ -300,42 +309,26 @@ def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
     """Finite totality; when an inversion map is installed (or the group laws
     were explicitly requested), also the group laws (inverse pairs, inversion
     preservation, family cancellation)."""
-    fams = budget_families(inst, budget)
-    report = LawReport(inst.name, budget)
-    report.laws.append(_law_finite_totality(inst, budget, fams))
-    if inst.inversion is not None:
-        for law in (_law_inverses, _law_inversion_hom,
-                    _law_inverse_cancellation):
-            report.laws.append(law(inst, budget, fams))
-    elif require_group:
-        report.laws += [LawVerdict(law, FAIL,
-                                   {"reason": "no inversion map installed"})
-                        for law in GROUP_LAWS]
-    return report
+    return _run_laws(inst, budget, FT_LAWS + GROUP_LAWS, require_group)
 
 
 def conclude_flavor(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Run everything and conclude the strongest flavor whose laws all hold
     (modulo caps: truncated counts as non-failing and is reported as such)."""
-    weak = check_weak(inst, budget)
-    strong = check_strong(inst, budget)
-    ftg = check_ft_and_group(inst, budget)
-    report = weak.merged(strong).merged(ftg)
-    weak_ok = weak.ok
-    strong_ok = weak_ok and strong.ok
-    ft_ok = weak_ok and not ftg.verdict("finite_totality").failed
-    group_ok = (ft_ok and inst.inversion is not None
-                and not any(v.failed for v in ftg.laws))
-    if group_ok:
-        report.flavor = "sigma_group"
-    elif strong_ok:
-        report.flavor = "strong"
-    elif ft_ok:
-        report.flavor = "finitely_total"
-    elif weak_ok:
-        report.flavor = "weak"
-    else:
+    report = _run_laws(inst, budget,
+                       WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS)
+    failed = {v.law for v in report.laws if v.failed}
+    if not failed.isdisjoint(WEAK_LAWS):
         report.flavor = None
+    elif (inst.inversion is not None
+          and failed.isdisjoint(FT_LAWS + GROUP_LAWS)):
+        report.flavor = "sigma_group"
+    elif failed.isdisjoint(STRONG_LAWS):
+        report.flavor = "strong"
+    elif failed.isdisjoint(FT_LAWS):
+        report.flavor = "finitely_total"
+    else:
+        report.flavor = "weak"
     return report
 
 

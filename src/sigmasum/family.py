@@ -8,6 +8,7 @@ keep families in a canonical sorted form so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -224,18 +225,23 @@ def families_within(pool, max_size: int, max_omega: int) -> list:
     """Every family with finite part drawn from ``pool`` (total size <= max_size)
     and omega part a subset of ``pool`` (at most ``max_omega`` elements).
 
-    Deterministic order: (finite size, omega count, element order).
+    Each family comes once, canonical, in ``Family.sort_key`` order: finite
+    size, omega count, word, omega part. (Distinct elements of equal
+    ``canonical_key`` keep their order in ``pool``, and then the word decides
+    before the omega part.)
     """
     pool = sorted(dict.fromkeys(pool), key=canonical_key)
     fams = []
     for k in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(pool, k):
-            pairs = [(e, 1) for e in combo]
-            for j in range(max_omega + 1):
+        for j in range(max_omega + 1):
+            for word in itertools.combinations_with_replacement(pool, k):
+                finite = tuple(Counter(word).items())
+                support = set(word)
                 for osub in itertools.combinations(pool, j):
-                    fams.append(canonicalize(pairs + [(e, OMEGA) for e in osub]))
-    fams = list(dict.fromkeys(fams))
-    fams.sort(key=Family.sort_key)
+                    # an omega element of the word absorbs its finite copies:
+                    # that family is a smaller one, emitted under its own size
+                    if support.isdisjoint(osub):
+                        fams.append(Family(finite, osub))
     return fams
 
 
@@ -433,34 +439,28 @@ class BlockSumEngine:
         if out is not None:
             return out
         found = set()
+        if not rem and all(used):
+            found.add(0)  # the empty family: every omega element supplied
         splits = self.caps.omega_splits
-        if rem:
-            for value, touch, _, om_take in self._compiled(rem, om):
-                if any(used[j] >= splits for j in om_take):
-                    continue
-                used2 = _supply(used, om_take)
-                mmax = min(room, min(rem[i][1] // t for i, t in touch))
-                for m in range(1, mmax + 1):
-                    left = list(rem)
-                    for i, t in touch:
-                        left[i] = (left[i][0], left[i][1] - m * t)
-                    rem2 = tuple(p for p in left if p[1])
-                    self._extend(found, (rem2, om, used2, room - m), value, m)
-        else:
-            if all(used):
-                found.add(0)  # the empty family: every omega element supplied
-            blocks = self._compiled(rem, om) if room > 0 else ()
-            for value, _, om_fin, om_take in blocks:
-                if any(used[j] >= splits for j in om_take):
-                    continue
-                used2 = _supply(used, om_take)
-                for m in range(1, room + 1):
-                    self._extend(found, (rem, om, used2, room - m), value, m)
-                suppliers = set(om_take) | set(om_fin)
-                if (self.shape != FLATTENING
-                        and all(used[j] < splits for j in suppliers)):
-                    self._extend(found, (rem, om, _supply(used, suppliers),
-                                         room - 1), value, OMEGA)
+        for value, touch, om_fin, om_take in (self._compiled(rem, om)
+                                              if room > 0 else ()):
+            if any(used[j] >= splits for j in om_take):
+                continue
+            used2 = _supply(used, om_take)
+            mmax = min([room] + [rem[i][1] // t for i, t in touch])
+            for m in range(1, mmax + 1):
+                left = list(rem)
+                for i, t in touch:
+                    left[i] = (left[i][0], left[i][1] - m * t)
+                rem2 = tuple(p for p in left if p[1])
+                self._extend(found, (rem2, om, used2, room - m), value, m)
+            # omega copies of a block must leave the finite counts alone; then
+            # each of its elements is an omega element and gains a supplier
+            suppliers = set(om_take) | set(om_fin)
+            if (not touch and self.shape != FLATTENING
+                    and all(used[j] < splits for j in suppliers)):
+                self._extend(found, (rem, om, _supply(used, suppliers),
+                                     room - 1), value, OMEGA)
         out = self._memo[key] = frozenset(found)
         return out
 

@@ -123,9 +123,8 @@ class CongruenceGraph:
         self.caps = caps
         if pool is None:
             pool = inst.samples()
-        pool = list(pool) + [inst.zero]
-        self.pool = sorted(dict.fromkeys(pool), key=lambda e: Family.of(e).sort_key())
-        self.universe = families_within(self.pool, caps.max_family_size,
+        self.universe = families_within(list(pool) + [inst.zero],
+                                        caps.max_family_size,
                                         caps.max_omega_elems)
         self._uset = set(self.universe)
         self.truncated = False
@@ -349,25 +348,24 @@ class Factorization:
 
 
 def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
-              caps: CongruenceCaps = CongruenceCaps(),
-              budget: Budget | None = None) -> Factorization:
+              caps: CongruenceCaps = CongruenceCaps()) -> Factorization:
     """Build the quotient along f and factor f through it.
 
     The unit sends x to the class of the singleton family {x}; the extension
     sends a class to the target sum of the image of its representative.
     ``commutes`` holds when f equals extension-after-unit pointwise on the
-    samples and both maps pass check_hom at the budget.
+    samples and both maps pass check_hom at the budget the caps give: families
+    up to ``min(max_family_size, block_size)``, no random trials.
     """
     quotient = free_strong_quotient(weak, strong, f, caps)
-    if budget is None:
-        budget = Budget(
-            max_finite_size=min(caps.max_family_size, caps.block_size),
-            max_omega_elems=caps.max_omega_elems,
-            block_count=caps.block_count,
-            block_size=caps.block_size,
-            omega_splits=caps.omega_splits,
-            trials=0,
-        )
+    budget = Budget(
+        max_finite_size=min(caps.max_family_size, caps.block_size),
+        max_omega_elems=caps.max_omega_elems,
+        block_count=caps.block_count,
+        block_size=caps.block_size,
+        omega_splits=caps.omega_splits,
+        trials=0,
+    )
 
     def unit_fn(x):
         cls = quotient.class_of(Family.of(x))

@@ -5,8 +5,8 @@ decreasing bound, exactly, until the certified tail drops below the tolerance;
 the value is the correctly rounded sum of the terms consumed. Without a
 certificate it can only report divergence evidence (two nested finite
 subfamilies whose partial sums stay apart) or an honest Inconclusive. For finite commutative monoids with the discrete
-topology the net is eventually constant exactly when all but finitely many
-terms are the identity, so the extended sum is a direct fold.
+topology the net converges exactly when it is eventually constant: the finite
+part plus |M| copies of each omega element must absorb every omega element.
 """
 from __future__ import annotations
 
@@ -16,14 +16,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .family import Family
+from .family import Family, is_omega
 from .core import (
+    UNDEFINED,
     CarrierError,
     ConstructionError,
+    Defined,
     FiniteCarrier,
     SigmaInstance,
     SumResult,
-    fold_rule,
 )
 
 
@@ -373,20 +374,20 @@ def cyclic_monoid(n: int) -> FiniteMonoid:
 
 def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
     """Extended sum in the discrete topology: the net of finite partial sums
-    is eventually constant exactly when all but finitely many occurrences are
-    the identity; then it stabilizes at the fold of the nonzero part."""
+    converges exactly when it is eventually constant. Let s fold the finite
+    part and |M| copies of each omega element; from |M| copies on, the powers
+    of every element are periodic, so the family is summable, with sum s,
+    exactly when s + e == s for every omega element e."""
     for e in fam.support():
         if e not in monoid.elements:
             raise CarrierError(f"{e!r} not in {monoid.name}")
-
-    def fold(pairs):
-        acc = monoid.identity
-        for e, c in pairs:
-            for _ in range(c):
-                acc = monoid.op(acc, e)
-        return acc
-
-    return fold_rule(monoid.identity, fold)(fam)
+    acc = monoid.identity
+    for e, c in fam.items():
+        for _ in range(len(monoid.elements) if is_omega(c) else c):
+            acc = monoid.op(acc, e)
+    if all(monoid.op(acc, e) == acc for e in fam.omega):
+        return Defined(acc)
+    return UNDEFINED
 
 
 def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
@@ -402,11 +403,12 @@ def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
 
 
 def check_hausdorff_axioms(inst: SigmaInstance, budget=None):
-    """Weak plus finitely-total law suites for an instance induced by a
+    """Weak and finitely-total laws, plus the group laws when an inversion map
+    is installed, over one family pool, for an instance induced by a
     topological monoid (discrete table or certified families)."""
     from .core import Budget
-    from .checker import check_ft_and_group, check_weak
+    from .checker import FT_LAWS, GROUP_LAWS, WEAK_LAWS, _run_laws
 
     if budget is None:
         budget = Budget()
-    return check_weak(inst, budget).merged(check_ft_and_group(inst, budget))
+    return _run_laws(inst, budget, WEAK_LAWS + FT_LAWS + GROUP_LAWS)

@@ -1,5 +1,8 @@
 import pytest
 
+import sigmasum.checker as checker
+import sigmasum.core as core
+
 from sigmasum.core import Budget, Defined, FiniteCarrier, SigmaInstance
 from sigmasum.family import Family
 from sigmasum.instances import (
@@ -11,13 +14,17 @@ from sigmasum.instances import (
     unit_interval_instance,
 )
 from sigmasum.checker import (
+    FT_LAWS,
+    GROUP_LAWS,
+    STRONG_LAWS,
+    WEAK_LAWS,
     check_ft_and_group,
     check_strong,
     check_weak,
     conclude_flavor,
     shrink_family,
 )
-from sigmasum.cli import parse_family_literal
+from sigmasum.cli import parse_family_literal, resolve_instance
 
 BUDGET = Budget(max_finite_size=3, max_omega_elems=1, trials=0, seed=7)
 
@@ -263,3 +270,45 @@ def test_group_laws_without_inversion_are_pinned():
         ("finite_totality", "fail", 5, {"family": "{finite: [+, +], omega: []}"}),
     ] + [(law, "fail", 0, {"reason": "no inversion map installed"})
          for law in ("inverses_exist", "inversion_hom", "inverse_cancellation")]
+
+
+# -- the suite runner ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("selector", ["pm", "parity:a,b", "interval", "zmod:3",
+                                      "real", "int", "extnat", "unit"])
+def test_conclude_flavor_runs_the_three_suites_in_order(selector):
+    budget = Budget(max_finite_size=2, max_omega_elems=1, trials=5, seed=3)
+    inst = resolve_instance(selector)
+    suites = [check_weak(inst, budget), check_strong(inst, budget),
+              check_ft_and_group(inst, budget)]
+    assert conclude_flavor(inst, budget).laws == \
+        [v for report in suites for v in report.laws]
+
+
+def test_conclude_flavor_builds_one_family_pool(monkeypatch):
+    calls = []
+
+    def counted(inst, budget, _pool=core.budget_families):
+        calls.append(inst.name)
+        return _pool(inst, budget)
+
+    monkeypatch.setattr(checker, "budget_families", counted)
+    monkeypatch.setattr(core, "budget_families", counted)
+    conclude_flavor(pm_instance(), BUDGET)
+    assert calls == ["pm"]
+
+
+def test_each_law_runs_through_its_module_function(monkeypatch):
+    # the runner looks each law up when it runs it, so a wrapper installed on
+    # the module (as a tracer does) sees every law
+    seen = []
+    for law in WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS:
+        def wrapped(*args, _law=getattr(checker, "_law_" + law)):
+            verdict = _law(*args)
+            seen.append(verdict.law)
+            return verdict
+        monkeypatch.setattr(checker, "_law_" + law, wrapped)
+    report = conclude_flavor(int_group_instance(), BUDGET)
+    assert seen == [v.law for v in report.laws] == \
+        list(WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS)

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from sigmasum.family import (
     EMPTY,
     Family,
     OMEGA,
+    canonical_key,
     canonicalize,
     disjoint_union,
     enumerate_partitions,
@@ -23,6 +26,7 @@ from sigmasum.family import (
     map_family,
     subfamilies,
 )
+from sigmasum.core import ClassElement
 from sigmasum.instances import pm_instance, real_abs_instance
 
 
@@ -459,3 +463,55 @@ def test_families_within_word_order():
     three = [f for f in fams if f.finite_total == 3]
     assert three[0] == Family.of("+", "+", "+")
     assert three[1] == Family.of("+", "+", "-")
+
+
+def _families_within_by_sorting(pool, max_size, max_omega):
+    """The pool as families_within built it before emitting canonical
+    families in order: every word and omega subset, canonicalized, then
+    deduplicated and sorted. The oracle of the differential test below."""
+    pool = sorted(dict.fromkeys(pool), key=canonical_key)
+    fams = []
+    for k in range(max_size + 1):
+        for combo in itertools.combinations_with_replacement(pool, k):
+            pairs = [(e, 1) for e in combo]
+            for j in range(max_omega + 1):
+                for osub in itertools.combinations(pool, j):
+                    fams.append(canonicalize(pairs + [(e, OMEGA) for e in osub]))
+    fams = list(dict.fromkeys(fams))
+    fams.sort(key=Family.sort_key)
+    return fams
+
+
+# 1, Fraction(1) and 1.0 are equal but distinct; elements of one kind that are
+# not equal have distinct canonical keys, as in every carrier
+_numbers = st.one_of(st.integers(-2, 3),
+                     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+                     st.integers(-2, 3).map(float), st.just(math.inf))
+_strings = st.sampled_from(["a", "b", "c", "+", "-", "0"])
+_pools = st.one_of(
+    st.lists(_numbers, max_size=5),
+    st.lists(_strings, max_size=5),
+    st.lists(st.frozensets(_numbers, max_size=2), max_size=4),
+    st.lists(_numbers.map(ClassElement), max_size=4),
+    st.lists(st.lists(_strings, max_size=2).map(
+        lambda word: ClassElement(Family.of(*word))), max_size=4),
+    # mixed kinds have no canonical order: both versions raise TypeError
+    st.lists(st.one_of(_numbers, _strings, st.frozensets(_numbers, max_size=1),
+                       _numbers.map(ClassElement)), max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(_pools, st.integers(0, 4), st.integers(0, 2))
+def test_families_within_matches_canonicalize_dedupe_and_sort(pool, size, omega):
+    try:
+        expected = _families_within_by_sorting(pool, size, omega)
+    except TypeError:
+        with pytest.raises(TypeError):
+            families_within(pool, size, omega)
+        return
+    got = families_within(pool, size, omega)
+    assert [repr(f) for f in got] == [repr(f) for f in expected]
+    assert got == expected
+    for fam in got:
+        assert repr(canonicalize(fam.items())) == repr(fam)

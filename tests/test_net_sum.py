@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmasum.core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED
@@ -383,6 +384,121 @@ def test_discrete_instance_passes_weak_and_ft_suites():
     assert report.ok
     laws = {v.law for v in report.laws}
     assert "finite_totality" in laws and "bracketing" in laws
+
+
+def test_discrete_sum_of_absorbing_multiples():
+    # the partial sums of {omega: [1]} under max are 1 from one copy on, and
+    # those of {finite: [1], omega: [1]} under min(a + b, 2) are 2
+    semilattice = FiniteMonoid((0, 1), max, 0)
+    assert extended_sum_discrete(
+        semilattice, Family.from_counts([], omega=[1])) == Defined(1)
+    counter = FiniteMonoid((0, 1, 2), lambda a, b: min(a + b, 2), 0)
+    assert extended_sum_discrete(
+        counter, Family.from_counts([(1, 1)], omega=[1])) == Defined(2)
+    assert discrete_instance(counter).sum(
+        Family.from_counts([], omega=[2])) == Defined(2)
+
+
+def _table_monoid(n, op, name="table"):
+    """The monoid on range(n) with identity 0, its operation tabulated."""
+    table = [[op(a, b) for b in range(n)] for a in range(n)]
+    return FiniteMonoid(range(n), lambda a, b: table[a][b], 0, name=name)
+
+
+def _cyclic(k):
+    return _table_monoid(k, lambda a, b: (a + b) % k, f"Z{k}")
+
+
+def _semilattice(k):
+    return _table_monoid(k, max, f"max{k}")
+
+
+def _saturating(c):
+    return _table_monoid(c + 1, lambda a, b: min(a + b, c), f"sat{c}")
+
+
+def _product(m1, m2):
+    n2 = len(m2.elements)
+    return _table_monoid(
+        len(m1.elements) * n2,
+        lambda a, b: m1.op(a // n2, b // n2) * n2 + m2.op(a % n2, b % n2),
+        f"{m1.name}x{m2.name}")
+
+
+def _absorbing(m):
+    top = len(m.elements)
+    return _table_monoid(top + 1,
+                         lambda a, b: top if top in (a, b) else m.op(a, b),
+                         f"{m.name}+top")
+
+
+def _net_limit(monoid, fam):
+    """The limit of the net of finite partial sums, from the definition: the
+    value v with some finite subfamily F0 such that every finite subfamily
+    containing F0 sums to v. A subfamily is the finite part (a net limit
+    above F0 is also one above F0 plus the finite part) and n_i copies of
+    the i-th omega element. Powers of an element repeat with period at most
+    |M| once past an index below |M|, so F0 with n_i <= |M| and subfamilies
+    with n_i <= 2|M| see every partial sum above F0."""
+    size = len(monoid.elements)
+    base = monoid.identity
+    for e, c in fam.finite:
+        for _ in range(c):
+            base = monoid.op(base, e)
+    powers = []
+    for e in fam.omega:
+        row = [monoid.identity]
+        for _ in range(2 * size):
+            row.append(monoid.op(row[-1], e))
+        powers.append(row)
+    partial = {}
+    for ns in itertools.product(range(2 * size + 1), repeat=len(powers)):
+        acc = base
+        for row, n in zip(powers, ns):
+            acc = monoid.op(acc, row[n])
+        partial[ns] = acc
+    for start in itertools.product(range(size + 1), repeat=len(powers)):
+        above = {v for ns, v in partial.items()
+                 if all(n >= s for n, s in zip(ns, start))}
+        if len(above) == 1:
+            return Defined(above.pop())
+    return UNDEFINED
+
+
+_small = st.one_of(st.integers(1, 3).map(_cyclic),
+                   st.integers(1, 3).map(_semilattice),
+                   st.integers(1, 2).map(_saturating))
+_monoids = st.one_of(_small, st.builds(_product, _small, _small),
+                     _small.map(_absorbing),
+                     st.builds(_product, _small, _small).map(_absorbing))
+
+
+@settings(max_examples=150)
+@given(_monoids, st.data())
+def test_discrete_sum_matches_the_net_limit(monoid, data):
+    elements = st.sampled_from(monoid.elements)
+    for _ in range(3):
+        fam = Family.from_counts(
+            [(e, 1) for e in data.draw(st.lists(elements, max_size=3))],
+            data.draw(st.lists(elements, max_size=2, unique=True)))
+        assert extended_sum_discrete(monoid, fam) == _net_limit(monoid, fam)
+
+
+@pytest.mark.parametrize("monoid", [
+    _cyclic(3), _semilattice(3), _saturating(2),
+    _product(_cyclic(2), _semilattice(2)),
+    _product(_saturating(1), _cyclic(2)),
+    _absorbing(_cyclic(2)),
+    _absorbing(_product(_semilattice(2), _saturating(1))),
+], ids=lambda m: m.name)
+def test_discrete_instances_satisfy_the_hausdorff_axioms(monoid):
+    report = check_hausdorff_axioms(
+        discrete_instance(monoid),
+        Budget(max_finite_size=3, max_omega_elems=1, trials=0, seed=7))
+    assert [v.law for v in report.laws] == [
+        "singleton", "neutral_element", "bracketing", "flattening",
+        "finite_totality"]
+    assert report.ok
 
 
 def test_certified_real_flattening_spot_check():
