@@ -25,7 +25,7 @@ from .core import (
     Defined,
     SigmaInstance,
     budget_families,
-    check_hom,
+    check_hom_over,
     first_partition_sums,
 )
 
@@ -250,7 +250,7 @@ def _law_inverses_exist(inst, budget, fams, engines):
 
 
 def _law_inversion_hom(inst, budget, fams, engines):
-    verdict = check_hom(inst.inversion, inst, inst, budget)
+    verdict = check_hom_over(inst.inversion, inst, inst, fams)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
                           {"family": _format_family(inst, verdict.counterexample)},

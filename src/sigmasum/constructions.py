@@ -18,7 +18,8 @@ from .core import (
     SumResult,
     SymbolicCarrier,
     UNDEFINED,
-    check_hom,
+    budget_families,
+    check_hom_over,
 )
 
 
@@ -66,8 +67,9 @@ def product(x: SigmaInstance, y: SigmaInstance, *, samples=None,
 def projections(prod: SigmaInstance, budget: Budget) -> tuple:
     """The two projection maps of a product instance, verified as homs."""
     x, y = prod.factors
-    left = check_hom(_fst, prod, x, budget)
-    right = check_hom(_snd, prod, y, budget)
+    fams = budget_families(prod, budget)
+    left = check_hom_over(_fst, prod, x, fams)
+    right = check_hom_over(_snd, prod, y, fams)
     if not (left.ok and right.ok):
         raise ConstructionError("projection failed hom verification")
     return (Hom(prod, x, _fst, "proj_left", budget),
@@ -232,22 +234,20 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
     function is itself in the carrier."""
     if not (x.carrier.is_finite and y.carrier.is_finite):
         raise ConstructionError("internal hom needs finite carriers")
-    xs = x.carrier.elements
+    xs = x.carrier.elements  # canonical order, as a HomElement table needs
+    fams = budget_families(x, budget)
     members = []
     for image in itertools.product(y.carrier.elements, repeat=len(xs)):
         table = dict(zip(xs, image))
-        if check_hom(table.__getitem__, x, y, budget).ok:
-            members.append(HomElement(tuple(sorted(
-                table.items(), key=lambda p: canonical_key(p[0])))))
+        if check_hom_over(table.__getitem__, x, y, fams).ok:
+            members.append(HomElement(tuple(table.items())))
     if not members:
         raise ConstructionError(
             "budget too small to certify any hom (empty carrier)")
 
     carrier = FiniteCarrier(members)
-    member_set = frozenset(members)
-    zero = HomElement(tuple(sorted(((a, y.zero) for a in xs),
-                                   key=lambda p: canonical_key(p[0]))))
-    if zero not in member_set:
+    zero = HomElement(tuple((a, y.zero) for a in xs))
+    if zero not in carrier:
         raise ConstructionError("constant-zero map failed certification")
 
     def rule(fam: Family) -> SumResult:
@@ -257,8 +257,8 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
             if not r.defined:
                 return UNDEFINED
             rows.append((a, r.value))
-        s = HomElement(tuple(sorted(rows, key=lambda p: canonical_key(p[0]))))
-        if s not in member_set:
+        s = HomElement(tuple(rows))
+        if s not in carrier:
             return UNDEFINED
         return Defined(s)
 
@@ -311,21 +311,21 @@ def check_bilinear(h, x: SigmaInstance, y: SigmaInstance, z: SigmaInstance,
                    budget: Budget) -> BilinearVerdict:
     """Is h : X x Y -> Z structure preserving in each slot separately?
 
-    Every partial application over the carrier samples is run through
-    check_hom; the counterexample names the fixed coordinate and the family
-    in the varying slot.
+    Every h(a, -), a over the samples of X, then every h(-, b), b over those
+    of Y, goes through check_hom_over on one family pool per slot, both built
+    first. The counterexample names the varied slot, the fixed coordinate and
+    the family in the varied slot; ``checked`` sums the checks' counts.
     """
+    slots = (("second", x, y, budget_families(y, budget),
+              lambda a: lambda b: h(a, b)),
+             ("first", y, x, budget_families(x, budget),
+              lambda b: lambda a: h(a, b)))
     checked = 0
-    for a in x.samples():
-        verdict = check_hom(lambda b: h(a, b), y, z, budget)
-        checked += verdict.checked
-        if not verdict.ok:
-            return BilinearVerdict(False, "second", a,
-                                   verdict.counterexample, checked)
-    for b in y.samples():
-        verdict = check_hom(lambda a: h(a, b), x, z, budget)
-        checked += verdict.checked
-        if not verdict.ok:
-            return BilinearVerdict(False, "first", b,
-                                   verdict.counterexample, checked)
+    for slot, fixed_in, varied_in, fams, partial in slots:
+        for c in fixed_in.samples():
+            verdict = check_hom_over(partial(c), varied_in, z, fams)
+            checked += verdict.checked
+            if not verdict.ok:
+                return BilinearVerdict(False, slot, c, verdict.counterexample,
+                                       checked)
     return BilinearVerdict(True, checked=checked)

@@ -161,13 +161,15 @@ class ClassElement:
 
 class QuotientInstance(SigmaInstance):
     """Instance whose carrier elements are equivalence classes with a
-    representative store and a class-level summation rule."""
+    representative store and a class-level summation rule; ``graph`` is the
+    congruence graph the classes were read from, when there is one."""
 
     def __init__(self, name, carrier, zero, rule, class_of, classes,
-                 flavor="weak", codec=None):
+                 flavor="weak", codec=None, graph=None):
         super().__init__(name, carrier, zero, rule, flavor=flavor, codec=codec)
         self.class_of = class_of
         self.classes = tuple(classes)
+        self.graph = graph
 
 
 @dataclass(frozen=True)
@@ -254,14 +256,18 @@ class Hom:
 
 def check_hom(f, source: SigmaInstance, target: SigmaInstance,
               budget: Budget) -> HomVerdict:
-    """Does f preserve every defined sum within the budget?
+    """Does f preserve every defined sum within the budget? See check_hom_over."""
+    return check_hom_over(f, source, target, budget_families(source, budget))
 
-    Families are enumerated by total size then element order, so a reported
-    counterexample is minimal under that order.
-    """
+
+def check_hom_over(f, source: SigmaInstance, target: SigmaInstance,
+                   fams) -> HomVerdict:
+    """Does f preserve the sum of every family of ``fams`` that has one? The
+    scan keeps the order of ``fams``: over a ``budget_families`` pool (total
+    size, then element order) a counterexample is minimal in that order."""
     fn = f.fn if isinstance(f, Hom) else f
     checked = 0
-    for fam in budget_families(source, budget):
+    for fam in fams:
         r = source.sum(fam)
         if not r.defined:
             continue

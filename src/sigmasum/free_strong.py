@@ -132,14 +132,17 @@ class CongruenceGraph:
         self._build()
 
     def _zero_paddings(self, fam: Family):
+        """``fam``, then each padding of it with zeros that the universe's
+        size caps admit (an omega zero absorbs the finite zeros)."""
         yield fam
-        zero = self.inst.zero
-        if not is_omega(fam.count(zero)):
-            room = self.caps.max_family_size - fam.finite_total
-            for k in range(1, room + 1):
-                yield fam.pad(zero, k)
-            if len(fam.omega) < self.caps.max_omega_elems:
-                yield fam.pad(zero, OMEGA)
+        zero, caps = self.inst.zero, self.caps
+        if is_omega(fam.count(zero)) or len(fam.omega) > caps.max_omega_elems:
+            return
+        for k in range(1, caps.max_family_size - fam.finite_total + 1):
+            yield fam.pad(zero, k)
+        if (len(fam.omega) < caps.max_omega_elems
+                and fam.finite_total - fam.count(zero) <= caps.max_family_size):
+            yield fam.pad(zero, OMEGA)
 
     def _build(self):
         engine = BlockSumEngine(self.inst, UNCONSTRAINED, self.caps.caps)
@@ -261,23 +264,18 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     classes = []
     admitted = []
     for comp in graph.components():
-        rep = comp[0]
-        cls = ClassElement(rep)
-        image_summable = strong.sum(map_family(f.fn, rep)).defined
-        for fam in comp:
-            # image summability is constant on a component: every step is a
-            # genuine one-step move, which strong targets respect
-            if strong.sum(map_family(f.fn, fam)).defined != image_summable:
-                raise ConstructionError(
-                    "component mixes summable and unsummable images")
-            class_of_family[fam] = cls
+        cls = ClassElement(comp[0])
+        # image summability is constant on a component: every step is a
+        # genuine one-step move, which strong targets respect
+        summable = {strong.sum(map_family(f.fn, fam)).defined for fam in comp}
+        if len(summable) > 1:
+            raise ConstructionError(
+                "component mixes summable and unsummable images")
+        class_of_family.update(dict.fromkeys(comp, cls))
         classes.append(cls)
-        if image_summable:
+        if summable == {True}:
             admitted.append(cls)
     admitted_set = frozenset(admitted)
-
-    def class_of(fam: Family):
-        return class_of_family.get(fam)
 
     def rule(fam_of_classes: Family):
         union = canonicalize(
@@ -290,13 +288,12 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             return UNDEFINED
         return Defined(cls)
 
-    inst = QuotientInstance(
+    return QuotientInstance(
         name or f"free_strong({weak.name})",
         FiniteCarrier(admitted), class_of_family[EMPTY], rule,
-        class_of=class_of, classes=classes, flavor="strong",
+        class_of=class_of_family.get, classes=classes, flavor="strong",
+        graph=graph,
     )
-    inst.graph = graph
-    return inst
 
 
 def intersect_instances(instances, *, name=None) -> SigmaInstance:
@@ -352,20 +349,16 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     """Build the quotient along f and factor f through it.
 
     The unit sends x to the class of the singleton family {x}; the extension
-    sends a class to the target sum of the image of its representative.
+    sends a class to the target sum of the image of its representative (None
+    when that image has no sum), computed once per class of the quotient.
     ``commutes`` holds when f equals extension-after-unit pointwise on the
     samples and both maps pass check_hom at the budget the caps give: families
     up to ``min(max_family_size, block_size)``, no random trials.
     """
     quotient = free_strong_quotient(weak, strong, f, caps)
-    budget = Budget(
-        max_finite_size=min(caps.max_family_size, caps.block_size),
-        max_omega_elems=caps.max_omega_elems,
-        block_count=caps.block_count,
-        block_size=caps.block_size,
-        omega_splits=caps.omega_splits,
-        trials=0,
-    )
+    budget = Budget(min(caps.max_family_size, caps.block_size),
+                    caps.max_omega_elems, caps.block_count, caps.block_size,
+                    caps.omega_splits, trials=0)
 
     def unit_fn(x):
         cls = quotient.class_of(Family.of(x))
@@ -373,9 +366,8 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             raise ConstructionError(f"singleton of {x!r} is outside the universe")
         return cls
 
-    def ext_fn(cls):
-        return strong.sum(map_family(f.fn, cls.rep)).value
-
+    ext_fn = {cls: strong.sum(map_family(f.fn, cls.rep)).value
+              for cls in quotient.classes}.__getitem__
     unit_ok = check_hom(unit_fn, weak, quotient, budget)
     ext_ok = check_hom(ext_fn, quotient, strong, budget)
     pointwise = all(f(x) == ext_fn(unit_fn(x)) for x in weak.samples())
