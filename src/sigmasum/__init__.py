@@ -97,7 +97,6 @@ from .net_sum import (
     CertificateError,
     FiniteMonoid,
     GeneratorFamily,
-    KahanSum,
     NetVerdict,
     alternating_harmonic,
     check_hausdorff_axioms,

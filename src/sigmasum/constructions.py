@@ -58,10 +58,8 @@ def product(x: SigmaInstance, y: SigmaInstance, *, samples=None,
             samples=pool,
         )
     flavor = x.flavor if x.flavor == y.flavor else "weak"
-    inst = SigmaInstance(name or f"{x.name}x{y.name}", carrier,
-                         (x.zero, y.zero), rule, flavor=flavor)
-    inst.factors = (x, y)
-    return inst
+    return SigmaInstance(name or f"{x.name}x{y.name}", carrier,
+                         (x.zero, y.zero), rule, flavor=flavor, factors=(x, y))
 
 
 def projections(prod: SigmaInstance, budget: Budget) -> tuple:
@@ -196,14 +194,13 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
             samples=tuple(dict.fromkeys(pool)),
         )
 
-    inst = QuotientInstance(
+    return QuotientInstance(
         name or "colim(" + "->".join(s.name for s in stages) + ")",
         carrier, class_of((0, stages[0].zero)), rule,
         class_of=class_of, classes=tuple(classes.values()),
         flavor=stages[0].flavor if len({s.flavor for s in stages}) == 1 else "weak",
+        stage_map=lambda i: (lambda e: class_of((i, e))),
     )
-    inst.stage_map = lambda i: (lambda e: class_of((i, e)))
-    return inst
 
 
 @dataclass(frozen=True)

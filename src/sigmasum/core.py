@@ -112,11 +112,13 @@ class SigmaInstance:
     """A carrier, a zero element, and a partial summation rule over families.
 
     The rule is a pure function of the canonical family; results are cached.
-    Instances are immutable after construction.
+    Instances are immutable after construction. ``factors`` is the pair of
+    instances a product was built from and ``embed`` the map of a restricted
+    instance into its parent, None elsewhere.
     """
 
     def __init__(self, name, carrier, zero, rule, flavor="weak",
-                 inversion=None, codec=None):
+                 inversion=None, codec=None, factors=None, embed=None):
         self.name = name
         self.carrier = carrier
         self.zero = zero
@@ -124,6 +126,8 @@ class SigmaInstance:
         self.flavor = flavor
         self.inversion = inversion
         self.codec = codec
+        self.factors = factors
+        self.embed = embed
         self._cache: dict = {}
 
     def sum(self, fam: Family) -> SumResult:
@@ -162,14 +166,16 @@ class ClassElement:
 class QuotientInstance(SigmaInstance):
     """Instance whose carrier elements are equivalence classes with a
     representative store and a class-level summation rule; ``graph`` is the
-    congruence graph the classes were read from, when there is one."""
+    congruence graph the classes were read from, when there is one, and
+    ``stage_map(i)`` the map of a colimit's stage i into it."""
 
     def __init__(self, name, carrier, zero, rule, class_of, classes,
-                 flavor="weak", codec=None, graph=None):
+                 flavor="weak", codec=None, graph=None, stage_map=None):
         super().__init__(name, carrier, zero, rule, flavor=flavor, codec=codec)
         self.class_of = class_of
         self.classes = tuple(classes)
         self.graph = graph
+        self.stage_map = stage_map
 
 
 @dataclass(frozen=True)

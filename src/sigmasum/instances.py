@@ -256,13 +256,12 @@ def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
             return UNDEFINED
         return Defined(x)
 
-    inst = SigmaInstance(
+    return SigmaInstance(
         name or f"{parent.name}|restricted",
         carrier, zero, rule, flavor=flavor,
         codec=codec if codec is not None else (parent.codec if identity_embed else None),
+        embed=fn,
     )
-    inst.embed = fn
-    return inst
 
 
 def unit_interval_instance() -> SigmaInstance:

@@ -1,10 +1,11 @@
 """Summation as the limit of the net of finite partial sums.
 
 For certified real generator families the engine folds the prefix in order of
-decreasing bound, exactly, until the certified tail drops below the tolerance;
-the value is the correctly rounded sum of the terms consumed. Without a
-certificate it can only report divergence evidence (two nested finite
-subfamilies whose partial sums stay apart) or an honest Inconclusive. For finite commutative monoids with the discrete
+decreasing bound until the certified tail drops below the tolerance; the value
+is the correctly rounded sum of the terms consumed. Without a certificate it
+can only report divergence evidence (two nested finite subfamilies whose
+partial sums stay apart) or an honest Inconclusive. Both paths sum exactly,
+a block of terms at a time. For finite commutative monoids with the discrete
 topology the net converges exactly when it is eventually constant: the finite
 part plus |M| copies of each omega element must absorb every omega element.
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat, tee
 from typing import Callable
 
 from .family import Family, is_omega
@@ -87,38 +90,32 @@ class NetVerdict:
         return self.kind == "converged"
 
 
-def _add_exact(partials: list, x: float) -> None:
-    """Add ``x`` to ``partials``, nonoverlapping floats of increasing
-    magnitude whose exact sum is the running total (Shewchuk, Discrete
-    Comput. Geom. 18, 1997); ``math.fsum(partials)`` rounds it correctly.
-    Raises OverflowError when the total leaves the float range."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    if not math.isfinite(x):
-        raise OverflowError("the sum overflows the float range")
-    partials[i:] = [x]
+def _blocks(start, stop):
+    """Consecutive ranges (a, b) covering start..stop-1: 16 indices at first,
+    doubling up to 4096, so that an early stop costs little."""
+    size = 16
+    while start < stop:
+        yield start, min(start + size, stop)
+        start, size = min(start + size, stop), min(2 * size, 4096)
 
 
-class KahanSum:
-    """Compensated accumulator; keeps the running carry of rounding error."""
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value):
-        value += self.carry
-        previous = self.total
-        self.total += value
-        self.carry = value - (self.total - previous)
+def _absorb(state, terms):
+    """Add ``terms`` to ``state``, floats whose exact sum is a running total
+    (a sequence of terms is one). Returns the new state, which is the total
+    correctly rounded followed by its correctly rounded residuals down to a
+    zero, each one a C-level ``math.fsum`` (exact partials, Shewchuk,
+    Discrete Comput. Geom. 18, 1997), and the total, inf beyond the float
+    range."""
+    items = [*state, *terms]
+    try:
+        total = math.fsum(items)
+    except (OverflowError, ValueError):  # a finite overflow, or inf - inf
+        total = math.inf
+    new = [total]
+    while new[-1] and math.isfinite(new[-1]):
+        items.append(-new[-1])
+        new.append(math.fsum(items))
+    return tuple(new), total
 
 
 def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
@@ -129,11 +126,14 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
     the certified tail is below ``eps``; the verdict carries that tail as the
     error bound and the correctly rounded sum of the consumed terms as the
     value, or raises OverflowError when that sum leaves the float range.
+    ``gen`` is called on exactly the consumed indices; ``sorted_tail`` may run
+    up to one block ahead of the stop, and ``bound`` one index.
     Without one, the engine probes for divergence: either a one-signed partial
     sum beyond ``DIVERGENCE_FACTOR * (1 + largest term)``, or a one-signed
     partial sum still growing by more than ``max(CAUCHY_FLOOR, 1000 * eps)``
     between the half-budget and full-budget prefixes. Anything else is
-    Inconclusive.
+    Inconclusive. Its partial sums are exact too (inf beyond the float range),
+    and on an early stop ``gen`` may have run up to one block ahead.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -146,87 +146,115 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
 
 def _certified(gf, eps, max_terms):
     """Consume indices below ``max_terms`` in order of decreasing bound, ties
-    by index: the head below the declared ``nonincreasing_from`` (all of them
-    when undeclared) is sorted, the tail is merged in lazily, so bounds are
-    evaluated only for the terms used. A consumed term above its bound (up to
-    a relative 1e-12) or a tail bound above the previous one raises
-    CertificateError."""
+    by index, a block at a time: the head below the declared
+    ``nonincreasing_from`` (every index when undeclared) is sorted and merged
+    with the tail, which comes in index order. ``sorted_tail`` over the block
+    finds the stop; ``gen`` runs on exactly the indices consumed up to it, in
+    order, and ``bound`` on at most one tail index more. A term above its
+    bound (up to a relative 1e-12) or a tail bound above the one before
+    raises CertificateError at its index."""
     cert = gf.certificate
     k = cert.nonincreasing_from
     k = max_terms if k is None else min(k, max_terms)
-    head = sorted((-cert.bound(i), i) for i in range(k))
-    rest = ((-cert.bound(i), i) for i in range(k, max_terms))
-    partials = []
-    floor_index, floor = None, math.inf  # the last tail index consumed
-    for n, (neg_bound, i) in enumerate(heapq.merge(head, rest)):
-        b = -neg_bound
-        if i >= k:
-            if b > floor:
+    # (-bound(i), i, the bound's ceiling: bound(i - 1) in the tail)
+    head = sorted((-cert.bound(i), i, math.inf) for i in range(k))
+    bounds, ceilings = tee(map(cert.bound, range(k, max_terms)))
+    tail = zip(map(operator.neg, bounds), range(k, max_terms),
+               chain([math.inf], ceilings))
+    order = heapq.merge(head, tail) if head else tail
+    state = ()
+    for a, b in _blocks(0, max_terms):  # a terms are consumed before index a
+        tails = list(map(cert.sorted_tail, range(a, b)))
+        hit = next(compress(range(a, b), map(operator.lt, tails, repeat(eps))),
+                   None)
+        terms = []
+        used = b if hit is None else hit + 1
+        for neg_bound, i, ceiling in islice(order, used - a):
+            bound = -neg_bound
+            if bound > ceiling:
                 raise CertificateError(
-                    f"bound({i}) = {b} exceeds bound({floor_index}) = {floor}, "
-                    f"though declared non-increasing from {k}")
-            floor_index, floor = i, b
-        term = gf.gen(i)
-        if abs(term) > b + 1e-12 * b:
-            raise CertificateError(f"|gen({i})| = {abs(term)} exceeds bound {b}")
-        _add_exact(partials, term)
-        tail = cert.sorted_tail(n)
-        if tail < eps:
-            return NetVerdict("converged", math.fsum(partials), tail,
-                              terms_used=n + 1)
+                    f"bound({i}) = {bound} exceeds bound({i - 1}) = {ceiling},"
+                    f" though declared non-increasing from {k}")
+            term = gf.gen(i)
+            if abs(term) > bound + 1e-12 * bound:
+                raise CertificateError(
+                    f"|gen({i})| = {abs(term)} exceeds bound {bound}")
+            terms.append(term)
+        state, total = _absorb(state, terms)
+        if not math.isfinite(total):
+            raise OverflowError("the sum overflows the float range")
+        if hit is not None:
+            return NetVerdict("converged", total, tails[hit - a],
+                              terms_used=used)
     return NetVerdict("inconclusive", terms_used=max_terms)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """The exact sum of one sign's terms, negated when negative, among the
+    first ``end`` indices."""
+
+    sign: str
+    end: int = 0
+    count: int = 0
+    state: tuple = ()
+    total: float = 0.0
+
+    def plus(self, terms, end):
+        return _Run(self.sign, end, self.count + len(terms),
+                    *_absorb(self.state, terms))
+
+    def summary(self, note=""):
+        where = f"indices 0..{self.end - 1}" if self.end else "no indices"
+        return SubfamilySummary(f"{self.sign} terms among {where}{note}",
+                                self.count, self.total)
+
+
 def _probe(gf, eps, max_terms):
-    cauchy_tol = max(CAUCHY_FLOOR, 1000 * eps)
+    """Sum the positive and the negated negative terms exactly, a block at a
+    time. A block whose end totals stay within the threshold of the largest
+    term before it needs no per-term work, as one-signed totals only grow and
+    the threshold never falls; otherwise it is replayed term by term from its
+    start, as is a block cut short by a term overflow. Blocks end at the
+    half-budget index; a stop before it names first the prefix up to the
+    start of its block."""
     half = max_terms // 2
-    pos, neg = KahanSum(), KahanSum()
-    pos_half = neg_half = 0.0
-    pos_n_half = neg_n_half = 0
-    pos_n = neg_n = 0
+    runs = at_half = (_Run("positive"), _Run("negative"))
     largest = 0.0
-    for i in range(max_terms):
+    for a, b in chain(_blocks(0, half), _blocks(half, max_terms)):
+        terms = []
         try:
-            term = gf.gen(i)
+            terms.extend(map(gf.gen, range(a, b)))
         except OverflowError:
-            first = SubfamilySummary(f"positive terms among indices 0..{half - 1}",
-                                     pos_n_half, pos_half)
-            second = SubfamilySummary(
-                f"one-signed terms among indices 0..{i} (term overflow)",
-                max(pos_n, neg_n), max(pos.total, neg.total))
-            return NetVerdict("diverged", evidence=(first, second),
-                              terms_used=i + 1)
-        largest = max(largest, abs(term))
-        if term > 0:
-            pos.add(term)
-            pos_n += 1
-        elif term < 0:
-            neg.add(-term)
-            neg_n += 1
-        if i + 1 == half:
-            pos_half, neg_half = pos.total, neg.total
-            pos_n_half, neg_n_half = pos_n, neg_n
-        threshold = DIVERGENCE_FACTOR * (1 + largest)
-        if pos.total > threshold or neg.total > threshold:
-            sign, acc, n = (("positive", pos, pos_n) if pos.total > threshold
-                            else ("negative", neg, neg_n))
-            first = SubfamilySummary(f"{sign} terms among indices 0..{half - 1}",
-                                     pos_n_half if sign == "positive" else neg_n_half,
-                                     pos_half if sign == "positive" else neg_half)
-            second = SubfamilySummary(f"{sign} terms among indices 0..{i}",
-                                      n, acc.total)
-            return NetVerdict("diverged", evidence=(first, second),
-                              terms_used=i + 1)
-    for sign, total, half_total, n, n_half in (
-            ("positive", pos.total, pos_half, pos_n, pos_n_half),
-            ("negative", neg.total, neg_half, neg_n, neg_n_half)):
-        if total - half_total > cauchy_tol:
-            first = SubfamilySummary(
-                f"{sign} terms among indices 0..{half - 1}", n_half, half_total)
-            second = SubfamilySummary(
-                f"{sign} terms among indices 0..{max_terms - 1}", n, total)
-            return NetVerdict("diverged", evidence=(first, second),
-                              terms_used=max_terms)
+            pass  # gen(a + len(terms)) overflowed
+        firsts = runs if a < half else at_half
+        pieces = [terms]  # then its terms one by one, if it may have crossed
+        for piece in pieces:
+            signed = ([t for t in piece if t > 0], [-t for t in piece if t < 0])
+            ahead = [r.plus(s, r.end + len(piece)) for r, s in zip(runs, signed)]
+            after = max([largest, *signed[0], *signed[1]])
+            limit = DIVERGENCE_FACTOR * (1 + (after if len(piece) == 1
+                                              else largest))
+            over = [r for r in ahead if r.total > limit]
+            if not over:
+                runs, largest = ahead, after
+            elif len(piece) > 1:
+                pieces += ([t] for t in piece)
+            else:
+                return NetVerdict("diverged", evidence=(
+                    firsts[over[0].sign == "negative"].summary(),
+                    over[0].summary()), terms_used=over[0].end)
+        if a + len(terms) < b:
+            run = max(runs, key=lambda r: r.total)
+            return NetVerdict("diverged", evidence=(
+                firsts[run.sign == "negative"].summary(),
+                run.summary(" (term overflow)")), terms_used=run.end + 1)
+        if b == half:
+            at_half = runs
+    for start, run in zip(at_half, runs):
+        if run.total - start.total > max(CAUCHY_FLOOR, 1000 * eps):
+            return NetVerdict("diverged", evidence=(
+                start.summary(), run.summary()), terms_used=max_terms)
     return NetVerdict("inconclusive", terms_used=max_terms)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -133,6 +134,37 @@ def test_net_huge_max_terms_costs_only_the_terms_used():
 def test_net_alternating_harmonic_diverges():
     code, out = run_cli(["net", "--gen", "alternating_harmonic"])
     assert code == 0 and out.startswith("diverged")
+
+
+ALTERNATING_LINE = (
+    "diverged: partial sum over {positive terms among indices 0..99999} is "
+    "6.391644155224187, over {positive terms among indices 0..199999} is "
+    "6.738217745497909\n")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    # the three README examples
+    (["--gen", "geometric(0.5,0.5)", "--eps", "1e-9"],
+     "converged 0.9999999990686774 ±9.313225746154785e-10\n"),
+    (["--gen", "finite(1,2,3)"], "converged 6 ±0\n"),
+    (["--gen", "alternating_harmonic"], ALTERNATING_LINE),
+    # one spec of each kind the benchmark runs in a fresh process
+    (["--gen", "finite(-11991.75,0.3306427001953125,-1.613433837890625)",
+      "--eps", "1e-30", "--max-terms", "200000"],
+     "converged -11993.032791137695 ±0\n"),
+    (["--gen", "geometric(-0.1875,0.125)", "--eps", "1e-09",
+      "--max-terms", "200000"],
+     "converged -0.21428571408614516 ±1.9956912313188824e-10\n"),
+    (["--gen", "alternating_harmonic", "--eps", "1e-09",
+      "--max-terms", "200000"], ALTERNATING_LINE),
+], ids=["readme-geometric", "readme-finite", "readme-alternating",
+        "finite", "geometric", "alternating"])
+def test_net_output_is_pinned_in_a_fresh_process(argv, stdout):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "sigmasum.cli", "net", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, stdout, "")
 
 
 def test_net_require_certificate():

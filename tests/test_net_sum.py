@@ -1,23 +1,27 @@
 import dataclasses
+import heapq
 import itertools
 import math
 import random
+import re
+import unittest.mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmasum.core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED
 from sigmasum.family import Family, families_within, map_family
+from sigmasum import net_sum
 from sigmasum.instances import cyclic_instance
 from sigmasum.net_sum import (
     AbsoluteBound,
     CertificateError,
     FiniteMonoid,
     GeneratorFamily,
-    KahanSum,
     NetVerdict,
+    SubfamilySummary,
     alternating_harmonic,
     check_hausdorff_axioms,
     cyclic_monoid,
@@ -240,6 +244,65 @@ def test_lazy_order_matches_full_sort(gf, eps, offset, free_terms):
             outcome(full_sort_oracle, gf, eps, max_terms)
 
 
+def per_term_certified(gf, eps, max_terms):
+    """The certified loop term by term, as it was before the block-wise one:
+    the sorted head merged lazily with the tail, each tail bound checked
+    against the one before."""
+    cert = gf.certificate
+    k = cert.nonincreasing_from
+    k = max_terms if k is None else min(k, max_terms)
+    head = sorted((-cert.bound(i), i) for i in range(k))
+    rest = ((-cert.bound(i), i) for i in range(k, max_terms))
+    terms, floor_index, floor = [], None, math.inf
+    for n, (neg_bound, i) in enumerate(heapq.merge(head, rest)):
+        b = -neg_bound
+        if i >= k:
+            if b > floor:
+                raise CertificateError(
+                    f"bound({i}) = {b} exceeds bound({floor_index}) = {floor}, "
+                    f"though declared non-increasing from {k}")
+            floor_index, floor = i, b
+        term = gf.gen(i)
+        if abs(term) > b + 1e-12 * b:
+            raise CertificateError(f"|gen({i})| = {abs(term)} exceeds bound {b}")
+        terms.append(term)
+        tail = cert.sorted_tail(n)
+        if tail < eps:
+            return NetVerdict("converged", math.fsum(terms), tail,
+                              terms_used=n + 1)
+    return NetVerdict("inconclusive", terms_used=max_terms)
+
+
+def late_faults(k, rise, over, head_scale):
+    """Bounds (i + 1) ** -2, times ``head_scale`` below ``k``, declared
+    non-increasing from ``k``; bound(rise) doubled and gen(over) three times
+    its bound. With a scaled-down head, tail indices come out of the merge
+    before the head is used up."""
+    def bound(i):
+        b = (i + 1.0) ** -2 * (head_scale if i < k else 1.0)
+        return 2.0 * b if i == rise else b
+
+    return GeneratorFamily(
+        gen=lambda i: 3 * bound(i) if i == over else -bound(i),
+        certificate=AbsoluteBound(bound, lambda n: 2 / (n + 1.0), k))
+
+
+LATE_FAULTS = st.builds(late_faults, st.integers(0, 20),
+                        st.none() | st.integers(1, 250),
+                        st.none() | st.integers(0, 250),
+                        st.sampled_from([1.0, 1e-3]))
+
+
+@settings(deadline=None)
+@given(st.one_of(certified_families(), LATE_FAULTS),
+       st.sampled_from([1e-30, 1e-12, 1e-6, 1e-2, 0.1]), st.integers(49, 400))
+# tail bound 11 rises while the head is still merged in
+@example(late_faults(5, 11, None, 1e-3), 1e-6, 100)
+def test_blockwise_certified_matches_the_per_term_loop(gf, eps, max_terms):
+    assert outcome(extended_sum_real, gf, eps, max_terms) == \
+        outcome(per_term_certified, gf, eps, max_terms)
+
+
 PERM64 = random.Random(3).sample(range(64), 64)
 
 
@@ -327,14 +390,184 @@ def test_subnet_prefix_consistency():
     assert abs(v_fine.value - v_coarse.value) <= 1e-6 + 1e-9
 
 
-def test_kahan_compensation_beats_naive_on_adversarial_terms():
-    acc = KahanSum()
-    terms = [1.0, 1e-16, -1e-16] * 1000
-    naive = 0.0
-    for t in terms:
-        acc.add(t)
-        naive += t
-    assert acc.total == 1000.0
+EVIDENCE_RE = re.compile(
+    r"^(positive|negative) terms among (?:indices 0\.\.(\d+)|no indices)")
+
+
+def named_sum(gen, summary):
+    """The count and the exact sum of the one-signed terms a summary names."""
+    sign, last = EVIDENCE_RE.match(summary.description).groups()
+    n = 0 if last is None else int(last) + 1
+    side = 1 if sign == "positive" else -1
+    terms = [side * t for t in map(gen, range(n)) if side * t > 0]
+    return len(terms), math.fsum(terms)
+
+
+CYCLING = GeneratorFamily(lambda i: (1.0, 1e-16, -1e-16)[i % 3], None,
+                          "cycling")
+
+
+@pytest.mark.parametrize("gf", [alternating_harmonic(), power_terms(1.0),
+                                power_terms(0.5), CYCLING],
+                         ids=lambda gf: gf.description)
+def test_probe_evidence_sums_the_sets_it_names(gf):
+    verdict = extended_sum_real(gf, 1e-9, 20_001)
+    assert verdict.kind == "diverged"
+    for summary in verdict.evidence:
+        assert (summary.count, summary.partial_sum) == named_sum(gf.gen, summary)
+
+
+def test_probe_stopped_by_a_term_overflow_names_what_it_summed():
+    # 2.0 ** 1024 raises, so the probe stops at index 1024, before the
+    # half-budget index 2500
+    verdict = extended_sum_real(geometric(1.0, 2.0), eps=1e-9, max_terms=5000)
+    first, second = verdict.evidence
+    assert second.description == \
+        "positive terms among indices 0..1023 (term overflow)"
+    assert (second.count, second.partial_sum) == (1024, math.inf)
+    n = int(EVIDENCE_RE.match(first.description).group(2)) + 1
+    assert n in {a for a, _ in net_sum._blocks(0, 2500)} and n <= 1024
+    assert (first.count, first.partial_sum) == named_sum(geometric(1.0, 2.0).gen,
+                                                         first)
+
+
+def test_probe_partial_sums_are_never_nan():
+    # an infinite term made the old compensated sum nan
+    verdict = extended_sum_real(geometric(1e300, 10), max_terms=2000)
+    assert verdict.kind == "diverged"
+    assert [s.partial_sum for s in verdict.evidence] == [math.inf, math.inf]
+
+
+def test_probe_overflow_at_index_zero_names_the_empty_prefix():
+    verdict = extended_sum_real(GeneratorFamily(lambda i: 2.0 ** (1024 + i)))
+    assert verdict.evidence == (
+        SubfamilySummary("positive terms among no indices", 0, 0.0),
+        SubfamilySummary("positive terms among no indices (term overflow)",
+                         0, 0.0))
+
+
+def test_probe_threshold_crossing_names_the_block_start(monkeypatch):
+    monkeypatch.setattr(net_sum, "DIVERGENCE_FACTOR", 10.0)
+    # the sum of ones first exceeds 10 * (1 + 1) at index 20, in the block
+    # 16..47
+    verdict = extended_sum_real(GeneratorFamily(lambda i: 1.0), 1e-9, 1000)
+    assert verdict.evidence == (
+        SubfamilySummary("positive terms among indices 0..15", 16, 16.0),
+        SubfamilySummary("positive terms among indices 0..20", 21, 21.0))
+    assert verdict.terms_used == 21
+
+
+def counting(gf):
+    calls = []
+
+    def gen(i):
+        calls.append(i)
+        return gf.gen(i)
+
+    return dataclasses.replace(gf, gen=gen), calls
+
+
+def test_probe_calls_gen_once_per_index_of_the_budget():
+    gf, calls = counting(alternating_harmonic())
+    assert extended_sum_real(gf).kind == "diverged"
+    assert calls == list(range(200_000))
+
+
+@pytest.mark.parametrize("eps, used", [(1e-5, 100_001), (2e-5, 50_001)])
+def test_certified_power_calls_gen_once_per_term_used(eps, used):
+    # sorted_tail(n) = 1 / (n + 1) first drops below eps at n = 1 / eps
+    gf, calls = counting(power_terms(2.0))
+    verdict = extended_sum_real(gf, eps)
+    assert verdict.terms_used == used and calls == list(range(used))
+
+
+# -- the block-wise probe against the term-by-term one ------------------------------
+
+
+def exact_total(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def per_term_probe(gf, eps, max_terms):
+    """The probe term by term, with exact sums: a stop before the
+    half-budget index names the prefix up to the start of its block."""
+    half = max_terms // 2
+    starts = [a for a, _ in net_sum._blocks(0, half)]
+    seen = []
+
+    def summary(sign, n, note=""):
+        side = 1 if sign == "positive" else -1
+        terms = [side * t for t in seen[:n] if side * t > 0]
+        where = f"indices 0..{n - 1}" if n else "no indices"
+        return SubfamilySummary(f"{sign} terms among {where}{note}",
+                                len(terms), exact_total(terms))
+
+    def first(sign, i):
+        return summary(sign, half if i >= half else
+                       max(a for a in starts if a <= i))
+
+    largest = 0.0
+    for i in range(max_terms):
+        try:
+            term = gf.gen(i)
+        except OverflowError:
+            pos, neg = (summary(s, i) for s in ("positive", "negative"))
+            sign = "positive" if pos.partial_sum >= neg.partial_sum else "negative"
+            return NetVerdict("diverged", evidence=(
+                first(sign, i), summary(sign, i, " (term overflow)")),
+                terms_used=i + 1)
+        seen.append(term)
+        largest = max(largest, abs(term))
+        for sign in ("positive", "negative"):
+            second = summary(sign, i + 1)
+            if second.partial_sum > net_sum.DIVERGENCE_FACTOR * (1 + largest):
+                return NetVerdict("diverged", evidence=(first(sign, i), second),
+                                  terms_used=i + 1)
+    for sign in ("positive", "negative"):
+        start, end = summary(sign, half), summary(sign, max_terms)
+        if end.partial_sum - start.partial_sum > max(net_sum.CAUCHY_FLOOR,
+                                                     1000 * eps):
+            return NetVerdict("diverged", evidence=(start, end),
+                              terms_used=max_terms)
+    return NetVerdict("inconclusive", terms_used=max_terms)
+
+
+PROBE_TERMS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                               1.0, -1.0, 0.5, -2.0, 3.0, 1e-16, 1e300,
+                               -1e300, 1.7e308])
+# values on, before and after the block boundaries of both halves
+NEAR_BOUNDARIES = sorted({c + d for c in (16, 32, 48, 64, 96, 112, 128, 224,
+                                          240, 480) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PROBE_TERMS, min_size=1, max_size=6),
+       st.dictionaries(st.integers(0, 600), PROBE_TERMS, max_size=4),
+       st.none() | st.integers(0, 600),
+       st.one_of(st.integers(1, 600), st.sampled_from(NEAR_BOUNDARIES)),
+       st.sampled_from([1e6, 10.0]), st.sampled_from([1e-9, 1e-3, 1.0]))
+# the sum of ones crosses 10 * (1 + 1) at index 20; the large term later in
+# the same block raises the threshold above the block's end total
+@example([1.0], {40: 1e3}, None, 1000, 10.0, 1e-9)
+# the same crossing comes before a term overflow in its block
+@example([1.0], {}, 30, 1000, 10.0, 1e-9)
+def test_block_probe_matches_the_per_term_probe(pattern, specials, raise_at,
+                                                 max_terms, factor, eps):
+    def term(i):
+        if i == raise_at:
+            raise OverflowError("term overflow")
+        return specials.get(i, pattern[i % len(pattern)])
+
+    gf, calls = counting(GeneratorFamily(term))
+    with unittest.mock.patch.object(net_sum, "DIVERGENCE_FACTOR", factor):
+        verdict = extended_sum_real(gf, eps, max_terms)
+        assert verdict == per_term_probe(GeneratorFamily(term), eps, max_terms)
+    assert calls == list(range(len(calls)))
+    assert len(calls) >= min(verdict.terms_used, max_terms)
+    assert not any(math.isnan(s.partial_sum) for s in verdict.evidence or ())
 
 
 # -- discrete monoids --------------------------------------------------------------------
