@@ -21,6 +21,7 @@ from .core import (
     budget_families,
     check_hom_over,
 )
+from .instances import INT_CODEC
 
 
 def _fst(p):
@@ -275,10 +276,8 @@ def unit_instance() -> SigmaInstance:
             return Defined(1)
         return UNDEFINED
 
-    from .instances import ElementCodec
-    codec = ElementCodec(lambda s: int(s.strip()), str)
     return SigmaInstance("unit", FiniteCarrier((0, 1)), 0, rule,
-                         flavor="weak", codec=codec)
+                         flavor="weak", codec=INT_CODEC)
 
 
 def left_unitor(x: SigmaInstance):

@@ -62,15 +62,21 @@ def kleene_equal(a: SumResult, b: SumResult) -> bool:
     return a == b
 
 
-def fold_rule(zero, fold) -> Callable[[Family], SumResult]:
-    """Summation rule for "all but finitely many terms are zero": a family
-    whose omega part lies in {zero} sums to ``fold`` of its finite
-    (element, count) pairs; any other family is undefined."""
+def fold_rule(fold, omega_copies=1) -> Callable[[Family], SumResult]:
+    """Summation rule from ``fold`` of (element, count) pairs: let s fold the
+    finite pairs plus ``omega_copies`` copies of each omega element; the
+    family sums to s exactly when s absorbs every omega element e, that is
+    ``fold(((s, 1), (e, 1))) == s``. With one copy and a group fold this is
+    "all but finitely many terms are zero"."""
 
     def rule(fam: Family) -> SumResult:
-        if any(e != zero for e in fam.omega):
-            return UNDEFINED
-        return Defined(fold(fam.finite))
+        if not fam.omega:
+            return Defined(fold(fam.finite))
+        s = fold(fam.finite + tuple((e, omega_copies) for e in fam.omega))
+        for e in fam.omega:
+            if fold(((s, 1), (e, 1))) != s:
+                return UNDEFINED
+        return Defined(s)
 
     return rule
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .family import Family, is_omega, map_family
+from .family import OMEGA, Family, count_mul, is_omega, map_family
 from .core import (
     Defined,
     UNDEFINED,
@@ -104,7 +104,7 @@ def powerset_parity_instance(universe) -> SigmaInstance:
 
     name = "parity(" + ",".join(str(u) for u in universe) + ")"
     return SigmaInstance(name, FiniteCarrier(subsets), frozenset(),
-                         fold_rule(frozenset(), odd_points),
+                         fold_rule(odd_points),
                          flavor="weak", codec=_subset_codec(universe))
 
 
@@ -115,11 +115,7 @@ def _rational_parse(text):
         raise ValueError(f"zero denominator in {text.strip()!r}")
 
 
-def _rational_format(value):
-    return str(value)
-
-
-RATIONAL_CODEC = ElementCodec(_rational_parse, _rational_format)
+RATIONAL_CODEC = ElementCodec(_rational_parse, str)
 
 
 def _is_rational(e) -> bool:
@@ -139,8 +135,7 @@ def real_abs_instance() -> SigmaInstance:
         samples=(Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4),
                  Fraction(1)),
     )
-    rule = fold_rule(Fraction(0), lambda pairs: sum(
-        (Fraction(e) * c for e, c in pairs), Fraction(0)))
+    rule = fold_rule(lambda pairs: sum((e * c for e, c in pairs), Fraction(0)))
     return SigmaInstance("real", carrier, Fraction(0), rule,
                          flavor="sigma_group", inversion=lambda x: -x,
                          codec=RATIONAL_CODEC)
@@ -157,7 +152,7 @@ def int_group_instance() -> SigmaInstance:
         lambda e: isinstance(e, int) and not isinstance(e, bool),
         samples=(0, 1, 5, -5),
     )
-    rule = fold_rule(0, lambda pairs: sum(e * c for e, c in pairs))
+    rule = fold_rule(lambda pairs: sum(e * c for e, c in pairs))
     return SigmaInstance("int", carrier, 0, rule, flavor="sigma_group",
                          inversion=lambda x: -x, codec=INT_CODEC)
 
@@ -183,21 +178,12 @@ def ext_nat_instance() -> SigmaInstance:
     """Naturals with a top element: every family is summable (the supremum of
     the finite partial sums), so this is the stock strong fixture."""
 
-    def rule(fam: Family):
-        total = 0
-        for e in fam.omega:
-            if e != 0:
-                return Defined(INFINITY)
-        for e, c in fam.finite:
-            if e == INFINITY:
-                return Defined(INFINITY)
-            total += e * c
-        return Defined(total)
-
     carrier = SymbolicCarrier(
         lambda e: e == INFINITY or (isinstance(e, int) and not isinstance(e, bool) and e >= 0),
         samples=(0, 1, 2, INFINITY),
     )
+    rule = fold_rule(lambda pairs: sum(count_mul(e, c) for e, c in pairs),
+                     OMEGA)
     return SigmaInstance("extnat", carrier, 0, rule, flavor="strong",
                          codec=EXTNAT_CODEC)
 
@@ -208,7 +194,7 @@ def cyclic_instance(n: int) -> SigmaInstance:
     if n < 1:
         raise ConstructionError("modulus must be >= 1")
 
-    rule = fold_rule(0, lambda pairs: sum(e * c for e, c in pairs) % n)
+    rule = fold_rule(lambda pairs: sum(e * c for e, c in pairs) % n)
     return SigmaInstance(f"zmod{n}", FiniteCarrier(range(n)), 0, rule,
                          flavor="sigma_group", inversion=lambda x: (n - x) % n,
                          codec=INT_CODEC)

@@ -3,9 +3,10 @@
 For certified real generator families the engine folds the prefix in order of
 decreasing bound until the certified tail drops below the tolerance; the value
 is the correctly rounded sum of the terms consumed. Without a certificate it
-can only report divergence evidence (two nested finite subfamilies whose
-partial sums stay apart) or an honest Inconclusive. Both paths sum exactly,
-a block of terms at a time. For finite commutative monoids with the discrete
+can only report divergence evidence (a term that overflows the float range,
+or a one-signed partial sum that still grows between the half-budget and
+full-budget prefixes) or an honest Inconclusive. Both paths sum exactly, a
+block of terms at a time. For finite commutative monoids with the discrete
 topology the net converges exactly when it is eventually constant: the finite
 part plus |M| copies of each omega element must absorb every omega element.
 """
@@ -19,20 +20,21 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat, tee
 from typing import Callable
 
-from .family import Family, is_omega
+from .family import Family
 from .core import (
-    UNDEFINED,
+    Budget,
     CarrierError,
     ConstructionError,
-    Defined,
     FiniteCarrier,
     SigmaInstance,
     SumResult,
+    fold_rule,
 )
+from .checker import FT_LAWS, GROUP_LAWS, WEAK_LAWS, _run_laws
+from .instances import INT_CODEC
 
 
-DIVERGENCE_FACTOR = 1e6  # the probe's thresholds, see extended_sum_real
-CAUCHY_FLOOR = 1e-3
+CAUCHY_FLOOR = 1e-3  # the probe's Cauchy threshold, see extended_sum_real
 
 
 class CertificateError(ValueError):
@@ -128,12 +130,12 @@ def extended_sum_real(gf: GeneratorFamily, eps: float = 1e-9,
     value, or raises OverflowError when that sum leaves the float range.
     ``gen`` is called on exactly the consumed indices; ``sorted_tail`` may run
     up to one block ahead of the stop, and ``bound`` one index.
-    Without one, the engine probes for divergence: either a one-signed partial
-    sum beyond ``DIVERGENCE_FACTOR * (1 + largest term)``, or a one-signed
-    partial sum still growing by more than ``max(CAUCHY_FLOOR, 1000 * eps)``
-    between the half-budget and full-budget prefixes. Anything else is
-    Inconclusive. Its partial sums are exact too (inf beyond the float range),
-    and on an early stop ``gen`` may have run up to one block ahead.
+    Without one, the engine probes for divergence: either ``gen(i)`` raises
+    OverflowError, which stops the probe with ``gen`` called on exactly
+    0..i, or a one-signed partial sum still grows by more than
+    ``max(CAUCHY_FLOOR, 1000 * eps)`` between the half-budget and full-budget
+    prefixes. Anything else is Inconclusive. Its partial sums are exact too
+    (inf beyond the float range).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -212,15 +214,13 @@ class _Run:
 
 def _probe(gf, eps, max_terms):
     """Sum the positive and the negated negative terms exactly, a block at a
-    time. A block whose end totals stay within the threshold of the largest
-    term before it needs no per-term work, as one-signed totals only grow and
-    the threshold never falls; otherwise it is replayed term by term from its
-    start, as is a block cut short by a term overflow. Blocks end at the
-    half-budget index; a stop before it names first the prefix up to the
-    start of its block."""
+    time, blocks ending at the half-budget index. A term overflow in
+    ``gen(i)`` stops the probe: its evidence is the prefix up to the start of
+    the block (or the half-budget prefix) and the larger one-signed sum of
+    indices 0..i-1. Otherwise the Cauchy comparison of the half-budget and
+    full-budget sums decides."""
     half = max_terms // 2
     runs = at_half = (_Run("positive"), _Run("negative"))
-    largest = 0.0
     for a, b in chain(_blocks(0, half), _blocks(half, max_terms)):
         terms = []
         try:
@@ -228,27 +228,14 @@ def _probe(gf, eps, max_terms):
         except OverflowError:
             pass  # gen(a + len(terms)) overflowed
         firsts = runs if a < half else at_half
-        pieces = [terms]  # then its terms one by one, if it may have crossed
-        for piece in pieces:
-            signed = ([t for t in piece if t > 0], [-t for t in piece if t < 0])
-            ahead = [r.plus(s, r.end + len(piece)) for r, s in zip(runs, signed)]
-            after = max([largest, *signed[0], *signed[1]])
-            limit = DIVERGENCE_FACTOR * (1 + (after if len(piece) == 1
-                                              else largest))
-            over = [r for r in ahead if r.total > limit]
-            if not over:
-                runs, largest = ahead, after
-            elif len(piece) > 1:
-                pieces += ([t] for t in piece)
-            else:
-                return NetVerdict("diverged", evidence=(
-                    firsts[over[0].sign == "negative"].summary(),
-                    over[0].summary()), terms_used=over[0].end)
-        if a + len(terms) < b:
+        end = a + len(terms)
+        runs = (runs[0].plus([t for t in terms if t > 0], end),
+                runs[1].plus([-t for t in terms if t < 0], end))
+        if end < b:
             run = max(runs, key=lambda r: r.total)
             return NetVerdict("diverged", evidence=(
                 firsts[run.sign == "negative"].summary(),
-                run.summary(" (term overflow)")), terms_used=run.end + 1)
+                run.summary(" (term overflow)")), terms_used=end + 1)
         if b == half:
             at_half = runs
     for start, run in zip(at_half, runs):
@@ -395,6 +382,14 @@ class FiniteMonoid:
                         raise ConstructionError(
                             f"({a!r},{b!r},{c!r}): not associative")
 
+    def fold(self, pairs):
+        """The product of ``c`` copies of each ``e`` over (e, c) pairs."""
+        acc = self.identity
+        for e, c in pairs:
+            for _ in range(c):
+                acc = self.op(acc, e)
+        return acc
+
 
 def cyclic_monoid(n: int) -> FiniteMonoid:
     return FiniteMonoid(range(n), lambda a, b: (a + b) % n, 0, name=f"Z{n}")
@@ -409,18 +404,11 @@ def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
     for e in fam.support():
         if e not in monoid.elements:
             raise CarrierError(f"{e!r} not in {monoid.name}")
-    acc = monoid.identity
-    for e, c in fam.items():
-        for _ in range(len(monoid.elements) if is_omega(c) else c):
-            acc = monoid.op(acc, e)
-    if all(monoid.op(acc, e) == acc for e in fam.omega):
-        return Defined(acc)
-    return UNDEFINED
+    return fold_rule(monoid.fold, len(monoid.elements))(fam)
 
 
 def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
     """The summation instance a discrete Hausdorff monoid induces."""
-    from .instances import INT_CODEC
     return SigmaInstance(
         name or f"discrete({monoid.name})",
         FiniteCarrier(monoid.elements), monoid.identity,
@@ -430,13 +418,8 @@ def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
     )
 
 
-def check_hausdorff_axioms(inst: SigmaInstance, budget=None):
+def check_hausdorff_axioms(inst: SigmaInstance, budget: Budget = Budget()):
     """Weak and finitely-total laws, plus the group laws when an inversion map
     is installed, over one family pool, for an instance induced by a
     topological monoid (discrete table or certified families)."""
-    from .core import Budget
-    from .checker import FT_LAWS, GROUP_LAWS, WEAK_LAWS, _run_laws
-
-    if budget is None:
-        budget = Budget()
     return _run_laws(inst, budget, WEAK_LAWS + FT_LAWS + GROUP_LAWS)

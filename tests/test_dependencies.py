@@ -1,5 +1,6 @@
 """The library has no runtime dependencies: every module under ``sigmasum``
-imports only the standard library and ``sigmasum`` itself."""
+imports only the standard library and ``sigmasum`` itself, and only at module
+level."""
 import ast
 import sys
 from pathlib import Path
@@ -25,3 +26,16 @@ def test_library_imports_only_the_standard_library():
                 if top != "sigmasum" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.relative_to(root)}: {name}")
     assert foreign == []
+
+
+def test_library_imports_only_at_module_level():
+    root = Path(sigmasum.__file__).parent
+    nested = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {f"{path.relative_to(root)}:{inner.lineno}"
+                           for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    assert sorted(nested) == []

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import re
-import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -345,9 +344,21 @@ def test_alternating_harmonic_diverges_with_nested_witnesses():
     assert second.partial_sum - first.partial_sum > 0.1
 
 
-def test_fast_divergence_hits_absolute_threshold():
-    verdict = extended_sum_real(geometric(1.0, 2.0), eps=1e-9, max_terms=5000)
+def test_fast_divergence_stops_at_the_term_overflow():
+    # 2.0 ** 1024 raises OverflowError, so gen runs on indices 0..1024
+    gf, calls = counting(geometric(1.0, 2.0))
+    verdict = extended_sum_real(gf, eps=1e-9, max_terms=5000)
     assert verdict.kind == "diverged"
+    assert verdict.terms_used == 1025 and calls == list(range(1025))
+    assert verdict.evidence[1].description.endswith("(term overflow)")
+
+
+def test_large_equal_terms_beyond_a_million_are_not_divergent():
+    # 1,000,001 terms of 2 ** 40, then zeros: the half-budget prefix (the
+    # first 1,000,002 indices) already holds every nonzero term
+    gf = GeneratorFamily(lambda i: 2.0 ** 40 if i < 1_000_001 else 0.0)
+    verdict = extended_sum_real(gf, eps=1e-9, max_terms=2_000_004)
+    assert verdict == NetVerdict("inconclusive", terms_used=2_000_004)
 
 
 def test_uncertified_convergent_is_inconclusive():
@@ -446,17 +457,6 @@ def test_probe_overflow_at_index_zero_names_the_empty_prefix():
                          0, 0.0))
 
 
-def test_probe_threshold_crossing_names_the_block_start(monkeypatch):
-    monkeypatch.setattr(net_sum, "DIVERGENCE_FACTOR", 10.0)
-    # the sum of ones first exceeds 10 * (1 + 1) at index 20, in the block
-    # 16..47
-    verdict = extended_sum_real(GeneratorFamily(lambda i: 1.0), 1e-9, 1000)
-    assert verdict.evidence == (
-        SubfamilySummary("positive terms among indices 0..15", 16, 16.0),
-        SubfamilySummary("positive terms among indices 0..20", 21, 21.0))
-    assert verdict.terms_used == 21
-
-
 def counting(gf):
     calls = []
 
@@ -509,7 +509,6 @@ def per_term_probe(gf, eps, max_terms):
         return summary(sign, half if i >= half else
                        max(a for a in starts if a <= i))
 
-    largest = 0.0
     for i in range(max_terms):
         try:
             term = gf.gen(i)
@@ -520,12 +519,6 @@ def per_term_probe(gf, eps, max_terms):
                 first(sign, i), summary(sign, i, " (term overflow)")),
                 terms_used=i + 1)
         seen.append(term)
-        largest = max(largest, abs(term))
-        for sign in ("positive", "negative"):
-            second = summary(sign, i + 1)
-            if second.partial_sum > net_sum.DIVERGENCE_FACTOR * (1 + largest):
-                return NetVerdict("diverged", evidence=(first(sign, i), second),
-                                  terms_used=i + 1)
     for sign in ("positive", "negative"):
         start, end = summary(sign, half), summary(sign, max_terms)
         if end.partial_sum - start.partial_sum > max(net_sum.CAUCHY_FLOOR,
@@ -548,25 +541,23 @@ NEAR_BOUNDARIES = sorted({c + d for c in (16, 32, 48, 64, 96, 112, 128, 224,
        st.dictionaries(st.integers(0, 600), PROBE_TERMS, max_size=4),
        st.none() | st.integers(0, 600),
        st.one_of(st.integers(1, 600), st.sampled_from(NEAR_BOUNDARIES)),
-       st.sampled_from([1e6, 10.0]), st.sampled_from([1e-9, 1e-3, 1.0]))
-# the sum of ones crosses 10 * (1 + 1) at index 20; the large term later in
-# the same block raises the threshold above the block's end total
-@example([1.0], {40: 1e3}, None, 1000, 10.0, 1e-9)
-# the same crossing comes before a term overflow in its block
-@example([1.0], {}, 30, 1000, 10.0, 1e-9)
+       st.sampled_from([1e-9, 1e-3, 1.0]))
+# a large term in the middle of the block 16..47
+@example([1.0], {40: 1e3}, None, 1000, 1e-9)
+# a term overflow in the middle of the block 16..47
+@example([1.0], {}, 30, 1000, 1e-9)
 def test_block_probe_matches_the_per_term_probe(pattern, specials, raise_at,
-                                                 max_terms, factor, eps):
+                                                 max_terms, eps):
     def term(i):
         if i == raise_at:
             raise OverflowError("term overflow")
         return specials.get(i, pattern[i % len(pattern)])
 
     gf, calls = counting(GeneratorFamily(term))
-    with unittest.mock.patch.object(net_sum, "DIVERGENCE_FACTOR", factor):
-        verdict = extended_sum_real(gf, eps, max_terms)
-        assert verdict == per_term_probe(GeneratorFamily(term), eps, max_terms)
-    assert calls == list(range(len(calls)))
-    assert len(calls) >= min(verdict.terms_used, max_terms)
+    verdict = extended_sum_real(gf, eps, max_terms)
+    assert verdict == per_term_probe(GeneratorFamily(term), eps, max_terms)
+    # gen runs on the whole budget, or up to and including the overflow
+    assert calls == list(range(verdict.terms_used))
     assert not any(math.isnan(s.partial_sum) for s in verdict.evidence or ())
 
 

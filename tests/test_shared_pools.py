@@ -35,7 +35,6 @@ from sigmasum.core import (
     SymbolicCarrier,
     UNDEFINED,
     budget_families,
-    fold_rule,
     verify_hom,
 )
 from sigmasum.family import OMEGA, Family, canonical_key, is_omega, map_family
@@ -223,10 +222,12 @@ def test_internal_hom_members_match_on_small_instances(x, y, size, omega):
 def _finite_support_or():
     """Strong: a family over {0, 1} sums to its largest element when its omega
     part is only zeros, and has no sum otherwise."""
-    return SigmaInstance(
-        "or", FiniteCarrier((0, 1)), 0,
-        fold_rule(0, lambda pairs: max((e for e, _ in pairs), default=0)),
-        flavor="strong")
+    def rule(fam):
+        if any(e != 0 for e in fam.omega):
+            return UNDEFINED
+        return Defined(max((e for e, _ in fam.finite), default=0))
+
+    return SigmaInstance("or", FiniteCarrier((0, 1)), 0, rule, flavor="strong")
 
 
 def _factorize_cases():
