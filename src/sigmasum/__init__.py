@@ -99,7 +99,6 @@ from .net_sum import (
     GeneratorFamily,
     NetVerdict,
     alternating_harmonic,
-    check_hausdorff_axioms,
     cyclic_monoid,
     discrete_instance,
     extended_sum_discrete,
@@ -114,6 +113,7 @@ from .checker import (
     LawReport,
     LawVerdict,
     check_ft_and_group,
+    check_hausdorff_axioms,
     check_strong,
     check_weak,
     conclude_flavor,

@@ -312,6 +312,14 @@ def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
     return _run_laws(inst, budget, FT_LAWS + GROUP_LAWS, require_group)
 
 
+def check_hausdorff_axioms(inst: SigmaInstance,
+                           budget: Budget = Budget()) -> LawReport:
+    """Weak and finitely-total laws, plus the group laws when an inversion map
+    is installed, over one family pool, for an instance induced by a
+    topological monoid (discrete table or certified families)."""
+    return _run_laws(inst, budget, WEAK_LAWS + FT_LAWS + GROUP_LAWS)
+
+
 def conclude_flavor(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Run everything and conclude the strongest flavor whose laws all hold
     (modulo caps: truncated counts as non-failing and is reported as such)."""

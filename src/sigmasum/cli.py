@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from .family import OMEGA, Family, canonicalize, format_family_literal
+from .family import OMEGA, Family, canonicalize
 from .core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED, SigmaInstance, FiniteCarrier
 from .checker import suite_for
 from .instances import (
@@ -277,9 +277,7 @@ def cmd_sum(args, out) -> int:
 
 
 def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise UsageError("the sum overflows the float range")
-    return str(int(x)) if x == int(x) else repr(x)
+    return str(int(x)) if math.isfinite(x) and x == int(x) else repr(x)
 
 
 def cmd_net(args, out) -> int:

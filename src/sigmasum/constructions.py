@@ -21,7 +21,7 @@ from .core import (
     budget_families,
     check_hom_over,
 )
-from .instances import INT_CODEC
+from .instances import INT_CODEC, restrict_instance
 
 
 def _fst(p):
@@ -86,34 +86,20 @@ def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
     """Restriction of the common source to the agreement set of two homs.
 
     A family over the agreement set is summable exactly when it is summable
-    upstairs with the sum landing back in the agreement set; this is the
-    largest summation rule making the inclusion structure preserving.
+    upstairs with the sum landing back in the agreement set: the source's
+    rule on the smaller carrier, the largest summation rule making the
+    inclusion structure preserving.
     """
     if not isinstance(f, Hom) or not isinstance(g, Hom):
         raise ConstructionError("equaliser needs verified homs")
     if f.source is not g.source or f.target is not g.target:
         raise ConstructionError("homs must be parallel (same source and target)")
     x = f.source
-
-    if x.carrier.is_finite:
-        agreed = [e for e in x.carrier.elements if f(e) == g(e)]
-        carrier = FiniteCarrier(agreed)
-    else:
-        carrier = SymbolicCarrier(
-            lambda e: e in x.carrier and f(e) == g(e),
-            samples=tuple(e for e in x.samples() if f(e) == g(e)),
-        )
-    if x.zero not in carrier:
+    if f(x.zero) != g(x.zero):
         raise ConstructionError("the zero element must be in the agreement set")
-
-    def rule(fam: Family) -> SumResult:
-        r = x.sum(fam)
-        if r.defined and r.value in carrier:
-            return r
-        return UNDEFINED
-
-    return SigmaInstance(name or f"eq({x.name})", carrier, x.zero, rule,
-                         flavor=x.flavor, codec=x.codec)
+    return restrict_instance(x, x.carrier.where(lambda e: f(e) == g(e)),
+                             name=name or f"eq({x.name})", flavor=x.flavor,
+                             codec=x.codec)
 
 
 def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
@@ -175,6 +161,15 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
             classes[value] = cls
         return cls
 
+    def is_class(c):
+        # the class of its representative (i, e), with e in stage i
+        if not (isinstance(c, ClassElement) and isinstance(c.rep, tuple)
+                and len(c.rep) == 2):
+            return False
+        i, e = c.rep
+        return (isinstance(i, int) and 0 <= i <= last
+                and e in stages[i].carrier and class_of(c.rep) == c)
+
     def rule(fam: Family) -> SumResult:
         pushed = fam.map(lambda cls: push(*cls.rep))
         r = stages[last].sum(pushed)
@@ -190,10 +185,7 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
     else:
         pool = [class_of((i, e)) for i, s in enumerate(stages)
                 for e in s.samples()]
-        carrier = SymbolicCarrier(
-            lambda c: isinstance(c, ClassElement),
-            samples=tuple(dict.fromkeys(pool)),
-        )
+        carrier = SymbolicCarrier(is_class, samples=tuple(dict.fromkeys(pool)))
 
     return QuotientInstance(
         name or "colim(" + "->".join(s.name for s in stages) + ")",
@@ -228,8 +220,8 @@ class HomElement:
 def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
                  name=None) -> SigmaInstance:
     """Instance on the budget-certified homs x -> y; a family of homs sums to
-    its pointwise sum when that is defined everywhere and the resulting
-    function is itself in the carrier."""
+    its pointwise sum when that is defined everywhere and, like every rule
+    value, lies in the carrier."""
     if not (x.carrier.is_finite and y.carrier.is_finite):
         raise ConstructionError("internal hom needs finite carriers")
     xs = x.carrier.elements  # canonical order, as a HomElement table needs
@@ -255,10 +247,7 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
             if not r.defined:
                 return UNDEFINED
             rows.append((a, r.value))
-        s = HomElement(tuple(rows))
-        if s not in carrier:
-            return UNDEFINED
-        return Defined(s)
+        return Defined(HomElement(tuple(rows)))
 
     return SigmaInstance(name or f"[{x.name},{y.name}]", carrier, zero, rule,
                          flavor="weak")

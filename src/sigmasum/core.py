@@ -2,8 +2,10 @@
 
 An instance couples a carrier with a zero element and a partial summation rule
 from families to carrier elements. Undefined is a first-class result so that
-both sides of an equation can be compared under Kleene equality; an element
-outside the carrier is a caller error, never Undefined.
+both sides of an equation can be compared under Kleene equality. A family
+element outside the carrier is a caller error, never Undefined; a rule value
+outside the carrier is Undefined, so a sub-instance is its parent's rule on a
+smaller carrier.
 """
 from __future__ import annotations
 
@@ -97,6 +99,10 @@ class FiniteCarrier:
     def sample(self):
         return self.elements
 
+    def where(self, keep):
+        """The elements that satisfy ``keep``, in the same order."""
+        return FiniteCarrier(e for e in self.elements if keep(e))
+
 
 class SymbolicCarrier:
     """Membership predicate plus a fixed, deterministic sample pool."""
@@ -113,11 +119,17 @@ class SymbolicCarrier:
     def sample(self):
         return self.samples
 
+    def where(self, keep):
+        """Members that satisfy ``keep``; the samples are filtered alike."""
+        return SymbolicCarrier(lambda e: e in self and keep(e),
+                               tuple(e for e in self.samples if keep(e)))
+
 
 class SigmaInstance:
     """A carrier, a zero element, and a partial summation rule over families.
 
-    The rule is a pure function of the canonical family; results are cached.
+    The rule is a pure function of the canonical family; a value it gives
+    outside the carrier is read as Undefined, and results are cached.
     Instances are immutable after construction. ``factors`` is the pair of
     instances a product was built from and ``embed`` the map of a restricted
     instance into its parent, None elsewhere.
@@ -146,6 +158,8 @@ class SigmaInstance:
         result = self._rule(fam)
         if not isinstance(result, SumResult):
             raise TypeError(f"rule of {self.name} returned {result!r}")
+        if result.defined and result.value not in self.carrier:
+            result = UNDEFINED
         self._cache[fam] = result
         return result
 

@@ -35,7 +35,6 @@ from .core import (
     Hom,
     QuotientInstance,
     SigmaInstance,
-    SymbolicCarrier,
     UNDEFINED,
     check_hom,
     first_partition_sums,
@@ -275,7 +274,6 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         classes.append(cls)
         if summable == {True}:
             admitted.append(cls)
-    admitted_set = frozenset(admitted)
 
     def rule(fam_of_classes: Family):
         union = canonicalize(
@@ -284,9 +282,7 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             for e, ce in cls.rep.items()
         )
         cls = class_of_family.get(union)
-        if cls is None or cls not in admitted_set:
-            return UNDEFINED
-        return Defined(cls)
+        return UNDEFINED if cls is None else Defined(cls)
 
     return QuotientInstance(
         name or f"free_strong({weak.name})",
@@ -298,7 +294,8 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
 
 def intersect_instances(instances, *, name=None) -> SigmaInstance:
     """Pointwise intersection: a family sums to x exactly when every instance
-    agrees on Defined(x). Carriers are intersected; zeros must coincide."""
+    agrees on Defined(x). The carrier is the first one's members that every
+    other carrier has (finite when the first is); zeros must coincide."""
     instances = list(instances)
     if not instances:
         raise ConstructionError("need at least one instance")
@@ -308,16 +305,8 @@ def intersect_instances(instances, *, name=None) -> SigmaInstance:
     if len(instances) == 1:
         return first
 
-    if all(i.carrier.is_finite for i in instances):
-        common = [e for e in first.carrier.elements
-                  if all(e in i.carrier for i in instances[1:])]
-        carrier = FiniteCarrier(common)
-    else:
-        carrier = SymbolicCarrier(
-            lambda e: all(e in i.carrier for i in instances),
-            samples=tuple(e for e in first.samples()
-                          if all(e in i.carrier for i in instances[1:])),
-        )
+    carrier = first.carrier.where(
+        lambda e: all(e in i.carrier for i in instances[1:]))
 
     def rule(fam: Family):
         results = [i.sum(fam) for i in instances]

@@ -200,54 +200,54 @@ def cyclic_instance(n: int) -> SigmaInstance:
                          codec=INT_CODEC)
 
 
+def _identity(x):
+    return x
+
+
 def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
                       inverse=None, name=None, flavor="weak",
                       codec=None) -> SigmaInstance:
     """Pull the parent's summation back along an injective embedding.
 
-    A family is summable exactly when its image is summable in the parent with
-    the value inside the embedded carrier; the embedding is then structure
-    preserving by construction.
+    A family is summable exactly when its image is summable in the parent
+    with the value inside the embedded carrier; the embedding is then
+    structure preserving by construction. Along the identity this is the
+    parent's rule on the smaller carrier. Along another embedding the sum is
+    the preimage x of the parent's value y, from the carrier's table or from
+    ``inverse`` (required on a symbolic carrier), provided embed(x) == y.
     """
-    identity_embed = embed is None
-    fn = (lambda x: x) if identity_embed else embed
-
     if isinstance(carrier, (list, tuple)):
         carrier = FiniteCarrier(carrier)
 
-    if carrier.is_finite:
-        table = {e: fn(e) for e in carrier.elements}
-        if len(set(table.values())) != len(table):
-            raise ConstructionError("embedding is not injective on the carrier")
-        reverse = {v: k for k, v in table.items()}
-        inv = reverse.get
-    elif inverse is not None:
-        inv = inverse
-    elif identity_embed:
-        inv = lambda y: y if y in carrier else None
+    if embed is None:
+        zero, rule, embed = parent.zero, parent.sum, _identity
+        codec = parent.codec if codec is None else codec
     else:
-        raise ConstructionError(
-            "symbolic restriction with a nontrivial embedding needs an inverse")
+        if carrier.is_finite:
+            table = {embed(e): e for e in carrier.elements}
+            if len(table) != len(carrier):
+                raise ConstructionError(
+                    "embedding is not injective on the carrier")
+            inverse = table.get
+        elif inverse is None:
+            raise ConstructionError("symbolic restriction with a nontrivial "
+                                    "embedding needs an inverse")
 
-    zero = inv(parent.zero)
-    if zero is None or fn(zero) != parent.zero:
+        def preimage(y):
+            x = inverse(y)
+            return x if x is not None and embed(x) == y else None
+
+        def rule(fam: Family):
+            r = parent.sum(map_family(embed, fam))
+            x = preimage(r.value) if r.defined else None
+            return UNDEFINED if x is None else Defined(x)
+
+        zero = preimage(parent.zero)
+    if zero is None or zero not in carrier:
         raise ConstructionError("the parent zero has no preimage in the carrier")
 
-    def rule(fam: Family):
-        r = parent.sum(map_family(fn, fam))
-        if not r.defined:
-            return UNDEFINED
-        x = inv(r.value)
-        if x is None:
-            return UNDEFINED
-        return Defined(x)
-
-    return SigmaInstance(
-        name or f"{parent.name}|restricted",
-        carrier, zero, rule, flavor=flavor,
-        codec=codec if codec is not None else (parent.codec if identity_embed else None),
-        embed=fn,
-    )
+    return SigmaInstance(name or f"{parent.name}|restricted", carrier, zero,
+                         rule, flavor=flavor, codec=codec, embed=embed)
 
 
 def unit_interval_instance() -> SigmaInstance:

@@ -22,7 +22,6 @@ from typing import Callable
 
 from .family import Family
 from .core import (
-    Budget,
     CarrierError,
     ConstructionError,
     FiniteCarrier,
@@ -30,7 +29,6 @@ from .core import (
     SumResult,
     fold_rule,
 )
-from .checker import FT_LAWS, GROUP_LAWS, WEAK_LAWS, _run_laws
 from .instances import INT_CODEC
 
 
@@ -153,8 +151,8 @@ def _certified(gf, eps, max_terms):
     with the tail, which comes in index order. ``sorted_tail`` over the block
     finds the stop; ``gen`` runs on exactly the indices consumed up to it, in
     order, and ``bound`` on at most one tail index more. A term above its
-    bound (up to a relative 1e-12) or a tail bound above the one before
-    raises CertificateError at its index."""
+    bound (up to a relative 1e-12), a NaN term or bound, or a tail bound
+    above the one before raises CertificateError at its index."""
     cert = gf.certificate
     k = cert.nonincreasing_from
     k = max_terms if k is None else min(k, max_terms)
@@ -178,7 +176,7 @@ def _certified(gf, eps, max_terms):
                     f"bound({i}) = {bound} exceeds bound({i - 1}) = {ceiling},"
                     f" though declared non-increasing from {k}")
             term = gf.gen(i)
-            if abs(term) > bound + 1e-12 * bound:
+            if not abs(term) <= bound + 1e-12 * bound:  # NaN fails too
                 raise CertificateError(
                     f"|gen({i})| = {abs(term)} exceeds bound {bound}")
             terms.append(term)
@@ -416,10 +414,3 @@ def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
         flavor="finitely_total",
         codec=INT_CODEC if all(isinstance(e, int) for e in monoid.elements) else None,
     )
-
-
-def check_hausdorff_axioms(inst: SigmaInstance, budget: Budget = Budget()):
-    """Weak and finitely-total laws, plus the group laws when an inversion map
-    is installed, over one family pool, for an instance induced by a
-    topological monoid (discrete table or certified families)."""
-    return _run_laws(inst, budget, WEAK_LAWS + FT_LAWS + GROUP_LAWS)

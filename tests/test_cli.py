@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmasum.cli import (
-    format_family_literal,
-    main,
-    parse_family_literal,
-    resolve_instance,
-)
-from sigmasum.family import Family
+from sigmasum.cli import main, parse_family_literal, resolve_instance
+from sigmasum.family import Family, format_family_literal
 from sigmasum.instances import pm_instance
 
 
@@ -343,10 +338,24 @@ def test_sum_zero_denominator_exits_two(capsys):
                         "--family", "{finite:[1/0]}"], capsys)
 
 
-@pytest.mark.parametrize("spec", ["finite(inf)", "geometric(1e308,2)",
-                                  "finite(1e308,1e308)"])
+@pytest.mark.parametrize("spec", ["finite(inf)", "finite(1e308,1e308)"])
 def test_net_non_finite_or_overflowing_exits_two(spec, capsys):
+    # a non-finite parameter, and a certified sum beyond the float range
     assert_usage_error(["net", "--gen", spec], capsys)
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["geometric(1e308,2)"], "0..1007", "0..1023"),
+    (["geometric(1e300,10)", "--max-terms", "2000"], "0..239", "0..308"),
+], ids=["geometric(1e308,2)", "geometric(1e300,10)"])
+def test_net_probe_infinite_evidence_prints_inf(argv, first, second, capsys):
+    # the probe's verdict is diverged, with evidence sums beyond the float
+    # range; only a certified sum that overflows is an error
+    code, out = run_cli(["net", "--gen", *argv])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert out == (f"diverged: partial sum over {{positive terms among indices "
+                   f"{first}}} is inf, over {{positive terms among indices "
+                   f"{second} (term overflow)}} is inf\n")
 
 
 def test_net_nan_parameter_exits_two(capsys):

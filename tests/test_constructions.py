@@ -5,6 +5,7 @@ import pytest
 from sigmasum.core import (
     Budget,
     CarrierError,
+    ClassElement,
     ConstructionError,
     Defined,
     UNDEFINED,
@@ -182,6 +183,24 @@ def test_colimit_family_becomes_summable_at_later_stage():
     assert C.sum(lifted) == Defined(C.class_of((1, Fraction(5, 4))))
     # representative of an interval value is found at stage 0
     assert C.class_of((1, Fraction(1, 2))).rep == (0, Fraction(1, 2))
+
+
+def test_symbolic_colimit_carrier_holds_only_the_classes_it_names():
+    # a class is a member when its representative (i, e) has e in stage i
+    # and is the representative class_of picks
+    real = real_abs_instance()
+    ident = verify_hom(lambda e: e, real, real, BUDGET, name="id",
+                       inverse=lambda y: y)
+    C = chain_colimit([real, real], [ident])
+    one = C.stage_map(1)(Fraction(1))
+    assert one.rep == (0, Fraction(1)) and one in C.carrier
+    assert C.sum(Family.of(one, one)) == Defined(C.stage_map(0)(Fraction(2)))
+    for stranger in (ClassElement((5, Fraction(1))), ClassElement((-1, 0)),
+                     ClassElement("x"), ClassElement((0, "x")),
+                     ClassElement((1, Fraction(1))), Fraction(1)):
+        assert stranger not in C.carrier
+        with pytest.raises(CarrierError):
+            C.sum(Family.of(stranger))
 
 
 def test_colimit_rejects_non_composable_chain():

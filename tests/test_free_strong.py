@@ -11,6 +11,7 @@ from sigmasum.core import (
 )
 from sigmasum.family import EMPTY, Family, disjoint_union, map_family
 from sigmasum.instances import (
+    cyclic_instance,
     ext_nat_instance,
     int_group_instance,
     pm_instance,
@@ -287,6 +288,14 @@ def test_intersect_with_restriction_agrees_only_where_both_do():
     fam = Family.from_counts([], omega=[1])
     assert en.sum(fam).defined and not finite_nat.sum(fam).defined
     assert both.sum(fam) == UNDEFINED
+
+
+def test_intersect_with_a_finite_first_carrier_is_finite():
+    # zmod3 & int: the finite carrier filtered by the symbolic one's members
+    both = intersect_instances([cyclic_instance(3), int_group_instance()])
+    assert both.carrier.is_finite and both.carrier.elements == (0, 1, 2)
+    assert both.sum(Family.of(1, 1)) == Defined(2)
+    assert both.sum(Family.of(1, 2)) == UNDEFINED  # 0 mod 3, 3 in int
 
 
 def test_intersect_rejects_different_zeros():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sigmasum.core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED
 from sigmasum.family import Family, families_within, map_family
 from sigmasum import net_sum
+from sigmasum.checker import check_hausdorff_axioms
 from sigmasum.instances import cyclic_instance
 from sigmasum.net_sum import (
     AbsoluteBound,
@@ -22,7 +23,6 @@ from sigmasum.net_sum import (
     NetVerdict,
     SubfamilySummary,
     alternating_harmonic,
-    check_hausdorff_axioms,
     cyclic_monoid,
     discrete_instance,
     extended_sum_discrete,
@@ -131,6 +131,20 @@ def test_certificate_slack_is_none_at_a_zero_bound():
         gen=lambda i: 5e-13 if i == 0 else 0.0,
         certificate=AbsoluteBound(lambda i: 0.0, lambda n: 0.0))
     with pytest.raises(CertificateError):
+        extended_sum_real(gf, eps=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, None])
+@pytest.mark.parametrize("term, bound", [(1000.0, math.nan), (math.nan, 0.125)],
+                         ids=["nan-bound", "nan-term"])
+def test_nan_term_or_bound_is_a_certificate_error_at_its_index(term, bound,
+                                                               k):
+    # NaN compares false both ways, so the check must be written to fail on it
+    gf = GeneratorFamily(
+        gen=lambda n: term if n == 3 else 0.5 ** n,
+        certificate=AbsoluteBound(lambda n: bound if n == 3 else 0.5 ** n,
+                                  lambda n: 0.5 ** n, k))
+    with pytest.raises(CertificateError, match=rf"\|gen\(3\)\| = {term} "):
         extended_sum_real(gf, eps=1e-9)
 
 
