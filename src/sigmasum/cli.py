@@ -3,29 +3,17 @@
 Exit codes: 0 success (requested laws pass, or the sum/net command ran),
 1 law failure, 2 usage/config error. ``check`` emits one JSON object per law
 on stdout (or to --out); ``sum`` and ``net`` print single-line results.
+``net`` runs on ``net_sum`` alone; ``check`` and ``sum`` reach the rest of the
+library through the package, which imports a submodule on first use.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .family import OMEGA, Family, canonicalize
-from .core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED, SigmaInstance, FiniteCarrier
-from .checker import suite_for
-from .instances import (
-    ElementCodec,
-    ext_nat_instance,
-    cyclic_instance,
-    int_group_instance,
-    pm_instance,
-    powerset_parity_instance,
-    real_abs_instance,
-    unit_interval_instance,
-)
-from .constructions import unit_instance
+import sigmasum as lib
 from .net_sum import extended_sum_real, parse_generator_spec
 
 
@@ -33,7 +21,7 @@ class UsageError(ValueError):
     pass
 
 
-def resolve_instance(selector: str) -> SigmaInstance:
+def resolve_instance(selector: str) -> lib.SigmaInstance:
     """Built-in selectors: pm, parity:<e1,e2,...>, real, int, extnat, unit,
     interval, zmod:<n>; anything ending in .json is a definition file."""
     if selector.endswith(".json"):
@@ -41,26 +29,26 @@ def resolve_instance(selector: str) -> SigmaInstance:
     name, _, arg = selector.partition(":")
     try:
         if name == "pm":
-            return pm_instance()
+            return lib.pm_instance()
         if name == "parity":
             if not arg:
                 raise UsageError("parity needs a universe, e.g. parity:a,b")
-            return powerset_parity_instance(tuple(s.strip() for s in arg.split(",")))
+            return lib.powerset_parity_instance(tuple(s.strip() for s in arg.split(",")))
         if name == "real":
-            return real_abs_instance()
+            return lib.real_abs_instance()
         if name == "int":
-            return int_group_instance()
+            return lib.int_group_instance()
         if name == "extnat":
-            return ext_nat_instance()
+            return lib.ext_nat_instance()
         if name == "unit":
-            return unit_instance()
+            return lib.unit_instance()
         if name == "interval":
-            return unit_interval_instance()
+            return lib.unit_interval_instance()
         if name == "zmod":
-            return cyclic_instance(int(arg))
+            return lib.cyclic_instance(int(arg))
     except UsageError:
         raise
-    except (ValueError, ConstructionError) as exc:
+    except (ValueError, lib.ConstructionError) as exc:
         raise UsageError(str(exc))
     raise UsageError(f"unknown instance selector {selector!r}")
 
@@ -68,7 +56,7 @@ def resolve_instance(selector: str) -> SigmaInstance:
 _FLAVORS = ("weak", "strong", "finitely_total", "sigma_group")
 
 
-def load_definition_file(path: str) -> SigmaInstance:
+def load_definition_file(path: str) -> lib.SigmaInstance:
     """Declarative finite instance: elements, zero, and an explicit table of
     summable families (everything else is undefined)."""
     try:
@@ -91,7 +79,7 @@ def load_definition_file(path: str) -> SigmaInstance:
     if not isinstance(name, str) or flavor not in _FLAVORS:
         raise UsageError("bad instance file: name must be a string and flavor "
                          "one of " + ", ".join(_FLAVORS))
-    codec = ElementCodec(lambda s: s.strip(), str)
+    codec = lib.ElementCodec(lambda s: s.strip(), str)
     table = {}
     for row in rows:
         if not isinstance(row, dict) or "value" not in row:
@@ -106,19 +94,19 @@ def load_definition_file(path: str) -> SigmaInstance:
         for e in finite + omega:
             if e not in elements:
                 raise UsageError(f"table element {e!r} not among the elements")
-        fam = canonicalize([(e, 1) for e in finite]
-                           + [(e, OMEGA) for e in omega])
+        fam = lib.canonicalize([(e, 1) for e in finite]
+                               + [(e, lib.OMEGA) for e in omega])
         value = str(row["value"])
         if value not in elements:
             raise UsageError(f"table value {value!r} not among the elements")
         table[fam] = value
 
-    def rule(fam: Family):
+    def rule(fam: lib.Family):
         value = table.get(fam)
-        return Defined(value) if value is not None else UNDEFINED
+        return lib.Defined(value) if value is not None else lib.UNDEFINED
 
-    return SigmaInstance(name, FiniteCarrier(elements), zero, rule,
-                         flavor=flavor, codec=codec)
+    return lib.SigmaInstance(name, lib.FiniteCarrier(elements), zero, rule,
+                             flavor=flavor, codec=codec)
 
 
 def _split_top_level(text: str) -> list:
@@ -140,7 +128,7 @@ def _split_top_level(text: str) -> list:
     return [p.strip() for p in parts if p.strip()]
 
 
-def parse_family_literal(text: str, codec: ElementCodec) -> Family:
+def parse_family_literal(text: str, codec: lib.ElementCodec) -> lib.Family:
     """``{finite: [e, e, ...], omega: [e, ...]}`` with instance element syntax."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -160,10 +148,10 @@ def parse_family_literal(text: str, codec: ElementCodec) -> Family:
         sections[key] = _split_top_level(rest[1:-1])
     try:
         pairs = [(codec.parse(e), 1) for e in sections.get("finite", [])]
-        omegas = [(codec.parse(e), OMEGA) for e in sections.get("omega", [])]
+        omegas = [(codec.parse(e), lib.OMEGA) for e in sections.get("omega", [])]
     except ValueError as exc:
         raise UsageError(f"bad element: {exc}")
-    return canonicalize(pairs + omegas)
+    return lib.canonicalize(pairs + omegas)
 
 
 def _default_seed() -> int:
@@ -212,7 +200,7 @@ def cmd_check(args, out) -> int:
     inst = resolve_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
     try:
-        budget = Budget(
+        budget = lib.Budget(
             max_finite_size=args.max_size,
             max_omega_elems=args.omega,
             block_count=args.block_count,
@@ -223,7 +211,7 @@ def cmd_check(args, out) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = suite_for(args.laws)(inst, budget)
+    report = lib.checker.suite_for(args.laws)(inst, budget)
     lines = []
     for verdict in report.laws:
         row = {
@@ -267,7 +255,7 @@ def cmd_sum(args, out) -> int:
     fam = parse_family_literal(literal, inst.codec)
     try:
         result = inst.sum(fam)
-    except CarrierError as exc:
+    except lib.CarrierError as exc:
         raise UsageError(str(exc))
     if result.defined:
         out.write(f"defined {inst.codec.format(result.value)}\n")
@@ -277,7 +265,9 @@ def cmd_sum(args, out) -> int:
 
 
 def _fmt_float(x: float) -> str:
-    return str(int(x)) if math.isfinite(x) and x == int(x) else repr(x)
+    """An integral float below 2^53 in magnitude prints as an integer, any
+    other value as its repr."""
+    return str(int(x)) if abs(x) < 2 ** 53 and x == int(x) else repr(x)
 
 
 def cmd_net(args, out) -> int:
@@ -322,7 +312,10 @@ def main(argv=None) -> int:
             return cmd_sum(args, sys.stdout)
         if args.command == "net":
             return cmd_net(args, sys.stdout)
-    except (UsageError, CarrierError, ConstructionError) as exc:
+    except UsageError as exc:  # tried first: naming lib's errors loads core
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (lib.CarrierError, lib.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

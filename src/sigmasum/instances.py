@@ -1,4 +1,5 @@
-"""Concrete summation instances used as fixtures and oracles.
+"""Concrete summation instances used as fixtures and oracles, and the
+instances that finite monoids with the discrete topology induce.
 
 Law testing over the real-flavored instances uses exact rationals; floating
 point lives only in the net-summation engine.
@@ -12,11 +13,13 @@ from typing import Callable
 
 from .family import OMEGA, Family, count_mul, is_omega, map_family
 from .core import (
+    CarrierError,
     Defined,
     UNDEFINED,
     ConstructionError,
     FiniteCarrier,
     SigmaInstance,
+    SumResult,
     SymbolicCarrier,
     fold_rule,
 )
@@ -260,3 +263,67 @@ def unit_interval_instance() -> SigmaInstance:
     )
     return restrict_instance(real_abs_instance(), carrier, name="interval",
                              flavor="weak")
+
+
+# -- discrete monoids ----------------------------------------------------------
+
+
+class FiniteMonoid:
+    """Commutative monoid table; validated for closure, identity,
+    commutativity and associativity at construction."""
+
+    def __init__(self, elements, op, identity, name=""):
+        self.elements = tuple(elements)
+        self.op = op
+        self.identity = identity
+        self.name = name or "monoid"
+        for a in self.elements:
+            for b in self.elements:
+                if op(a, b) not in self.elements:
+                    raise ConstructionError(
+                        f"({a!r},{b!r}): {op(a, b)!r} is not an element")
+        for a in self.elements:
+            if op(a, identity) != a or op(identity, a) != a:
+                raise ConstructionError(f"{a!r}: identity law fails")
+            for b in self.elements:
+                if op(a, b) != op(b, a):
+                    raise ConstructionError(f"({a!r},{b!r}): not commutative")
+                for c in self.elements:
+                    if op(op(a, b), c) != op(a, op(b, c)):
+                        raise ConstructionError(
+                            f"({a!r},{b!r},{c!r}): not associative")
+
+    def fold(self, pairs):
+        """The product of ``c`` copies of each ``e`` over (e, c) pairs."""
+        acc = self.identity
+        for e, c in pairs:
+            for _ in range(c):
+                acc = self.op(acc, e)
+        return acc
+
+
+def cyclic_monoid(n: int) -> FiniteMonoid:
+    return FiniteMonoid(range(n), lambda a, b: (a + b) % n, 0, name=f"Z{n}")
+
+
+def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
+    """Extended sum in the discrete topology: the net of finite partial sums
+    converges exactly when it is eventually constant. Let s fold the finite
+    part and |M| copies of each omega element; from |M| copies on, the powers
+    of every element are periodic, so the family is summable, with sum s,
+    exactly when s + e == s for every omega element e."""
+    for e in fam.support():
+        if e not in monoid.elements:
+            raise CarrierError(f"{e!r} not in {monoid.name}")
+    return fold_rule(monoid.fold, len(monoid.elements))(fam)
+
+
+def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
+    """The summation instance a discrete Hausdorff monoid induces."""
+    return SigmaInstance(
+        name or f"discrete({monoid.name})",
+        FiniteCarrier(monoid.elements), monoid.identity,
+        lambda fam: extended_sum_discrete(monoid, fam),
+        flavor="finitely_total",
+        codec=INT_CODEC if all(isinstance(e, int) for e in monoid.elements) else None,
+    )

@@ -6,9 +6,11 @@ is the correctly rounded sum of the terms consumed. Without a certificate it
 can only report divergence evidence (a term that overflows the float range,
 or a one-signed partial sum that still grows between the half-budget and
 full-budget prefixes) or an honest Inconclusive. Both paths sum exactly, a
-block of terms at a time. For finite commutative monoids with the discrete
-topology the net converges exactly when it is eventually constant: the finite
-part plus |M| copies of each omega element must absorb every omega element.
+block of terms at a time.
+
+The module imports only the standard library, so a cold ``sigmasum net``
+loads no other part of the package. Finite monoids with the discrete
+topology, whose nets are eventually constant, live in ``instances``.
 """
 from __future__ import annotations
 
@@ -19,17 +21,6 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat, tee
 from typing import Callable
-
-from .family import Family
-from .core import (
-    CarrierError,
-    ConstructionError,
-    FiniteCarrier,
-    SigmaInstance,
-    SumResult,
-    fold_rule,
-)
-from .instances import INT_CODEC
 
 
 CAUCHY_FLOOR = 1e-3  # the probe's Cauchy threshold, see extended_sum_real
@@ -355,62 +346,3 @@ def parse_generator_spec(text: str) -> GeneratorFamily:
             raise ValueError("alternating_harmonic takes no arguments")
         return alternating_harmonic()
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-# -- discrete monoids ----------------------------------------------------------
-
-
-class FiniteMonoid:
-    """Commutative monoid table; validated for identity, commutativity and
-    associativity at construction."""
-
-    def __init__(self, elements, op, identity, name=""):
-        self.elements = tuple(elements)
-        self.op = op
-        self.identity = identity
-        self.name = name or "monoid"
-        for a in self.elements:
-            if op(a, identity) != a or op(identity, a) != a:
-                raise ConstructionError(f"{a!r}: identity law fails")
-            for b in self.elements:
-                if op(a, b) != op(b, a):
-                    raise ConstructionError(f"({a!r},{b!r}): not commutative")
-                for c in self.elements:
-                    if op(op(a, b), c) != op(a, op(b, c)):
-                        raise ConstructionError(
-                            f"({a!r},{b!r},{c!r}): not associative")
-
-    def fold(self, pairs):
-        """The product of ``c`` copies of each ``e`` over (e, c) pairs."""
-        acc = self.identity
-        for e, c in pairs:
-            for _ in range(c):
-                acc = self.op(acc, e)
-        return acc
-
-
-def cyclic_monoid(n: int) -> FiniteMonoid:
-    return FiniteMonoid(range(n), lambda a, b: (a + b) % n, 0, name=f"Z{n}")
-
-
-def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
-    """Extended sum in the discrete topology: the net of finite partial sums
-    converges exactly when it is eventually constant. Let s fold the finite
-    part and |M| copies of each omega element; from |M| copies on, the powers
-    of every element are periodic, so the family is summable, with sum s,
-    exactly when s + e == s for every omega element e."""
-    for e in fam.support():
-        if e not in monoid.elements:
-            raise CarrierError(f"{e!r} not in {monoid.name}")
-    return fold_rule(monoid.fold, len(monoid.elements))(fam)
-
-
-def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
-    """The summation instance a discrete Hausdorff monoid induces."""
-    return SigmaInstance(
-        name or f"discrete({monoid.name})",
-        FiniteCarrier(monoid.elements), monoid.identity,
-        lambda fam: extended_sum_discrete(monoid, fam),
-        flavor="finitely_total",
-        codec=INT_CODEC if all(isinstance(e, int) for e in monoid.elements) else None,
-    )

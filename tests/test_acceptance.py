@@ -16,7 +16,9 @@ from sigmasum.family import Family, OMEGA, canonicalize, families_within, map_fa
 from sigmasum.instances import (
     INFINITY,
     cyclic_instance,
+    cyclic_monoid,
     ext_nat_instance,
+    extended_sum_discrete,
     int_group_instance,
     pm_instance,
     powerset_parity_instance,
@@ -42,8 +44,6 @@ from sigmasum.free_strong import (
 )
 from sigmasum.net_sum import (
     alternating_harmonic,
-    cyclic_monoid,
-    extended_sum_discrete,
     extended_sum_real,
     geometric,
     reordered,

@@ -358,6 +358,26 @@ def test_net_probe_infinite_evidence_prints_inf(argv, first, second, capsys):
                    f"{second} (term overflow)}} is inf\n")
 
 
+@pytest.mark.parametrize("spec, value", [
+    ("finite(9007199254740991)", "9007199254740991"),
+    ("finite(-9007199254740991)", "-9007199254740991"),
+    ("finite(9007199254740992)", "9007199254740992.0"),
+    ("finite(1e300)", "1e+300"),
+])
+def test_net_prints_integral_floats_as_integers_only_below_2_to_53(spec, value):
+    assert run_cli(["net", "--gen", spec]) == (0, f"converged {value} ±0\n")
+
+
+def test_net_huge_integral_evidence_sum_prints_as_a_float():
+    # the first evidence sum is 2^1008 - 1 rounded, an integral float
+    code, out = run_cli(["net", "--gen", "geometric(1.0,2.0)",
+                         "--max-terms", "5000"])
+    assert (code, out) == (0, (
+        "diverged: partial sum over {positive terms among indices 0..1007} "
+        "is 2.7430620343968443e+303, over {positive terms among indices "
+        "0..1023 (term overflow)} is inf\n"))
+
+
 def test_net_nan_parameter_exits_two(capsys):
     assert_usage_error(["net", "--gen", "power(nan)"], capsys)
 

@@ -1,10 +1,17 @@
 """The library has no runtime dependencies: every module under ``sigmasum``
 imports only the standard library and ``sigmasum`` itself, only at module
-level, uses every name it imports, and takes no private name of a sibling
-module."""
+level (the package's lazy exports are the one deferred import), uses every
+name it imports, and takes no private name of a sibling module. The package
+exports the same names as when it imported every submodule eagerly, and a
+cold ``sigmasum net`` loads only the net engine."""
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sigmasum
 
@@ -29,17 +36,34 @@ def test_library_imports_only_the_standard_library():
     assert foreign == []
 
 
+def _is_import_call(node):
+    """A call of ``importlib.import_module``, ``import_module`` or
+    ``__import__``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "import_module"
+            or isinstance(func, ast.Name)
+            and func.id in ("import_module", "__import__"))
+
+
 def test_library_imports_only_at_module_level():
     root = Path(sigmasum.__file__).parent
     nested = set()
+    calls = {}  # call site -> innermost enclosing function
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
+        where = str(path.relative_to(root))
+        for node in ast.walk(tree):  # outer functions come before inner ones
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested |= {f"{path.relative_to(root)}:{inner.lineno}"
+                nested |= {f"{where}:{inner.lineno}"
                            for inner in ast.walk(node)
                            if isinstance(inner, (ast.Import, ast.ImportFrom))}
+                calls.update({f"{where}:{inner.lineno}": f"{where} {node.name}"
+                              for inner in ast.walk(node)
+                              if _is_import_call(inner)})
     assert sorted(nested) == []
+    assert list(calls.values()) == ["__init__.py __getattr__"]
 
 
 def _imported_names(tree):
@@ -73,3 +97,77 @@ def test_library_modules_use_every_import_and_no_private_sibling_name():
             if sibling and name.startswith("_"):
                 problems.append(f"{where} is private to its module")
     assert problems == []
+
+
+def test_cold_net_loads_only_the_net_engine():
+    code = ("import sys, sigmasum.cli; "
+            "code = sigmasum.cli.main(['net', '--gen', 'finite(1.0)']); "
+            "print(sorted(m for m in sys.modules if m.startswith('sigmasum')))"
+            "; sys.exit(code)")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, (
+        "converged 1 ±0\n"
+        "['sigmasum', 'sigmasum.cli', 'sigmasum.net_sum']\n"), "")
+
+
+# the package's exports by defining submodule, as the package had them when
+# it imported every submodule eagerly
+EXPORTS = {
+    "family": [
+        "BRACKETING", "FLATTENING", "UNCONSTRAINED", "BlockSumEngine", "Caps",
+        "EMPTY", "Family", "OMEGA", "Partition", "PartitionStream",
+        "canonical_key", "canonicalize", "disjoint_union",
+        "enumerate_partitions", "families_within", "format_family_literal",
+        "intersect", "is_omega", "is_subfamily", "map_family",
+        "static_truncation", "subfamilies"],
+    "core": [
+        "Budget", "CarrierError", "ClassElement", "ConstructionError",
+        "Defined", "FiniteCarrier", "Hom", "HomVerdict",
+        "HomVerificationError", "QuotientInstance", "SigmaInstance",
+        "SumResult", "SymbolicCarrier", "UNDEFINED", "budget_families",
+        "check_hom", "check_hom_over", "compose_homs", "kleene_equal",
+        "partition_sums", "verify_hom"],
+    "instances": [
+        "ElementCodec", "FiniteMonoid", "INFINITY", "cyclic_instance",
+        "cyclic_monoid", "discrete_instance", "ext_nat_instance",
+        "extended_sum_discrete", "int_group_instance", "pm_instance",
+        "powerset_parity_instance", "real_abs_instance", "restrict_instance",
+        "unit_interval_instance"],
+    "constructions": [
+        "BilinearVerdict", "HomElement", "chain_colimit", "check_bilinear",
+        "equaliser", "evaluation", "internal_hom", "left_unitor", "pairing",
+        "product", "projections", "right_unitor", "unit_instance"],
+    "free_strong": [
+        "CongruenceCaps", "CongruenceGraph", "CongruenceVerdict",
+        "Factorization", "LeadsTo", "equivalent", "factorize",
+        "free_strong_quotient", "intersect_instances", "leads_to"],
+    "net_sum": [
+        "AbsoluteBound", "CertificateError", "GeneratorFamily", "NetVerdict",
+        "alternating_harmonic", "extended_sum_real", "finite_terms",
+        "geometric", "parse_generator_spec", "power_terms", "reordered"],
+    "checker": [
+        "LawReport", "LawVerdict", "check_ft_and_group",
+        "check_hausdorff_axioms", "check_strong", "check_weak",
+        "conclude_flavor", "shrink_family"],
+}
+
+
+def test_package_exports_are_the_submodules_objects():
+    names = sorted([*EXPORTS, *(n for ns in EXPORTS.values() for n in ns)])
+    assert len(names) == 106
+    assert sorted(sigmasum.__all__) == names
+    assert set(names) <= set(dir(sigmasum))
+    for module, exported in EXPORTS.items():
+        submodule = importlib.import_module(f"sigmasum.{module}")
+        assert getattr(sigmasum, module) is submodule
+        for name in exported:
+            assert getattr(sigmasum, name) is getattr(submodule, name), name
+    star = {}
+    exec("from sigmasum import *", star)
+    assert sorted(n for n in star if n != "__builtins__") == names
+    assert all(star[name] is getattr(sigmasum, name) for name in names)
+    with pytest.raises(AttributeError):
+        sigmasum.no_such_export

@@ -13,19 +13,26 @@ from hypothesis import strategies as st
 from sigmasum.core import Budget, CarrierError, ConstructionError, Defined, UNDEFINED
 from sigmasum.family import Family, families_within, map_family
 from sigmasum import net_sum
-from sigmasum.checker import check_hausdorff_axioms
-from sigmasum.instances import cyclic_instance
+from sigmasum.checker import (
+    FT_LAWS,
+    WEAK_LAWS,
+    check_hausdorff_axioms,
+    conclude_flavor,
+)
+from sigmasum.instances import (
+    FiniteMonoid,
+    cyclic_instance,
+    cyclic_monoid,
+    discrete_instance,
+    extended_sum_discrete,
+)
 from sigmasum.net_sum import (
     AbsoluteBound,
     CertificateError,
-    FiniteMonoid,
     GeneratorFamily,
     NetVerdict,
     SubfamilySummary,
     alternating_harmonic,
-    cyclic_monoid,
-    discrete_instance,
-    extended_sum_discrete,
     extended_sum_real,
     finite_terms,
     geometric,
@@ -593,8 +600,21 @@ def test_discrete_rejects_foreign_elements():
 
 
 def test_monoid_table_validated():
-    with pytest.raises(ConstructionError):
-        FiniteMonoid((0, 1), lambda a, b: 0, identity=0)  # identity law fails
+    with pytest.raises(ConstructionError, match="^1: identity law fails$"):
+        FiniteMonoid((0, 1), lambda a, b: 0, identity=0)
+    # on {1, 2} the left element wins: closed, with identity 0
+    with pytest.raises(ConstructionError, match=r"^\(1,2\): not commutative$"):
+        FiniteMonoid((0, 1, 2), lambda a, b: a or b, identity=0)
+    # 1 + 1 = 2, 1 + 2 = 0 and 2 + 2 = 2: (1 + 1) + 2 = 2 but 1 + (1 + 2) = 1
+    table = {(1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): 2}
+    with pytest.raises(ConstructionError, match=r"^\(1,1,2\): not associative$"):
+        FiniteMonoid((0, 1, 2), lambda a, b: table.get((a, b), a + b), 0)
+
+
+def test_monoid_table_must_be_closed():
+    # 1 + 1 = 2 lies outside {0, 1}; the discrete sum of {1, 1} would be 2
+    with pytest.raises(ConstructionError, match=r"^\(1,1\): 2 is not an element$"):
+        FiniteMonoid((0, 1), lambda a, b: a + b, 0)
 
 
 def test_discrete_agrees_with_direct_instance():
@@ -737,6 +757,35 @@ def test_discrete_instances_satisfy_the_hausdorff_axioms(monoid):
         "singleton", "neutral_element", "bracketing", "flattening",
         "finite_totality"]
     assert report.ok
+
+
+def _all_tables(n):
+    """Every commutative monoid table on range(n) with identity 0."""
+    pairs = list(itertools.combinations_with_replacement(range(1, n), 2))
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        table = dict(zip(pairs, values))
+        try:
+            yield _table_monoid(n, lambda a, b: table[min(a, b), max(a, b)]
+                                if a and b else a + b)
+        except ConstructionError:  # not associative
+            continue
+
+
+def test_discrete_instance_declared_flavor_laws_never_fail():
+    # discrete_instance declares finitely_total; conclude_flavor may report
+    # another flavor whose laws also hold (strong for max on {0,1,2}), so
+    # only the declared flavor's laws are required not to fail
+    monoids = [m for n in (1, 2, 3) for m in _all_tables(n)]
+    assert len(monoids) == 12
+    budget = Budget(max_finite_size=3, max_omega_elems=1, trials=0, seed=7)
+    for monoid in monoids:
+        inst = discrete_instance(monoid)
+        assert inst.flavor == "finitely_total"
+        report = conclude_flavor(inst, budget)
+        failed = [v.law for v in report.laws if v.failed]
+        assert not set(failed) & set(WEAK_LAWS + FT_LAWS), (
+            [monoid.op(a, b) for a in monoid.elements for b in monoid.elements],
+            failed)
 
 
 def test_certified_real_flattening_spot_check():
