@@ -17,6 +17,7 @@ from .family import (
     disjoint_union,
     map_family,
     format_family_literal,
+    is_omega,
     static_truncation,
     subfamilies,
 )
@@ -76,7 +77,7 @@ def _format_partition(inst, part) -> list:
     out = []
     for block, mult in part.blocks:
         out.append({"block": _format_family(inst, block),
-                    "multiplicity": "omega" if mult == float("inf") else mult})
+                    "multiplicity": "omega" if is_omega(mult) else mult})
     return out
 
 

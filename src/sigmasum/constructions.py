@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .family import Family, canonical_key, canonicalize, map_family
+from .family import Family, canonical_key, map_family
 from .core import (
     Budget,
     ClassElement,
@@ -243,7 +243,7 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
     def rule(fam: Family) -> SumResult:
         rows = []
         for a in xs:
-            r = y.sum(canonicalize((h(a), c) for h, c in fam.items()))
+            r = y.sum(map_family(lambda h: h(a), fam))
             if not r.defined:
                 return UNDEFINED
             rows.append((a, r.value))

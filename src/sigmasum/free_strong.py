@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .family import (
     EMPTY,
-    OMEGA,
     UNCONSTRAINED,
     BlockSumEngine,
     Caps,
@@ -68,17 +67,16 @@ class LeadsTo:
         return self.holds
 
 
+def _zero_free(fam: Family, zero) -> tuple:
+    return (tuple(p for p in fam.finite if p[0] != zero),
+            tuple(e for e in fam.omega if e != zero))
+
+
 def _matches_up_to_zeros(sums: Family, target: Family, zero) -> bool:
     """target == sums plus any number (possibly omega) of extra zeros."""
-    for e in sums.support() + target.support():
-        if e == zero:
-            continue
-        if sums.count(e) != target.count(e):
-            return False
     have, want = sums.count(zero), target.count(zero)
-    if is_omega(have):
-        return is_omega(want)
-    return want >= have
+    return (_zero_free(sums, zero) == _zero_free(target, zero)
+            and (is_omega(want) if is_omega(have) else want >= have))
 
 
 def leads_to(inst: SigmaInstance, a: Family, b: Family,
@@ -130,36 +128,27 @@ class CongruenceGraph:
         self._succ: dict = {}
         self._build()
 
-    def _zero_paddings(self, fam: Family):
-        """``fam``, then each padding of it with zeros that the universe's
-        size caps admit (an omega zero absorbs the finite zeros)."""
-        yield fam
-        zero, caps = self.inst.zero, self.caps
-        if is_omega(fam.count(zero)) or len(fam.omega) > caps.max_omega_elems:
-            return
-        for k in range(1, caps.max_family_size - fam.finite_total + 1):
-            yield fam.pad(zero, k)
-        if (len(fam.omega) < caps.max_omega_elems
-                and fam.finite_total - fam.count(zero) <= caps.max_family_size):
-            yield fam.pad(zero, OMEGA)
-
     def _build(self):
         engine = BlockSumEngine(self.inst, UNCONSTRAINED, self.caps.caps)
+        zero = self.inst.zero
+        bucket: dict = {}
+        for fam in self.universe:
+            bucket.setdefault(_zero_free(fam, zero), []).append(fam)
+        self._undirected: dict = {fam: set() for fam in self.universe}
+        # a member's zero paddings within the size caps are members too, so a
+        # move is clipped exactly when its block sums lie outside the universe
         for fam in self.universe:
             targets = set()
             truncated = static_truncation(fam, self.caps.caps)
             for sums in engine.block_sums(fam):
-                for padded in self._zero_paddings(sums):
-                    if padded in self._uset:
-                        targets.add(padded)
-                    else:
-                        truncated = True
+                truncated |= sums not in self._uset
+                targets.update(
+                    t for t in bucket.get(_zero_free(sums, zero), ())
+                    if _matches_up_to_zeros(sums, t, zero))
             self.truncated |= truncated
             self._succ[fam] = targets
-        self._undirected: dict = {fam: set() for fam in self.universe}
-        for fam, targets in self._succ.items():
+            self._undirected[fam] |= targets
             for t in targets:
-                self._undirected[fam].add(t)
                 self._undirected[t].add(fam)
 
     def successors(self, fam: Family) -> set:

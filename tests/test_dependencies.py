@@ -99,6 +99,21 @@ def test_library_modules_use_every_import_and_no_private_sibling_name():
     assert problems == []
 
 
+def test_omega_is_spelled_only_as_family_omega():
+    """The only ``float("inf")`` in the library defines ``family.OMEGA``;
+    every other omega multiplicity goes through it."""
+    root = Path(sigmasum.__file__).parent
+    spelled = []
+    for path in sorted(root.rglob("*.py")):
+        text, where = path.read_text(), path.relative_to(root)
+        lines = text.splitlines()
+        spelled += [f"{where}: {lines[node.lineno - 1].strip()}"
+                    for node in ast.walk(ast.parse(text, str(path)))
+                    if isinstance(node, ast.Call) and ast.unparse(node).lower()
+                    in ("float('inf')", "float('+inf')", "float('infinity')")]
+    assert spelled == ['family.py: OMEGA = float("inf")']
+
+
 def test_cold_net_loads_only_the_net_engine():
     code = ("import sys, sigmasum.cli; "
             "code = sigmasum.cli.main(['net', '--gen', 'finite(1.0)']); "

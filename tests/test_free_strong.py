@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigmasum.core import (
     Budget,
@@ -9,7 +11,14 @@ from sigmasum.core import (
     UNDEFINED,
     verify_hom,
 )
-from sigmasum.family import EMPTY, Family, disjoint_union, map_family
+from sigmasum.family import (
+    EMPTY,
+    OMEGA,
+    Family,
+    disjoint_union,
+    is_omega,
+    map_family,
+)
 from sigmasum.instances import (
     cyclic_instance,
     ext_nat_instance,
@@ -25,6 +34,7 @@ from sigmasum.free_strong import (
     factorize,
     free_strong_quotient,
     intersect_instances,
+    _matches_up_to_zeros,
     leads_to,
 )
 
@@ -73,6 +83,31 @@ def test_one_step_preserves_sums_in_strong_instance():
         r = en.sum(fam)
         for target in graph.successors(fam):
             assert en.sum(target) == r
+
+
+@st.composite
+def _families_on_zero_a_b(draw):
+    """A family on {"0", "a", "b"}: finite counts 0-3, any omega part."""
+    finite, omega = [], []
+    for e in ("0", "a", "b"):
+        if draw(st.booleans()):
+            omega.append(e)
+        else:
+            finite.append((e, draw(st.integers(0, 3))))
+    return Family.from_counts(finite, omega)
+
+
+@given(_families_on_zero_a_b(), _families_on_zero_a_b(), st.booleans())
+def test_matches_up_to_zeros_is_exactly_a_zero_padding(s, t, share):
+    if share:  # t keeps s's non-zero entries, so matches are common
+        t = Family.from_counts(
+            [(e, c) for e, c in s.finite if e != "0"]
+            + [(e, c) for e, c in t.finite if e == "0"],
+            [e for e in s.omega if e != "0"] + [e for e in t.omega if e == "0"])
+    pads = [] if is_omega(s.count("0")) else (
+        [s.pad("0", k) for k in range(1, t.finite_total + 1)]
+        + [s.pad("0", OMEGA)])
+    assert _matches_up_to_zeros(s, t, "0") == (t == s or t in pads)
 
 
 # -- zig-zag closure ---------------------------------------------------------------

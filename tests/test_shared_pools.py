@@ -1,6 +1,7 @@
-"""One family pool per hom check, one extension value per class, and zero
-paddings only where the caps admit them: each checked against the loop it
-replaced, kept here as the oracle, plus call counts that pin the sharing."""
+"""One family pool per hom check, one extension value per class, and a
+congruence graph that finds a move's targets through a zero-free index: each
+checked against the loop it replaced, kept here as the oracle, plus call
+counts that pin the sharing."""
 import inspect
 import itertools
 
@@ -37,7 +38,17 @@ from sigmasum.core import (
     budget_families,
     verify_hom,
 )
-from sigmasum.family import OMEGA, Family, canonical_key, is_omega, map_family
+from sigmasum.family import (
+    OMEGA,
+    UNCONSTRAINED,
+    BlockSumEngine,
+    Family,
+    canonical_key,
+    families_within,
+    is_omega,
+    map_family,
+    static_truncation,
+)
 from sigmasum.free_strong import (
     CongruenceCaps,
     CongruenceGraph,
@@ -127,18 +138,50 @@ def oracle_factorize(weak, strong, f, caps):
             ext_fn)
 
 
-class UnprunedGraph(CongruenceGraph):
-    """The graph built with every zero padding, admitted by the caps or not."""
+def oracle_graph(inst, caps, pool):
+    """(universe, successors, truncated, components) of the congruence graph,
+    with each block-sum family padded by every number of extra zeros up to
+    the size caps and each padding tested for membership in the universe; a
+    padding outside it clips the move."""
+    zero = inst.zero
+    universe = families_within(
+        list(inst.samples() if pool is None else pool) + [zero],
+        caps.max_family_size, caps.max_omega_elems)
+    uset = set(universe)
+    engine = BlockSumEngine(inst, UNCONSTRAINED, caps.caps)
+    succ, truncated = {}, False
+    for fam in universe:
+        truncated |= static_truncation(fam, caps.caps)
+        succ[fam] = set()
+        for sums in engine.block_sums(fam):
+            paddings = [sums]
+            if not is_omega(sums.count(zero)):
+                room = caps.max_family_size - sums.finite_total
+                paddings += [sums.pad(zero, k) for k in range(1, room + 1)]
+                if len(sums.omega) < caps.max_omega_elems:
+                    paddings.append(sums.pad(zero, OMEGA))
+            for padded in paddings:
+                if padded in uset:
+                    succ[fam].add(padded)
+                else:
+                    truncated = True
+    root = {fam: fam for fam in universe}
 
-    def _zero_paddings(self, fam):
-        yield fam
-        zero = self.inst.zero
-        if not is_omega(fam.count(zero)):
-            room = self.caps.max_family_size - fam.finite_total
-            for k in range(1, room + 1):
-                yield fam.pad(zero, k)
-            if len(fam.omega) < self.caps.max_omega_elems:
-                yield fam.pad(zero, OMEGA)
+    def find(fam):
+        while root[fam] != fam:
+            fam = root[fam]
+        return fam
+
+    for fam, targets in succ.items():
+        for t in targets:
+            root[find(t)] = find(fam)
+    comps = {}
+    for fam in universe:
+        comps.setdefault(find(fam), []).append(fam)
+    components = sorted((sorted(c, key=Family.sort_key)
+                         for c in comps.values()),
+                        key=lambda c: c[0].sort_key())
+    return universe, succ, truncated, components
 
 
 # -- differential tests --------------------------------------------------------
@@ -288,6 +331,20 @@ GRAPHS = [
     ("extnat-two-omega", ext_nat_instance,
      CongruenceCaps(max_family_size=1, max_omega_elems=2), (0, 1, 2)),
     ("zero-block", _zero_block_toy, CongruenceCaps(max_family_size=2), None),
+    ("pm-size5", pm_instance,
+     CongruenceCaps(max_family_size=5, block_count=3), None),
+    ("parity-size3-block2", lambda: powerset_parity_instance(("a", "b")),
+     CongruenceCaps(max_family_size=3, block_size=2), None),
+    ("zmod3-size3", lambda: cyclic_instance(3),
+     CongruenceCaps(max_family_size=3), None),
+    ("extnat-size2-two-omega", ext_nat_instance,
+     CongruenceCaps(max_family_size=2, max_omega_elems=2), (0, 1, 2)),
+    # finite families only, so only a block sum outside the pool, such as
+    # {2, 2} -> {4}, makes the graph truncated
+    ("extnat-no-omega", ext_nat_instance,
+     CongruenceCaps(max_family_size=2, max_omega_elems=0), (0, 1, 2)),
+    # a symbolic carrier whose samples already hold the zero
+    ("int-size3", int_group_instance, CongruenceCaps(max_family_size=3), None),
 ]
 
 
@@ -296,12 +353,12 @@ GRAPHS = [
 def test_congruence_graph_matches_unpruned_paddings(name, make, caps, pool):
     inst = make()
     graph = CongruenceGraph(inst, caps, pool=pool)
-    oracle = UnprunedGraph(inst, caps, pool=pool)
-    assert graph.universe == oracle.universe
-    assert graph.truncated == oracle.truncated
-    for fam in graph.universe:
-        assert graph.successors(fam) == oracle.successors(fam)
-    assert graph.components() == oracle.components()
+    universe, succ, truncated, components = oracle_graph(inst, caps, pool)
+    assert graph.universe == universe
+    assert graph.truncated == truncated
+    for fam in universe:
+        assert graph.successors(fam) == succ[fam]
+    assert graph.components() == components
 
 
 # -- one pool per call ---------------------------------------------------------
