@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable
 
 from .family import (
+    CachedHash,
     Family,
     Caps,
     NonNegative,
@@ -171,10 +172,15 @@ class SigmaInstance:
 
 
 @dataclass(frozen=True)
-class ClassElement:
+class ClassElement(CachedHash):
     """Element of a quotient carrier, identified by its canonical representative."""
 
     rep: Any
+
+    def __hash__(self):
+        if self._hash is None:  # the value the dataclass would compute
+            object.__setattr__(self, "_hash", hash((self.rep,)))
+        return self._hash
 
     def sort_key(self):
         return canonical_key(self.rep)

@@ -19,6 +19,7 @@ FLATTENING = "flattening"
 UNCONSTRAINED = "unconstrained"
 
 _SHAPES = (BRACKETING, FLATTENING, UNCONSTRAINED)
+_PLAIN = frozenset((int, float, Fraction, str))  # exact types: their own key
 
 
 def is_omega(count) -> bool:
@@ -38,6 +39,8 @@ def canonical_key(e):
     Frozensets order by (size, sorted member keys), tuples componentwise;
     objects may supply their own ``sort_key`` method.
     """
+    if type(e) in _PLAIN:
+        return e
     sk = getattr(e, "sort_key", None)
     if callable(sk):
         return sk()
@@ -50,8 +53,18 @@ def canonical_key(e):
     raise TypeError(f"no canonical order for {e!r} of type {type(e).__name__}")
 
 
+class CachedHash:
+    """Base of frozen dataclasses whose caches, in underscored entries, stay
+    out of pickled and copied state: a hash differs between processes."""
+
+    _hash = None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
+
 @dataclass(frozen=True)
-class Family:
+class Family(CachedHash):
     """Canonical countable multiset: sorted (element, count) pairs + omega part."""
 
     finite: tuple = ()
@@ -110,11 +123,9 @@ class Family:
         return disjoint_union(self, canonicalize([(e, k)]))
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.finite, self.omega))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.finite, self.omega)))
+        return self._hash
 
     def sort_key(self):
         key = self.__dict__.get("_sort_key")
@@ -160,20 +171,20 @@ def canonicalize(raw) -> Family:
     counts: dict = {}
     om: dict = {}
     for e, c in raw:
-        if is_omega(c):
-            om[e] = True
-            continue
-        if isinstance(c, float):
-            if not c.is_integer():
-                raise ValueError(f"non-integer count {c!r}")
-            c = int(c)
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"bad count {c!r}")
-        if c < 0:
-            raise ValueError(f"negative count {c!r}")
-        if c == 0:
-            continue
-        counts[e] = counts.get(e, 0) + c
+        if type(c) is not int or c < 0:  # a natural int needs no check
+            if is_omega(c):
+                om[e] = True
+                continue
+            if isinstance(c, float):
+                if not c.is_integer():
+                    raise ValueError(f"non-integer count {c!r}")
+                c = int(c)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"bad count {c!r}")
+            if c < 0:
+                raise ValueError(f"negative count {c!r}")
+        if c != 0:
+            counts[e] = counts.get(e, 0) + c
     for e in om:
         counts.pop(e, None)
     fin = tuple(sorted(counts.items(), key=lambda p: canonical_key(p[0])))

@@ -18,8 +18,7 @@ from .family import (
     Caps,
     Family,
     NonNegative,
-    canonicalize,
-    count_mul,
+    OMEGA,
     families_within,
     is_omega,
     map_family,
@@ -232,7 +231,8 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     """Quotient of the cap-bounded family universe by the zig-zag closure,
     restricted to classes whose image under ``f`` is summable in the strong
     target; a class family sums to the class of the disjoint union of
-    representatives whenever that class is again in the carrier.
+    representatives whenever that class is again in the carrier. The union is
+    counted, not canonicalized: the class is looked up by its counts.
 
     For several (target, hom) pairs build one quotient per pair and combine
     with ``intersect_instances``; the class elements coincide across quotients
@@ -264,13 +264,20 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         if summable == {True}:
             admitted.append(cls)
 
+    reps = {cls: cls.rep.items() for cls in classes}
+    by_counts = {(frozenset(fam.finite), frozenset(fam.omega)): cls
+                 for fam, cls in class_of_family.items()}
+
     def rule(fam_of_classes: Family):
-        union = canonicalize(
-            (e, count_mul(ce, c))
-            for cls, c in fam_of_classes.items()
-            for e, ce in cls.rep.items()
-        )
-        cls = class_of_family.get(union)
+        fin, om = {}, set()
+        for cls, c in fam_of_classes.items():
+            for e, ce in reps[cls]:
+                if OMEGA in (c, ce):  # omega absorbs the finite copies
+                    om.add(e)
+                    fin.pop(e, None)
+                elif e not in om:
+                    fin[e] = fin.get(e, 0) + c * ce
+        cls = by_counts.get((frozenset(fin.items()), frozenset(om)))
         return UNDEFINED if cls is None else Defined(cls)
 
     return QuotientInstance(

@@ -1,8 +1,14 @@
+import copy
 import hashlib
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +28,7 @@ from sigmasum.family import (
     enumerate_partitions,
     families_within,
     intersect,
+    is_omega,
     is_subfamily,
     map_family,
     subfamilies,
@@ -515,3 +522,168 @@ def test_families_within_matches_canonicalize_dedupe_and_sort(pool, size, omega)
     assert got == expected
     for fam in got:
         assert repr(canonicalize(fam.items())) == repr(fam)
+
+
+# -- canonical form against the code the fast paths replaced --------------------
+
+
+def _canonical_key_oracle(e):
+    sk = getattr(e, "sort_key", None)
+    if callable(sk):
+        return sk()
+    if isinstance(e, frozenset):
+        return (len(e), tuple(sorted(_canonical_key_oracle(x) for x in e)))
+    if isinstance(e, tuple):
+        return tuple(_canonical_key_oracle(x) for x in e)
+    if isinstance(e, (int, float, Fraction, str)):
+        return e
+    raise TypeError(f"no canonical order for {e!r} of type {type(e).__name__}")
+
+
+def _canonicalize_oracle(raw):
+    counts: dict = {}
+    om: dict = {}
+    for e, c in raw:
+        if is_omega(c):
+            om[e] = True
+            continue
+        if isinstance(c, float):
+            if not c.is_integer():
+                raise ValueError(f"non-integer count {c!r}")
+            c = int(c)
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"bad count {c!r}")
+        if c < 0:
+            raise ValueError(f"negative count {c!r}")
+        if c == 0:
+            continue
+        counts[e] = counts.get(e, 0) + c
+    for e in om:
+        counts.pop(e, None)
+    fin = tuple(sorted(counts.items(),
+                       key=lambda p: _canonical_key_oracle(p[0])))
+    ome = tuple(sorted(om, key=_canonical_key_oracle))
+    return Family(fin, ome)
+
+
+class _Natural(int):
+    """An int subclass: as a count it takes the checked path."""
+
+
+class _Backwards(str):
+    """A str subclass with a sort key of its own, which the key must use."""
+
+    def sort_key(self):
+        return self[::-1]
+
+
+def _outcome(fn, arg):
+    """What ``fn(arg)`` gives, with the types a repr does not show, or the
+    type and message of what it raises."""
+    try:
+        out = fn(arg)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Family):
+        return (repr(out), [(type(e), type(c)) for e, c in out.finite],
+                [type(e) for e in out.omega])
+    return repr(out), type(out)
+
+
+_counts = st.one_of(
+    st.integers(-2, 3), st.integers(-2, 3).map(float),
+    st.integers(-1, 3).map(_Natural),
+    st.sampled_from([1.5, -0.5, math.nan, math.inf, -math.inf, OMEGA,
+                     True, False, "1", None]))
+_no_order = st.sampled_from([complex(1, 2), None, b"a"])
+
+
+def _raws(elements, max_size=5):
+    return st.lists(st.tuples(elements, _counts), max_size=max_size)
+
+
+@settings(max_examples=600)
+@given(st.one_of(
+    _raws(st.sampled_from([1, 1.0, Fraction(1), True, _Natural(1)])),
+    _raws(_numbers),
+    _raws(_strings),
+    _raws(st.sampled_from(["ab", "ba", "ca", "ac"]).map(_Backwards)),
+    _raws(st.frozensets(_strings, max_size=2)),
+    _raws(st.lists(_strings, max_size=2).map(
+        lambda word: ClassElement(Family.of(*word)))),
+    _raws(_numbers.map(ClassElement)),
+    # mixed kinds have no canonical order
+    _raws(st.one_of(_numbers, _strings, st.frozensets(_strings, max_size=1))),
+    # one element without a canonical order still raises
+    _raws(_no_order, max_size=1),
+))
+def test_canonicalize_matches_the_unspecialised_oracle(raw):
+    assert _outcome(canonicalize, raw) == _outcome(_canonicalize_oracle, raw)
+    for e, _ in raw:
+        assert (_outcome(canonical_key, e)
+                == _outcome(_canonical_key_oracle, e))
+
+
+def test_canonicalize_count_errors_keep_their_messages():
+    for c, message in ((1.5, "non-integer count 1.5"),
+                       (math.nan, "non-integer count nan"),
+                       (-math.inf, "non-integer count -inf"),
+                       (True, "bad count True"), ("1", "bad count '1'"),
+                       (-1, "negative count -1"),
+                       (-2.0, "negative count -2"),
+                       (_Natural(-1), "negative count -1")):
+        with pytest.raises(ValueError) as new:
+            canonicalize([("a", c)])
+        assert str(new.value) == message
+    with pytest.raises(TypeError, match="no canonical order"):
+        canonicalize([(None, 1)])
+    assert canonicalize([("a", _Natural(2)), ("b", 2.0)]) == Family.from_counts(
+        [("a", 2), ("b", 2)])
+
+
+# -- cached hashes --------------------------------------------------------------
+
+
+def test_cached_hashes_are_the_dataclass_values():
+    fam = Family.from_counts([("a", 2), ("b", 1)], omega=["c"])
+    assert hash(fam) == hash((fam.finite, fam.omega))
+    cls = ClassElement(fam)
+    assert hash(cls) == hash((fam,))
+    assert hash(ClassElement(1)) == hash((1,))
+
+
+_PICKLE = ("import pickle, sys; from sigmasum.core import ClassElement; "
+           "from sigmasum.family import Family; f = Family.of('a', 'b'); "
+           "c = ClassElement(f); ")
+
+
+def test_unpickled_family_and_class_rehash_under_another_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    dump = subprocess.run(
+        [sys.executable, "-c", _PICKLE + "hash(f), hash(c); "
+         "sys.stdout.write(pickle.dumps((f, c)).hex())"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(env, PYTHONHASHSEED="1"))
+    assert dump.returncode == 0, dump.stderr
+    load = subprocess.run(
+        [sys.executable, "-c", _PICKLE + "g, d = pickle.loads(bytes.fromhex("
+         "sys.stdin.read())); print(g == f, hash(g) == hash(f), g in {f}, "
+         "d == c, hash(d) == hash(c), d in {c})"],
+        input=dump.stdout, capture_output=True, text=True, timeout=120,
+        env=dict(env, PYTHONHASHSEED="2"))
+    assert (load.returncode, load.stdout, load.stderr) == (
+        0, "True True True True True True\n", "")
+
+
+def test_copies_are_equal_with_equal_hashes():
+    fam = Family.from_counts([("a", 2)], omega=["b"])
+    cls = ClassElement(fam)
+    hash(cls), fam.sort_key()
+    for copied in (copy.copy(fam), copy.deepcopy(fam)):
+        assert copied == fam and hash(copied) == hash(fam)
+        assert copied.sort_key() == fam.sort_key()
+    for copied in (copy.copy(cls), copy.deepcopy(cls)):
+        assert copied == cls and hash(copied) == hash(cls)
+    assert pickle.loads(pickle.dumps(cls)) == cls
+    assert "_hash" not in fam.__getstate__()
