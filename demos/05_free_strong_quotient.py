@@ -2,6 +2,8 @@
 # of one of its partitions into summable blocks. Quotienting by the zig-zag
 # closure of that relation turns a weak instance into a strong one, explored
 # here inside a cap-bounded universe.
+from dataclasses import replace
+
 from sigmasum import (
     Budget,
     CongruenceCaps,
@@ -23,14 +25,14 @@ step = leads_to(pm, Family.of("+", "+", "-"), Family.of("0", "+"), caps)
 print("{+,+,-} leads to {0,+}:", step.holds)
 print("  witness blocks:", [b for b, m in step.witness.blocks])
 
-verdict = equivalent(pm, Family.of("+", "+", "-"), Family.of("+"),
-                     depth=4, caps=caps)
+verdict = equivalent(pm, Family.of("+", "+", "-"), Family.of("+"), caps)
 print("\n{+,+,-} and {+} are equivalent:", verdict.related)
 for fam, direction in verdict.chain:
     print("  ", fam, direction or "")
 
 print("\n{+} and {-} stay separate at these caps:",
-      not equivalent(pm, Family.of("+"), Family.of("-"), 6, caps).related)
+      not equivalent(pm, Family.of("+"), Family.of("-"),
+                     replace(caps, depth=6)).related)
 
 en = ext_nat_instance()
 budget = Budget(max_finite_size=4, max_omega_elems=1, trials=0, seed=7)

@@ -25,8 +25,8 @@ _EXPORTS = {
         "Defined", "FiniteCarrier", "Hom", "HomVerdict",
         "HomVerificationError", "QuotientInstance", "SigmaInstance",
         "SumResult", "SymbolicCarrier", "UNDEFINED", "budget_families",
-        "check_hom", "check_hom_over", "compose_homs", "kleene_equal",
-        "partition_sums", "verify_hom",
+        "check_hom", "check_hom_over", "compose_homs", "partition_sums",
+        "verify_hom",
     ),
     "instances": (
         "ElementCodec", "FiniteMonoid", "INFINITY", "cyclic_instance",

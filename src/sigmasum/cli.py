@@ -99,7 +99,10 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
         value = str(row["value"])
         if value not in elements:
             raise UsageError(f"table value {value!r} not among the elements")
-        table[fam] = value
+        if table.setdefault(fam, value) != value:
+            raise UsageError(
+                f"family {lib.format_family_literal(fam, codec)} has two "
+                f"values, {table[fam]!r} and {value!r}")
 
     def rule(fam: lib.Family):
         value = table.get(fam)
@@ -110,7 +113,10 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
 
 
 def _split_top_level(text: str) -> list:
-    """Split on commas that are not nested inside brackets."""
+    """Split on commas that are not nested inside brackets. A blank text has
+    no entries; an empty entry, such as after a trailing comma, is an error."""
+    if not text.strip():
+        return []
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "([{":
@@ -118,14 +124,14 @@ def _split_top_level(text: str) -> list:
         elif ch in ")]}":
             depth -= 1
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
+            parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p.strip() for p in parts if p.strip()]
+    parts.append("".join(cur).strip())
+    if "" in parts:
+        raise UsageError(f"empty entry in {text.strip()!r}")
+    return parts
 
 
 def parse_family_literal(text: str, codec: lib.ElementCodec) -> lib.Family:
@@ -164,6 +170,13 @@ def _default_seed() -> int:
     return 7
 
 
+# check option -> Budget field; an option left unset takes the Budget default,
+# except --trials, whose default is 20
+_BUDGET_OPTIONS = {"--max-size": "max_finite_size", "--omega": "max_omega_elems",
+                   "--block-count": "block_count", "--block-size": "block_size",
+                   "--omega-splits": "omega_splits", "--trials": "trials"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmasum",
@@ -171,24 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a law suite against an instance")
+    check.set_defaults(run=cmd_check, trials=20)
     check.add_argument("--instance", required=True)
     check.add_argument("--laws", default="weak",
                        choices=["weak", "strong", "ft", "group", "all"])
-    check.add_argument("--max-size", type=int, default=4)
-    check.add_argument("--omega", type=int, default=1)
-    check.add_argument("--block-count", type=int, default=4)
-    check.add_argument("--block-size", type=int, default=4)
-    check.add_argument("--omega-splits", type=int, default=2)
-    check.add_argument("--trials", type=int, default=20)
+    for option, field in _BUDGET_OPTIONS.items():
+        check.add_argument(option, dest=field, type=int)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--out", default=None)
 
     ssum = sub.add_parser("sum", help="evaluate one family in an instance")
+    ssum.set_defaults(run=cmd_sum)
     ssum.add_argument("--instance", required=True)
     ssum.add_argument("--family", default=None)
     ssum.add_argument("--family-file", default=None)
 
     net = sub.add_parser("net", help="evaluate a real generator family")
+    net.set_defaults(run=cmd_net)
     net.add_argument("--gen", required=True)
     net.add_argument("--eps", type=float, default=1e-9)
     net.add_argument("--max-terms", type=int, default=200_000)
@@ -199,16 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_check(args, out) -> int:
     inst = resolve_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
+    given = {field: getattr(args, field) for field in _BUDGET_OPTIONS.values()
+             if getattr(args, field) is not None}
     try:
-        budget = lib.Budget(
-            max_finite_size=args.max_size,
-            max_omega_elems=args.omega,
-            block_count=args.block_count,
-            block_size=args.block_size,
-            omega_splits=args.omega_splits,
-            trials=args.trials,
-            seed=seed,
-        )
+        budget = lib.Budget(seed=seed, **given)
     except ValueError as exc:
         raise UsageError(str(exc))
     report = lib.checker.suite_for(args.laws)(inst, budget)
@@ -232,8 +238,11 @@ def cmd_check(args, out) -> int:
         }, sort_keys=True))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}")
     else:
         out.write(text)
     return 0 if report.ok else 1
@@ -306,19 +315,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command == "check":
-            return cmd_check(args, sys.stdout)
-        if args.command == "sum":
-            return cmd_sum(args, sys.stdout)
-        if args.command == "net":
-            return cmd_net(args, sys.stdout)
+        return args.run(args, sys.stdout)
     except UsageError as exc:  # tried first: naming lib's errors loads core
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (lib.CarrierError, lib.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

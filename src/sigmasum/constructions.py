@@ -77,9 +77,7 @@ def projections(prod: SigmaInstance, budget: Budget) -> tuple:
 
 def pairing(f, g):
     """The map a -> (f(a), g(a)) induced by a pair of maps on a common source."""
-    fn_f = f.fn if isinstance(f, Hom) else f
-    fn_g = g.fn if isinstance(g, Hom) else g
-    return lambda a: (fn_f(a), fn_g(a))
+    return lambda a: (f(a), g(a))
 
 
 def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
@@ -135,13 +133,12 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
                 if prev is None or hom(prev) != elem:
                     break
             elif stages[stage - 1].carrier.is_finite:
-                candidates = sorted(
-                    (e for e in stages[stage - 1].carrier.elements
-                     if hom(e) == elem),
-                    key=canonical_key)
-                if not candidates:
+                # the first preimage in carrier (canonical_key) order
+                for prev in stages[stage - 1].carrier.elements:
+                    if hom(prev) == elem:
+                        break
+                else:
                     break
-                prev = candidates[0]
             else:
                 break
             elem = prev
@@ -171,7 +168,7 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
                 and e in stages[i].carrier and class_of(c.rep) == c)
 
     def rule(fam: Family) -> SumResult:
-        pushed = fam.map(lambda cls: push(*cls.rep))
+        pushed = map_family(lambda cls: push(*cls.rep), fam)
         r = stages[last].sum(pushed)
         if not r.defined:
             return UNDEFINED

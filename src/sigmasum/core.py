@@ -60,11 +60,6 @@ def Defined(value) -> SumResult:
 UNDEFINED = SumResult(False)
 
 
-def kleene_equal(a: SumResult, b: SumResult) -> bool:
-    """Both undefined, or both defined with equal values."""
-    return a == b
-
-
 def fold_rule(fold, omega_copies=1) -> Callable[[Family], SumResult]:
     """Summation rule from ``fold`` of (element, count) pairs: let s fold the
     finite pairs plus ``omega_copies`` copies of each omega element; the
@@ -297,16 +292,15 @@ def check_hom_over(f, source: SigmaInstance, target: SigmaInstance,
     """Does f preserve the sum of every family of ``fams`` that has one? The
     scan keeps the order of ``fams``: over a ``budget_families`` pool (total
     size, then element order) a counterexample is minimal in that order."""
-    fn = f.fn if isinstance(f, Hom) else f
     checked = 0
     for fam in fams:
         r = source.sum(fam)
         if not r.defined:
             continue
         checked += 1
-        image = map_family(fn, fam)
+        image = map_family(f, fam)
         ri = target.sum(image)
-        if ri != Defined(fn(r.value)):
+        if ri != Defined(f(r.value)):
             return HomVerdict(False, fam, checked)
     return HomVerdict(True, None, checked)
 
@@ -314,15 +308,14 @@ def check_hom_over(f, source: SigmaInstance, target: SigmaInstance,
 def verify_hom(f, source, target, budget, name="", inverse=None) -> Hom:
     """check_hom, packaged: returns a Hom on success, raises with the witness
     otherwise."""
-    fn = f.fn if isinstance(f, Hom) else f
-    verdict = check_hom(fn, source, target, budget)
+    verdict = check_hom(f, source, target, budget)
     if not verdict.ok:
         raise HomVerificationError(
             f"{name or 'map'}: {source.name} -> {target.name} fails preservation "
             f"on {verdict.counterexample!r}",
             counterexample=verdict.counterexample,
         )
-    return Hom(source, target, fn, name=name, verified_budget=budget,
+    return Hom(source, target, f, name=name, verified_budget=budget,
                inverse=inverse)
 
 

@@ -108,16 +108,9 @@ class Family(CachedHash):
     def is_finite(self) -> bool:
         return not self.omega
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.finite and not self.omega
-
     def without(self, e) -> "Family":
         """Drop every occurrence of ``e`` (finite and omega)."""
         return canonicalize((x, c) for x, c in self.items() if x != e)
-
-    def map(self, h) -> "Family":
-        return canonicalize((h(x), c) for x, c in self.items())
 
     def pad(self, e, k) -> "Family":
         return disjoint_union(self, canonicalize([(e, k)]))
@@ -209,7 +202,7 @@ def intersect(a: Family, b: Family) -> Family:
 
 def map_family(h, fam: Family) -> Family:
     """Image family under h; counts of merged preimages add, omega absorbing."""
-    return fam.map(h)
+    return canonicalize((h(x), c) for x, c in fam.items())
 
 
 def subfamilies(fam: Family, omega_finite_cap: int = 2) -> list:

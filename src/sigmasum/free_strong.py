@@ -62,9 +62,6 @@ class LeadsTo:
     witness: object = None  # the partition, when holds
     truncated: bool = False
 
-    def __bool__(self):
-        return self.holds
-
 
 def _zero_free(fam: Family, zero) -> tuple:
     return (tuple(p for p in fam.finite if p[0] != zero),
@@ -95,14 +92,6 @@ class CongruenceVerdict:
     # is "forward", "backward" or None on the last entry
     depth_exhausted: bool = False
     truncated: bool = False
-
-    def to_payload(self, fmt=repr) -> dict:
-        return {
-            "related": self.related,
-            "chain": [{"family": fmt(f), "step": s} for f, s in self.chain],
-            "depth_exhausted": self.depth_exhausted,
-            "truncated": self.truncated,
-        }
 
 
 class CongruenceGraph:
@@ -215,14 +204,13 @@ class CongruenceGraph:
 
 
 def equivalent(inst: SigmaInstance, a: Family, b: Family,
-               depth: int | None = None,
                caps: CongruenceCaps = CongruenceCaps()) -> CongruenceVerdict:
     """Are two families joined by a zig-zag chain of one-step moves of length
-    at most ``depth`` (``caps.depth`` by default), inside the cap-bounded
-    universe over the samples and the elements of ``a`` and ``b``?"""
+    at most ``caps.depth``, inside the cap-bounded universe over the samples
+    and the elements of ``a`` and ``b``?"""
     pool = list(inst.samples()) + [e for f in (a, b) for e in f.support()]
     graph = CongruenceGraph(inst, caps, pool=pool)
-    return graph.related(a, b, caps.depth if depth is None else depth)
+    return graph.related(a, b, caps.depth)
 
 
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,

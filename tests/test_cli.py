@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmasum.cli import main, parse_family_literal, resolve_instance
-from sigmasum.family import Family, format_family_literal
+from sigmasum.family import Family, families_within, format_family_literal
 from sigmasum.instances import pm_instance
+
+
+# the built-in instance selectors
+SELECTORS = ["pm", "parity:a,b", "real", "int", "extnat", "unit", "interval",
+             "zmod:3"]
 
 
 def run_cli(argv):
@@ -41,6 +47,14 @@ def test_family_literal_nested_brackets():
     assert fam == Family.of(frozenset({"a"}), frozenset({"a", "b"}))
     assert parse_family_literal(format_family_literal(fam, par.codec),
                                 par.codec) == fam
+
+
+@given(st.sampled_from(SELECTORS))
+def test_every_pool_family_round_trips_through_the_literal(selector):
+    inst = resolve_instance(selector)
+    for fam in families_within(inst.samples(), 3, 1):
+        text = format_family_literal(fam, inst.codec)
+        assert parse_family_literal(text, inst.codec) == fam, text
 
 
 def test_family_literal_errors():
@@ -214,6 +228,105 @@ def test_check_reports_are_byte_identical_across_runs():
     assert first[0] == 1  # pm is weak only: strong and ft laws fail
 
 
+# sha256 of the exit code and stdout of `sigmasum check --instance <selector>
+# --laws <suite> --max-size 3 --trials 5 --block-size 3` at the default seed
+REPORT_DIGESTS = {
+    ("pm", "weak"):
+        "27e1ac71a1cb1a49516c74abbe7f222d59d13f4d71e291fe7aadb1d48f0e7a46",
+    ("pm", "strong"):
+        "1caee4bed39051c4fe209995ff0dc13845be685bec0c231df7ab75c6117496be",
+    ("pm", "ft"):
+        "494635bc7943fe41497a1f62629db75c200f23f482f8e4456489a846a9168b51",
+    ("pm", "group"):
+        "988e4b67c4e521f22c1fbcd619c2755b20784c12745f4f5f90c079737640149f",
+    ("pm", "all"):
+        "ba620a8a922efa8d7c93e78ef3aaac0eb5e56429c8dd0b1105c6eed383bfa422",
+    ("parity:a,b", "weak"):
+        "c05715f9ff31fb41d24870c6d32ce684fad4da97fbc3e01be359e0c2d5092156",
+    ("parity:a,b", "strong"):
+        "57464239d188e91d34fec39c30e37989b163c089efc9de4bca9838680fc26606",
+    ("parity:a,b", "ft"):
+        "c4742d19b0356770fe00b34c3f8fa909e161e48bf3a72bac30a8fe6da5483b87",
+    ("parity:a,b", "group"):
+        "48e51cf70c391a22a58455c66a99159a1c7ddab13a3a34c5bda9a7c24ea2ccb6",
+    ("parity:a,b", "all"):
+        "64be724736d09a5563f2012d889e6588e22e7dbcc87584b6043ecd0ac487b6c4",
+    ("real", "weak"):
+        "d8a2690c2048cd1d0f0f5156f5f9f04f29ccbfed288b8edd8450e0bfcb0ad80a",
+    ("real", "strong"):
+        "09d63773aab762a799d041434175e3856a03f63fd1b7f82967b840707157be45",
+    ("real", "ft"):
+        "1a0c18ba5b8fdfa81ebd860c2317984e1044eac7628fa2fcb214616b487b2d18",
+    ("real", "group"):
+        "1a0c18ba5b8fdfa81ebd860c2317984e1044eac7628fa2fcb214616b487b2d18",
+    ("real", "all"):
+        "28f8c227e2bed055548d843edc22daa2f0cb742addd6c277a6f8cc950c83dc19",
+    ("int", "weak"):
+        "eb2656712fee504276112fe849e205a80fb1cf79d921133c51395ad357a4c99d",
+    ("int", "strong"):
+        "e5f768912909b699331a4270f23673b4c06763f03c39318a972eec57ad23141f",
+    ("int", "ft"):
+        "53e6c1d1789f28ca0d35a03c768f9eb16e36f0d622bb92d15c4cf23155a99a0c",
+    ("int", "group"):
+        "53e6c1d1789f28ca0d35a03c768f9eb16e36f0d622bb92d15c4cf23155a99a0c",
+    ("int", "all"):
+        "d8d45fc88ada4b130727d50b9da3dea03e92a783b00fb6365cd25bb85a470c59",
+    ("extnat", "weak"):
+        "b5ecfb8b2a487e43909a3d5218b7dcc3b6bfa7b055f1cbb3fd5532190239e2e5",
+    ("extnat", "strong"):
+        "6e5386ad1f7ca412f9b85d6ac2b2cb4f8390c4389432da44d974b90dd833b913",
+    ("extnat", "ft"):
+        "6ff95031bb4f1637db434c98189a920e9fc112dae852766d912010bcd6b7ba2f",
+    ("extnat", "group"):
+        "7de46effe4f0c9c361306cd49a59699f00784f0cfc0cd1ec673dbff1b342d537",
+    ("extnat", "all"):
+        "92175e8be91a76eedb93096617560439d8abb06b63619f3ca67eef0a4c12024c",
+    ("unit", "weak"):
+        "7840769776f9e46cf9add58e76f3062aabc9e0e29ccedf182571666ae557c05c",
+    ("unit", "strong"):
+        "661b91693267758221e9688ad566ef40943582c1708d6350eb46e6ddaafa3fa7",
+    ("unit", "ft"):
+        "78253cb121e271a3e0c528cc082b519fb6ae770fe12256c66a0730b349ce550f",
+    ("unit", "group"):
+        "49b1a21452f710845295af2d51dc294873f8087d32000eb640d3ee18c89508e7",
+    ("unit", "all"):
+        "d448b6ca6e6fe577826d32dbc0eccb4ac709dc5f3cf510e51d773c4c890a4924",
+    ("interval", "weak"):
+        "3090dda142cce8698ac22b1e460aa2f4469a24332d48cf4841ec960243cbcb8e",
+    ("interval", "strong"):
+        "9be1126b94a8d15ce01864f95b60e798a2700a1fa18e97b4598a2abaffe4841c",
+    ("interval", "ft"):
+        "616ac7a8f98c539bcbe227f1a04a8a48ad2aa8ec3aac9099c2957e0127a52ca2",
+    ("interval", "group"):
+        "4123be7b49b92134985498cf4e5fe3e5aa17225696e5606f47fb213492b8feb2",
+    ("interval", "all"):
+        "d2e5d836bd76f036162d128b00d9244ebc40ec7977ce76b33946e52af7281c81",
+    ("zmod:3", "weak"):
+        "78468b186b3fdc33c42a15fd68f16f5dc6368bfce99c80aab2c46cc7177a6393",
+    ("zmod:3", "strong"):
+        "10a31d21c87ae9f7e4f3133dc0643041d27c6d4ea2c2f447212883ba838309c7",
+    ("zmod:3", "ft"):
+        "a05560f4ca8f8c709a6a5d6fbce40a81b9c7f9f2dc168ba378323507da46982b",
+    ("zmod:3", "group"):
+        "a05560f4ca8f8c709a6a5d6fbce40a81b9c7f9f2dc168ba378323507da46982b",
+    ("zmod:3", "all"):
+        "9f6bda511ee92f0c7bde21e11ca1517481c0728a946f551c43d5c42f9bdfc743",
+}
+
+
+def test_check_report_bytes_are_pinned(monkeypatch):
+    monkeypatch.delenv("SIGMA_SUM_SEED", raising=False)
+    moved = []
+    for (selector, suite), digest in REPORT_DIGESTS.items():
+        code, out = run_cli(["check", "--instance", selector, "--laws", suite,
+                             "--max-size", "3", "--trials", "5",
+                             "--block-size", "3"])
+        if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
+            moved.append(f"{selector} --laws {suite}")
+    assert len(REPORT_DIGESTS) == 40
+    assert not moved, "report bytes moved: " + ", ".join(moved)
+
+
 def test_check_reports_byte_identical_across_processes():
     import subprocess
 
@@ -327,6 +440,7 @@ def assert_usage_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_check_negative_budget_exits_two(capsys):
@@ -392,6 +506,50 @@ def test_net_non_positive_max_terms_exits_two(max_terms, capsys):
                                      "{omega:[0], omega:[+]}"])
 def test_sum_repeated_family_section_exits_two(literal, capsys):
     assert_usage_error(["sum", "--instance", "pm", "--family", literal], capsys)
+
+
+def test_check_out_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.jsonl"
+    err = assert_usage_error(["check", "--instance", "pm", "--max-size", "1",
+                              "--trials", "0", "--out", str(out)], capsys)
+    assert err.startswith("error: cannot write report: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("literal", [
+    "{finite:[+,,-]}", "{finite:[+],,omega:[]}", "{finite:[+,]}",
+    "{finite:[+],}", "{,}", "{finite:[ , ]}", "{omega:[,0]}"])
+def test_sum_empty_family_entry_exits_two(literal, capsys):
+    assert_usage_error(["sum", "--instance", "pm", "--family", literal], capsys)
+
+
+@pytest.mark.parametrize("instance, literal, stdout", [
+    ("pm", "{}", "defined 0\n"),
+    ("pm", "{ }", "defined 0\n"),
+    ("pm", "{finite:[], omega:[ ]}", "defined 0\n"),
+    ("parity:a,b", "{finite:[[]]}", "defined []\n"),
+    ("parity:a,b", "{finite:[[], [a]], omega:[[]]}", "defined [a]\n"),
+])
+def test_sum_empty_lists_and_the_empty_parity_element_stay_valid(
+        instance, literal, stdout):
+    assert run_cli(["sum", "--instance", instance, "--family", literal]) == (
+        0, stdout)
+
+
+def test_definition_file_conflicting_rows_exit_two(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    rows = [{"finite": ["a"], "value": "a"}, {"finite": ["a"], "value": "a"}]
+    path.write_text(json.dumps({"elements": ["0", "a"], "zero": "0",
+                                "sums": rows}))
+    # a repeated row with the same value is no conflict
+    assert run_cli(["sum", "--instance", str(path),
+                    "--family", "{finite:[a]}"]) == (0, "defined a\n")
+    rows.append({"finite": ["a"], "value": "0"})
+    path.write_text(json.dumps({"elements": ["0", "a"], "zero": "0",
+                                "sums": rows}))
+    err = assert_usage_error(["sum", "--instance", str(path),
+                              "--family", "{finite:[a]}"], capsys)
+    assert "{finite: [a], omega: []}" in err
 
 
 def test_definition_file_row_with_unknown_element_exits_two(tmp_path, capsys):
@@ -485,19 +643,23 @@ FAMILY_TEXT = st.one_of(
               st.lists(ELEMENT_TEXT, max_size=4),
               st.lists(ELEMENT_TEXT, max_size=1)),
     st.text(alphabet="{}[](),: finteomga+-01/", max_size=24))
-INSTANCES = ["pm", "parity:a,b", "interval", "zmod:3", "real", "int",
-             "extnat", "unit"]
 NUMBER_TEXT = st.sampled_from(["0.5", "-0.5", "2", "1", "0", "1e308", "-1e308",
                                "1e-300", "nan", "inf", "x", ""])
+
+
+# a report path inside a directory that does not exist
+MISSING_DIR_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "no-such-directory", "report.jsonl")
 
 
 @st.composite
 def argvs(draw):
     """Mostly well-formed argv; half of them get one option value replaced
-    by a malformed one."""
+    by a malformed one, and half of the check ones write the report into a
+    missing directory."""
     command = draw(st.sampled_from(["check", "sum", "net", "bogus"]))
     if command == "check":
-        opts = {"--instance": st.sampled_from(INSTANCES),
+        opts = {"--instance": st.sampled_from(SELECTORS),
                 "--laws": st.sampled_from(["weak", "strong", "ft", "group",
                                            "all"]),
                 "--max-size": st.integers(0, 2),
@@ -509,7 +671,7 @@ def argvs(draw):
                 "--seed": st.integers(0, 20)}
         bad = st.sampled_from(["-1", "x", "", "zmod:0", "parity:", "nope"])
     elif command == "sum":
-        opts = {"--instance": st.sampled_from(INSTANCES),
+        opts = {"--instance": st.sampled_from(SELECTORS),
                 "--family": FAMILY_TEXT}
         bad = st.sampled_from(["zmod:0", "parity:", "nope"])
     elif command == "net":
@@ -525,6 +687,8 @@ def argvs(draw):
     values = {opt: str(draw(value)) for opt, value in opts.items()}
     if draw(st.booleans()):
         values[draw(st.sampled_from(sorted(values)))] = draw(bad)
+    if command == "check" and draw(st.booleans()):
+        values["--out"] = MISSING_DIR_OUT
     return [command] + [x for opt, value in values.items()
                         for x in (opt, value)]
 
@@ -536,3 +700,4 @@ def test_main_never_raises_and_only_check_fails_laws(argv):
         code, _ = run_cli(argv)
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "check"
+    assert code == 2 or MISSING_DIR_OUT not in argv

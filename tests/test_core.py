@@ -13,7 +13,6 @@ from sigmasum.core import (
     budget_families,
     check_hom,
     compose_homs,
-    kleene_equal,
     verify_hom,
 )
 from sigmasum.family import EMPTY, Family
@@ -32,10 +31,10 @@ BUDGET = Budget(max_finite_size=4, max_omega_elems=1, trials=0, seed=7)
 
 
 def test_kleene_equality_cases():
-    assert kleene_equal(UNDEFINED, UNDEFINED)
-    assert kleene_equal(Defined(3), Defined(3))
-    assert not kleene_equal(Defined(3), Defined(4))
-    assert not kleene_equal(Defined(3), UNDEFINED)
+    assert UNDEFINED == UNDEFINED
+    assert Defined(3) == Defined(3)
+    assert Defined(3) != Defined(4)
+    assert Defined(3) != UNDEFINED
     assert repr(UNDEFINED) == "Undefined"
     assert repr(Defined("+")) == "Defined('+')"
 

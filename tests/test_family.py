@@ -55,7 +55,7 @@ def test_canonicalize_omega_absorbs_finite():
 
 def test_canonicalize_empty():
     assert canonicalize([]) == EMPTY
-    assert EMPTY.is_empty
+    assert not EMPTY.finite and not EMPTY.omega
 
 
 def test_canonicalize_drops_zero_counts_and_rejects_negative():

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -123,8 +124,7 @@ def test_matches_up_to_zeros_is_exactly_a_zero_padding(s, t, share):
 
 def test_equivalent_chain_example():
     pm = pm_instance()
-    verdict = equivalent(pm, Family.of("+", "+", "-"), Family.of("+"),
-                         depth=4, caps=CAPS)
+    verdict = equivalent(pm, Family.of("+", "+", "-"), Family.of("+"), CAPS)
     assert verdict.related
     chain = [f for f, _ in verdict.chain]
     assert chain[0] == Family.of("+", "+", "-") and chain[-1] == Family.of("+")
@@ -139,22 +139,8 @@ def test_equivalent_chain_example():
 def test_equivalent_reflexive():
     pm = pm_instance()
     fam = Family.of("-", "-")
-    verdict = equivalent(pm, fam, fam, depth=0, caps=CAPS)
+    verdict = equivalent(pm, fam, fam, replace(CAPS, depth=0))
     assert verdict.related and verdict.chain == [(fam, None)]
-
-
-def test_verdict_chain_serializes_for_reports():
-    import json
-
-    pm = pm_instance()
-    verdict = equivalent(pm, Family.of("+", "+", "-"), Family.of("+"),
-                         depth=4, caps=CAPS)
-    payload = verdict.to_payload()
-    text = json.dumps(payload, sort_keys=True)
-    back = json.loads(text)
-    assert back["related"] is True
-    assert [row["step"] for row in back["chain"]][-1] is None
-    assert all(isinstance(row["family"], str) for row in back["chain"])
 
 
 def test_equivalent_respects_sums_in_strong_instance():
@@ -172,17 +158,18 @@ def test_equivalent_respects_sums_in_strong_instance():
 
 def test_separate_sign_classes_within_caps():
     pm = pm_instance()
-    verdict = equivalent(pm, Family.of("+"), Family.of("-"), depth=6, caps=CAPS)
+    verdict = equivalent(pm, Family.of("+"), Family.of("-"),
+                         replace(CAPS, depth=6))
     assert not verdict.related
 
 
 def test_depth_exhaustion_flagged():
     pm = pm_instance()
     verdict = equivalent(pm, Family.of("+"), Family.of("+", "+", "-"),
-                         depth=0, caps=CAPS)
+                         replace(CAPS, depth=0))
     assert not verdict.related and verdict.depth_exhausted
     verdict = equivalent(pm, Family.of("+"), Family.of("+", "+", "-"),
-                         depth=1, caps=CAPS)
+                         replace(CAPS, depth=1))
     assert verdict.related
 
 
@@ -190,10 +177,10 @@ def test_equivalent_depth_defaults_to_caps_depth():
     pm = pm_instance()
     a, b = Family.of("+"), Family.of("+", "+", "-")
     shallow = CongruenceCaps(depth=0)
-    verdict = equivalent(pm, a, b, caps=shallow)
+    verdict = equivalent(pm, a, b, shallow)
     assert not verdict.related and verdict.depth_exhausted
-    assert equivalent(pm, a, b, caps=CAPS).related
-    assert equivalent(pm, a, b, depth=1, caps=shallow).related
+    assert equivalent(pm, a, b, CAPS).related
+    assert equivalent(pm, a, b, replace(shallow, depth=1)).related
 
 
 # -- the quotient ---------------------------------------------------------------------
