@@ -13,6 +13,7 @@ from sigmasum import (
     intersect,
     is_subfamily,
     map_family,
+    static_truncation,
 )
 
 fam = canonicalize([("+", 1), ("+", 1), ("-", 1)])
@@ -46,7 +47,6 @@ for part in enumerate_partitions(Family.of("+", "-"), BRACKETING, Caps(2, 2, 2))
 
 zeros = Family.from_counts([], omega=["0"])
 print("\nflattening-shape partitions of omega zeros (capped at two blocks):")
-stream = enumerate_partitions(zeros, FLATTENING, Caps(2, 4, 2))
-for part in stream:
+for part in enumerate_partitions(zeros, FLATTENING, Caps(2, 4, 2)):
     print("  ", part)
-print("search clipped by caps?", stream.truncated)
+print("search clipped by caps?", static_truncation(zeros, Caps(2, 4, 2)))

@@ -14,19 +14,17 @@ import importlib
 _EXPORTS = {
     "family": (
         "BRACKETING", "FLATTENING", "UNCONSTRAINED", "BlockSumEngine", "Caps",
-        "EMPTY", "Family", "OMEGA", "Partition", "PartitionStream",
-        "canonical_key", "canonicalize", "disjoint_union",
-        "enumerate_partitions", "families_within", "format_family_literal",
-        "intersect", "is_omega", "is_subfamily", "map_family",
-        "static_truncation", "subfamilies",
+        "EMPTY", "Family", "OMEGA", "Partition", "canonical_key",
+        "canonicalize", "disjoint_union", "enumerate_partitions",
+        "families_within", "format_family_literal", "intersect", "is_omega",
+        "is_subfamily", "map_family", "static_truncation", "subfamilies",
     ),
     "core": (
         "Budget", "CarrierError", "ClassElement", "ConstructionError",
         "Defined", "FiniteCarrier", "Hom", "HomVerdict",
         "HomVerificationError", "QuotientInstance", "SigmaInstance",
         "SumResult", "SymbolicCarrier", "UNDEFINED", "budget_families",
-        "check_hom", "check_hom_over", "compose_homs", "partition_sums",
-        "verify_hom",
+        "check_hom", "check_hom_over", "compose_homs", "verify_hom",
     ),
     "instances": (
         "ElementCodec", "FiniteMonoid", "INFINITY", "cyclic_instance",

@@ -15,6 +15,7 @@ from .family import (
     BlockSumEngine,
     Family,
     disjoint_union,
+    first_partition_sums,
     map_family,
     format_family_literal,
     is_omega,
@@ -27,7 +28,6 @@ from .core import (
     SigmaInstance,
     budget_families,
     check_hom_over,
-    first_partition_sums,
 )
 
 PASS, FAIL, TRUNCATED = "pass", "fail", "truncated"

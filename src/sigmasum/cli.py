@@ -9,6 +9,7 @@ library through the package, which imports a submodule on first use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,36 +22,35 @@ class UsageError(ValueError):
     pass
 
 
+# the selectors that take no argument, with their package constructors
+_PLAIN_SELECTORS = {"pm": "pm_instance", "real": "real_abs_instance",
+                    "int": "int_group_instance", "extnat": "ext_nat_instance",
+                    "unit": "unit_instance",
+                    "interval": "unit_interval_instance"}
+
+
 def resolve_instance(selector: str) -> lib.SigmaInstance:
     """Built-in selectors: pm, parity:<e1,e2,...>, real, int, extnat, unit,
     interval, zmod:<n>; anything ending in .json is a definition file."""
     if selector.endswith(".json"):
         return load_definition_file(selector)
-    name, _, arg = selector.partition(":")
+    name, colon, arg = selector.partition(":")
     try:
-        if name == "pm":
-            return lib.pm_instance()
+        if name in _PLAIN_SELECTORS and not colon:
+            return getattr(lib, _PLAIN_SELECTORS[name])()
         if name == "parity":
-            if not arg:
-                raise UsageError("parity needs a universe, e.g. parity:a,b")
-            return lib.powerset_parity_instance(tuple(s.strip() for s in arg.split(",")))
-        if name == "real":
-            return lib.real_abs_instance()
-        if name == "int":
-            return lib.int_group_instance()
-        if name == "extnat":
-            return lib.ext_nat_instance()
-        if name == "unit":
-            return lib.unit_instance()
-        if name == "interval":
-            return lib.unit_interval_instance()
-        if name == "zmod":
+            points = tuple(s.strip() for s in arg.split(","))
+            if any(not p or set(p) & set("[](){}") for p in points):
+                raise UsageError("parity needs points named without "
+                                 "brackets, e.g. parity:a,b")
+            return lib.powerset_parity_instance(points)
+        if name == "zmod" and arg.isascii() and arg.isdigit():
             return lib.cyclic_instance(int(arg))
     except UsageError:
         raise
     except (ValueError, lib.ConstructionError) as exc:
         raise UsageError(str(exc))
-    raise UsageError(f"unknown instance selector {selector!r}")
+    raise UsageError(f"unknown or malformed instance selector {selector!r}")
 
 
 _FLAVORS = ("weak", "strong", "finitely_total", "sigma_group")
@@ -217,34 +217,36 @@ def cmd_check(args, out) -> int:
         budget = lib.Budget(seed=seed, **given)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = lib.checker.suite_for(args.laws)(inst, budget)
-    lines = []
-    for verdict in report.laws:
-        row = {
-            "instance": inst.name,
-            "law": verdict.law,
-            "verdict": verdict.status,
-            "checked": verdict.checked,
-            "budget": budget.to_dict(),
-            "seed": seed,
-        }
-        if verdict.witness is not None:
-            row["witness"] = verdict.witness
-        lines.append(json.dumps(row, sort_keys=True))
-    if report.flavor is not None:
-        lines.append(json.dumps({
-            "instance": inst.name, "law": "flavor_conclusion",
-            "verdict": report.flavor, "budget": budget.to_dict(), "seed": seed,
-        }, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
+    try:  # before the suite runs: an unwritable path costs no run
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}")
+    with sink as fh:
+        report = lib.checker.suite_for(args.laws)(inst, budget)
+        lines = []
+        for verdict in report.laws:
+            row = {
+                "instance": inst.name,
+                "law": verdict.law,
+                "verdict": verdict.status,
+                "checked": verdict.checked,
+                "budget": budget.to_dict(),
+                "seed": seed,
+            }
+            if verdict.witness is not None:
+                row["witness"] = verdict.witness
+            lines.append(json.dumps(row, sort_keys=True))
+        if report.flavor is not None:
+            lines.append(json.dumps({
+                "instance": inst.name, "law": "flavor_conclusion",
+                "verdict": report.flavor, "budget": budget.to_dict(),
+                "seed": seed,
+            }, sort_keys=True))
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
         except OSError as exc:
             raise UsageError(f"cannot write report: {exc}")
-    else:
-        out.write(text)
     return 0 if report.ok else 1
 
 

@@ -18,9 +18,7 @@ from .family import (
     Family,
     Caps,
     NonNegative,
-    canonicalize,
     canonical_key,
-    enumerate_partitions,
     families_within,
     map_family,
 )
@@ -334,28 +332,3 @@ def compose_homs(g: Hom, f: Hom, name="") -> Hom:
             return None if mid is None else f_inv(mid)
     return Hom(f.source, g.target, lambda x: g.fn(f.fn(x)),
                name=name or f"{g.name}.{f.name}", verified_budget=vb, inverse=inv)
-
-
-def partition_sums(inst: SigmaInstance, partition) -> Family | None:
-    """Family of block sums (with block multiplicities), or None when some
-    block has no defined sum."""
-    pairs = []
-    for block, mult in partition.blocks:
-        r = inst.sum(block)
-        if not r.defined:
-            return None
-        pairs.append((r.value, mult))
-    return canonicalize(pairs)
-
-
-def first_partition_sums(inst: SigmaInstance, fam: Family, shape: str,
-                         caps: Caps, accept):
-    """The first partition of ``fam`` into summable blocks, in stream order,
-    whose family of block sums satisfies ``accept``, as (partition, sums);
-    (None, None) when no partition within the caps does."""
-    for part in enumerate_partitions(
-            fam, shape, caps, block_filter=lambda b: inst.sum(b).defined):
-        sums = partition_sums(inst, part)
-        if accept(sums):
-            return part, sums
-    return None, None

@@ -281,7 +281,6 @@ class Partition:
     N>=1 u {OMEGA}. Recombining the blocks reproduces the parent family."""
 
     blocks: tuple
-    kind: str
 
     def recombine(self) -> Family:
         return canonicalize(
@@ -306,50 +305,44 @@ def static_truncation(fam: Family, caps: Caps) -> bool:
             or fam.finite_total > caps.block_count)
 
 
-class PartitionStream:
-    """Iterable over the partitions of a family, one shape at a time.
+def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),
+                         block_filter=None):
+    """Generator of the partitions of ``fam`` with one shape, within caps.
 
     Shapes: ``bracketing`` (all blocks finite, block multiplicities may be
     omega), ``flattening`` (finitely many blocks in total, blocks may be
     infinite), ``unconstrained`` (both relaxations; used for the strong laws).
 
-    ``truncated`` reports whether the caps clipped the search space, by the
-    rule of ``static_truncation``; it is never silently folded into the output.
+    Each partition is produced exactly once up to block reordering; blocks are
+    nonempty. The caps clip the search exactly when ``static_truncation(fam,
+    caps)`` says so. ``block_filter`` restricts blocks (e.g. to summable ones,
+    when the consumer only quantifies over such partitions); filtering prunes
+    the search tree. The shape is checked at call time; the stream runs once.
     """
+    if shape not in _SHAPES:
+        raise ValueError(f"unknown partition shape {shape!r}")
+    return _partitions(fam, shape, caps, block_filter)
 
-    def __init__(self, fam: Family, shape: str, caps: Caps, block_filter=None):
-        if shape not in _SHAPES:
-            raise ValueError(f"unknown partition shape {shape!r}")
-        self.family = fam
-        self.shape = shape
-        self.caps = caps
-        self.block_filter = block_filter
-        # the static rule decides the flag: a family it does not clip has
-        # room for every block (see test_stream_truncation_is_static)
-        self.truncated = static_truncation(fam, caps)
 
-    def __iter__(self):
-        fam, caps = self.family, self.caps
-        # subfamilies come in increasing sort_key order; blocks go largest first
-        blocks = [b for b in subfamilies(fam, caps.block_size)
-                  if 1 <= b.size_measure <= caps.block_size
-                  and not (self.shape == BRACKETING and b.omega)
-                  and (self.block_filter is None or self.block_filter(b))]
-        blocks.reverse()
-        return self._rec(blocks, 0, dict(fam.finite),
-                         dict.fromkeys(fam.omega, 0), (), caps.block_count)
+def _partitions(fam: Family, shape: str, caps: Caps, block_filter):
+    # subfamilies come in increasing sort_key order; blocks go largest first
+    blocks = [b for b in subfamilies(fam, caps.block_size)
+              if 1 <= b.size_measure <= caps.block_size
+              and not (shape == BRACKETING and b.omega)
+              and (block_filter is None or block_filter(b))]
+    blocks.reverse()
+    splits = caps.omega_splits
 
-    def _rec(self, blocks, start, rem, used, entries, room):
+    def rec(start, rem, used, entries, room):
         """``entries`` if complete, then its extensions by ``blocks[start:]``
         in order, each block with multiplicities 1, 2, ... and then omega.
         ``rem`` holds the finite counts still to cover, ``used`` the entries
         supplying omega to each omega element (each needs one), ``room`` what
         is left under ``block_count``; omega multiplicity takes one unit."""
         if not any(rem.values()) and all(used.values()):
-            yield Partition(entries, self.shape)
+            yield Partition(entries)
         if room <= 0:
             return
-        splits = self.caps.omega_splits
         for j in range(start, len(blocks)):
             block = blocks[j]
             if any(used[e] >= splits for e in block.omega):
@@ -360,16 +353,17 @@ class PartitionStream:
                 left = dict(rem)
                 for e, t in touch:
                     left[e] -= m * t
-                yield from self._rec(blocks, j + 1, left,
-                                     _supplied(used, block.omega),
-                                     entries + ((block, m),), room - m)
+                yield from rec(j + 1, left, _supplied(used, block.omega),
+                               entries + ((block, m),), room - m)
             # omega copies of a block must leave the finite counts alone; then
             # each of its elements is an omega element and gains a supplier
-            if (not touch and self.shape != FLATTENING
+            if (not touch and shape != FLATTENING
                     and all(used[e] < splits for e in block.support())):
-                yield from self._rec(blocks, j + 1, rem,
-                                     _supplied(used, block.support()),
-                                     entries + ((block, OMEGA),), room - 1)
+                yield from rec(j + 1, rem, _supplied(used, block.support()),
+                               entries + ((block, OMEGA),), room - 1)
+
+    yield from rec(0, dict(fam.finite), dict.fromkeys(fam.omega, 0), (),
+                   caps.block_count)
 
 
 def _supplied(used: dict, elements) -> dict:
@@ -380,21 +374,21 @@ def _supplied(used: dict, elements) -> dict:
     return out
 
 
-def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),
-                         block_filter=None) -> PartitionStream:
-    """Stream of the partitions of ``fam`` with the given shape, within caps.
-
-    Each partition is produced exactly once up to block reordering; blocks are
-    nonempty. Cap clipping is reported on the stream's ``truncated`` flag.
-    ``block_filter`` restricts blocks (e.g. to summable ones, when the consumer
-    only quantifies over such partitions); filtering prunes the search tree.
-    """
-    return PartitionStream(fam, shape, caps, block_filter)
+def first_partition_sums(inst, fam: Family, shape: str, caps: Caps, accept):
+    """The first partition of ``fam`` into summable blocks, in stream order,
+    whose family of block sums satisfies ``accept``, as (partition, sums);
+    (None, None) when no partition within the caps does."""
+    for part in enumerate_partitions(
+            fam, shape, caps, block_filter=lambda b: inst.sum(b).defined):
+        sums = canonicalize((inst.sum(b).value, m) for b, m in part.blocks)
+        if accept(sums):
+            return part, sums
+    return None, None
 
 
 class BlockSumEngine:
     """Distinct block-sum families of the partitions into summable blocks, for
-    one (instance, shape, caps): the set ``PartitionStream`` would reach.
+    one (instance, shape, caps): the set ``enumerate_partitions`` would reach.
 
     Memoised recursion on the residual state: remaining finite counts, omega
     splits used per omega element (none used: still needs a supplier) and room

@@ -20,6 +20,7 @@ from .family import (
     NonNegative,
     OMEGA,
     families_within,
+    first_partition_sums,
     is_omega,
     map_family,
     static_truncation,
@@ -35,7 +36,6 @@ from .core import (
     SigmaInstance,
     UNDEFINED,
     check_hom,
-    first_partition_sums,
 )
 
 

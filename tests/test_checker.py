@@ -1,11 +1,21 @@
+import os
+
 import pytest
 
 import sigmasum.checker as checker
 import sigmasum.core as core
 
-from sigmasum.core import Budget, Defined, FiniteCarrier, SigmaInstance
-from sigmasum.family import Family
+from sigmasum.core import (
+    Budget,
+    Defined,
+    FiniteCarrier,
+    SigmaInstance,
+    UNDEFINED,
+)
+from sigmasum.family import EMPTY, Family
 from sigmasum.instances import (
+    ElementCodec,
+    cyclic_instance,
     ext_nat_instance,
     int_group_instance,
     pm_instance,
@@ -312,3 +322,60 @@ def test_each_law_runs_through_its_module_function(monkeypatch):
     report = conclude_flavor(int_group_instance(), BUDGET)
     assert seen == [v.law for v in report.laws] == \
         list(WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS)
+
+
+# -- failing branches of the neutral-element, group and flavor logic -----------
+
+
+def test_neutral_element_fails_when_the_empty_family_misses_zero():
+    pm = pm_instance()
+
+    def rule(fam):
+        return Defined("+") if fam == EMPTY else pm.sum(fam)
+
+    inst = SigmaInstance("empty_plus", pm.carrier, "0", rule, codec=pm.codec)
+    verdict = check_weak(inst, BUDGET).verdict("neutral_element")
+    assert (verdict.status, verdict.checked, verdict.witness) == (
+        "fail", 1, {"family": "{finite: [], omega: []}"})
+
+
+def test_neutral_element_fails_when_stripping_zeros_loses_the_sum():
+    # {0, a} sums to a, but {a} has no sum
+    table = {EMPTY: "0", Family.of("0"): "0", Family.of("0", "a"): "a"}
+
+    def rule(fam):
+        return Defined(table[fam]) if fam in table else UNDEFINED
+
+    inst = SigmaInstance("strip", FiniteCarrier(("0", "a")), "0", rule,
+                         codec=ElementCodec(str.strip, str))
+    verdict = check_weak(inst, BUDGET).verdict("neutral_element")
+    assert (verdict.status, verdict.checked, verdict.witness) == (
+        "fail", 4, {"family": "{finite: [0, a], omega: []}",
+                    "stripped": "{finite: [a], omega: []}"})
+
+
+def test_group_laws_fail_for_a_broken_inversion():
+    # on Z/3, 2 -> 2 is no inverse (2 + 2 = 1), and it breaks preservation:
+    # {1, 1} sums to 2, which maps to 2, while its image {2, 2} sums to 1
+    z3 = cyclic_instance(3)
+    inst = SigmaInstance("z3", z3.carrier, 0, z3.sum,
+                         inversion={0: 0, 1: 2, 2: 2}.get, codec=z3.codec)
+    report = check_ft_and_group(inst, BUDGET)
+    assert [(v.law, v.status, v.checked, v.witness) for v in report.laws] == [
+        ("finite_totality", "pass", 20, None),
+        ("inverses_exist", "fail", 3, {"family": "{finite: [2, 2], omega: []}"}),
+        ("inversion_hom", "fail", 11, {"family": "{finite: [1, 1], omega: []}"}),
+        ("inverse_cancellation", "fail", 5,
+         {"family": "{finite: [2], omega: []}"})]
+
+
+REGROUPING_FAILS = os.path.join(os.path.dirname(__file__), "fixtures",
+                                "regrouping_fails.json")
+
+
+def test_conclude_flavor_is_none_when_a_weak_law_fails():
+    report = conclude_flavor(resolve_instance(REGROUPING_FAILS), BUDGET)
+    assert report.flavor is None
+    assert [v.law for v in report.laws if v.failed] == [
+        "bracketing", "flattening", "strong_bracketing", "strong_flattening",
+        "zero_sum_all_zero", "finite_totality"]

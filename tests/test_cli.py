@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigmasum.checker as checker
 from sigmasum.cli import main, parse_family_literal, resolve_instance
 from sigmasum.family import Family, families_within, format_family_literal
 from sigmasum.instances import pm_instance
@@ -327,6 +328,36 @@ def test_check_report_bytes_are_pinned(monkeypatch):
     assert not moved, "report bytes moved: " + ", ".join(moved)
 
 
+# a definition file that fails bracketing and flattening with a partition
+# witness; digests as above, at the default budget and at the pinned one
+REGROUPING_FAILS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "fixtures", "regrouping_fails.json")
+REGROUPING_DIGESTS = {
+    ("weak", ()):
+        "0e10e3d9dcf8d44b7cd6ded4771bed705bc6305039bdcf94070312dd1600b5e4",
+    ("weak", ("--max-size", "3", "--trials", "5", "--block-size", "3")):
+        "fa23c44e90bf0b53e4ea3bc16d6fa59f6cb68ffcb66886f25b8ba5736b7f2824",
+    ("all", ()):
+        "8932f8694f23c6feefcac59c852f541e5b9b08d0380accbb10099ee39621eb53",
+    ("all", ("--max-size", "3", "--trials", "5", "--block-size", "3")):
+        "d263ee79c7762a092767c54fea81d0fe246452d93b7a76cd856059205e9f8c37",
+}
+
+
+@pytest.mark.parametrize("suite, budget", list(REGROUPING_DIGESTS))
+def test_check_weak_shape_witness_bytes_are_pinned(suite, budget, monkeypatch):
+    monkeypatch.delenv("SIGMA_SUM_SEED", raising=False)
+    code, out = run_cli(["check", "--instance", REGROUPING_FAILS,
+                         "--laws", suite, *budget])
+    rows = {r["law"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1
+    for law in ("bracketing", "flattening"):
+        assert rows[law]["verdict"] == "fail" and rows[law]["witness"][
+            "partition"]
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == \
+        REGROUPING_DIGESTS[suite, budget]
+
+
 def test_check_reports_byte_identical_across_processes():
     import subprocess
 
@@ -514,6 +545,34 @@ def test_check_out_to_an_unwritable_path_exits_two(tmp_path, capsys):
                               "--trials", "0", "--out", str(out)], capsys)
     assert err.startswith("error: cannot write report: ")
     assert not out.parent.exists()
+
+
+def test_check_out_is_opened_before_the_suite_runs(monkeypatch, tmp_path,
+                                                  capsys):
+    def suite_for(laws):
+        raise AssertionError("the suite ran before the report was opened")
+
+    monkeypatch.setattr(checker, "suite_for", suite_for)
+    out = tmp_path / "missing" / "report.jsonl"
+    err = assert_usage_error(["check", "--instance", "extnat", "--laws", "all",
+                              "--out", str(out)], capsys)
+    assert err.startswith("error: cannot write report: ")
+
+
+@pytest.mark.parametrize("selector", [
+    "pm:extra", "pm:", "real:1", "int:x", "extnat:foo", "unit:x",
+    "interval:x", "parity:a,", "parity: ", "parity:", "parity:a,,b",
+    "parity:a]", "parity:[b", "parity:a,{b}", "zmod:", "zmod:x", "zmod:1_0",
+    "zmod: 3", "zmod:+3", "zmod:-3", "zmod:0"])
+def test_malformed_selector_exits_two(selector, capsys):
+    assert_usage_error(["check", "--instance", selector, "--max-size", "1",
+                        "--trials", "0"], capsys)
+    assert_usage_error(["sum", "--instance", selector, "--family", "{}"],
+                       capsys)
+
+
+def test_parity_points_may_be_padded_with_spaces():
+    assert resolve_instance("parity: a , b").name == "parity(a,b)"
 
 
 @pytest.mark.parametrize("literal", [

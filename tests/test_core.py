@@ -40,8 +40,13 @@ def test_kleene_equality_cases():
 
 
 def test_sum_results_are_values():
+    # results compare their values with ==, and hash alike when equal
     assert Defined(0) == SumResult(True, 0)
-    assert Defined(0) != Defined(False) or True  # values compared by ==
+    assert Defined(0) == Defined(False)
+    assert hash(Defined(0)) == hash(Defined(False))
+    assert Defined(1) == Defined(Fraction(1))
+    assert hash(Defined(1)) == hash(Defined(Fraction(1)))
+    assert Defined(0) != Defined(1) and Defined(0) != UNDEFINED
 
 
 # -- instance basics -----------------------------------------------------------

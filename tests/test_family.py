@@ -31,6 +31,7 @@ from sigmasum.family import (
     is_omega,
     is_subfamily,
     map_family,
+    static_truncation,
     subfamilies,
 )
 from sigmasum.core import ClassElement
@@ -250,10 +251,10 @@ def _as_block_words(part):
 def test_partitions_match_exhaustive_oracle(elems):
     fam = Family.of(*elems)
     caps = Caps(block_count=len(elems), block_size=len(elems), omega_splits=2)
-    stream = enumerate_partitions(fam, BRACKETING, caps)
-    got = {_as_block_words(p) for p in stream}
+    got = {_as_block_words(p)
+           for p in enumerate_partitions(fam, BRACKETING, caps)}
     assert got == _oracle_set_partitions(tuple(sorted(elems)))
-    assert not stream.truncated
+    assert not static_truncation(fam, caps)
 
 
 def test_partitions_yielded_once_each():
@@ -264,10 +265,11 @@ def test_partitions_yielded_once_each():
 
 
 def test_partition_two_element_family():
-    stream = enumerate_partitions(Family.of("+", "-"), BRACKETING, Caps(2, 2, 2))
-    words = {_as_block_words(p) for p in stream}
+    fam, caps = Family.of("+", "-"), Caps(2, 2, 2)
+    words = {_as_block_words(p)
+             for p in enumerate_partitions(fam, BRACKETING, caps)}
     assert words == {(("+",), ("-",)), (("+", "-"),)}
-    assert not stream.truncated
+    assert not static_truncation(fam, caps)
 
 
 def test_partition_empty_family():
@@ -279,12 +281,13 @@ def test_partition_omega_flattening_includes_expected_splits():
     fam = Family.from_counts([], omega=["0"])
     zb = Family.from_counts([], omega=["0"])
     one = Family.from_counts([("0", 1)])
-    stream = enumerate_partitions(fam, FLATTENING, Caps(2, 4, 2))
-    got = {tuple(sorted((repr(b), m) for b, m in p.blocks)) for p in stream}
+    caps = Caps(2, 4, 2)
+    got = {tuple(sorted((repr(b), m) for b, m in p.blocks))
+           for p in enumerate_partitions(fam, FLATTENING, caps)}
     assert (tuple(sorted([(repr(zb), 1)]))) in got
     assert (tuple(sorted([(repr(zb), 2)]))) in got
     assert (tuple(sorted([(repr(one), 1), (repr(zb), 1)]))) in got
-    assert stream.truncated  # omega splitting is always cap-clipped
+    assert static_truncation(fam, caps)  # omega splitting is always clipped
 
 
 def test_partition_flattening_has_finitely_many_blocks():
@@ -347,9 +350,21 @@ def test_omega_supplier_cap_respected():
 
 def test_truncation_reported_when_caps_clip():
     fam = Family.of(*"abcde")
-    stream = enumerate_partitions(fam, BRACKETING, Caps(4, 4, 2))
-    list(stream)
-    assert stream.truncated  # size-5 single block and 5 singletons both clipped
+    caps = Caps(4, 4, 2)
+    looser = Caps(5, 5, 2)
+    # the size-5 single block and the 5 singletons are both clipped
+    assert static_truncation(fam, caps) and not static_truncation(fam, looser)
+    parts = {repr(p) for p in enumerate_partitions(fam, BRACKETING, caps)}
+    assert parts < {repr(p) for p in enumerate_partitions(fam, BRACKETING,
+                                                          looser)}
+
+
+def test_stream_checks_its_shape_when_called_and_runs_once():
+    with pytest.raises(ValueError, match="unknown partition shape 'round'"):
+        enumerate_partitions(EMPTY, "round", Caps())
+    stream = enumerate_partitions(Family.of("+", "-"), BRACKETING, Caps())
+    assert len(list(stream)) == 2
+    assert list(stream) == []
 
 
 def test_block_filter_prunes():
@@ -395,14 +410,15 @@ def test_stream_order_pm_with_omega(shape):
     fam = Family.from_counts([("+", 1), ("-", 1)], omega=["0"])
     stream = enumerate_partitions(fam, shape, Caps(2, 2, 2))
     assert [repr(p) for p in stream] == _PM_OMEGA_ORDER[shape]
-    assert stream.truncated
+    assert static_truncation(fam, Caps(2, 2, 2))
 
 
 def test_stream_order_real_summable_blocks():
     real = real_abs_instance()
     half, quarter = Fraction(1, 2), Fraction(-1, 4)
     fam = Family.from_counts([(half, 2), (quarter, 1)])
-    stream = enumerate_partitions(fam, UNCONSTRAINED, Caps(3, 2, 1),
+    caps = Caps(3, 2, 1)
+    stream = enumerate_partitions(fam, UNCONSTRAINED, caps,
                                   block_filter=lambda b: real.sum(b).defined)
     assert [repr(p) for p in stream] == [
         "Partition[Family({Fraction(1, 2):2})x1, Family({Fraction(-1, 4):1})x1]",
@@ -410,7 +426,7 @@ def test_stream_order_real_summable_blocks():
         "Family({Fraction(1, 2):1})x1]",
         "Partition[Family({Fraction(1, 2):1})x2, Family({Fraction(-1, 4):1})x1]",
     ]
-    assert stream.truncated
+    assert static_truncation(fam, caps)
 
 
 def _order_corpus(seed, n):
@@ -435,11 +451,10 @@ def test_stream_order_digest_over_seeded_corpus():
     digest = hashlib.sha256()
     total = 0
     for fam, shape, caps, summable in _order_corpus(2308, 150):
-        stream = enumerate_partitions(fam, shape, caps, summable)
-        for part in stream:
+        for part in enumerate_partitions(fam, shape, caps, summable):
             digest.update(repr(part).encode() + b"\n")
             total += 1
-        digest.update(f"truncated={stream.truncated}\n".encode())
+        digest.update(f"truncated={static_truncation(fam, caps)}\n".encode())
     assert total == 43109
     assert digest.hexdigest() == (
         "3f6a4c754171b22e6cd1461c027bb37b6ff9771b376de517fd2866ebc9df9d56")

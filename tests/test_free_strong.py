@@ -69,6 +69,25 @@ def test_leads_to_reflexive_via_singletons():
         assert leads_to(pm, fam, fam, CAPS).holds
 
 
+def test_truncated_fields_report_clipping_by_the_caps():
+    pm = pm_instance()
+    caps = CongruenceCaps(max_family_size=2, max_omega_elems=0,
+                          block_count=2, block_size=2)
+    unclipped = leads_to(pm, Family.of("+", "-"), Family.of("0"), caps)
+    assert (unclipped.holds, repr(unclipped.witness), unclipped.truncated) == (
+        True, "Partition[Family({'+':1, '-':1})x1]", False)
+    # the one block that would do, {+, -, 0}, is above block_size
+    clipped = leads_to(pm, Family.of("+", "-", "0"), Family.of("0"), caps)
+    assert (clipped.holds, clipped.witness, clipped.truncated) == (
+        False, None, True)
+    a = Family.of("+", "-")
+    for omega, truncated in ((0, False), (1, True)):
+        graph = CongruenceGraph(pm, replace(caps, max_omega_elems=omega))
+        verdict = graph.related(a, EMPTY, 2)
+        assert (verdict.related, verdict.truncated) == (True, truncated)
+        assert graph.truncated == truncated
+
+
 def test_leads_to_negative():
     pm = pm_instance()
     assert not leads_to(pm, Family.of("+"), Family.of("-"), CAPS).holds
@@ -237,17 +256,16 @@ def _one_step_with_parked_side(inst, step_witness, parked, source, target):
     definition itself: the witness partition's blocks plus singleton blocks of
     the parked family recombine to the source, are all summable, and their
     sums form the target up to extra zeros."""
-    from sigmasum.core import partition_sums
     from sigmasum.family import canonicalize
     from sigmasum.free_strong import _matches_up_to_zeros
     blocks = canonicalize(
         list(step_witness.blocks)
         + [(Family.of(e), c) for e, c in parked.items()])
-    combined = type(step_witness)(blocks.items(), step_witness.kind)
+    combined = type(step_witness)(blocks.items())
     assert combined.recombine() == disjoint_union(source, parked)
     for block, _ in combined.blocks:
         assert inst.sum(block).defined
-    sums = partition_sums(inst, combined)
+    sums = canonicalize((inst.sum(b).value, m) for b, m in combined.blocks)
     assert _matches_up_to_zeros(sums, disjoint_union(target, parked), inst.zero)
 
 
