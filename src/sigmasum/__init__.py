@@ -24,7 +24,7 @@ _EXPORTS = {
         "Defined", "FiniteCarrier", "Hom", "HomVerdict",
         "HomVerificationError", "QuotientInstance", "SigmaInstance",
         "SumResult", "SymbolicCarrier", "UNDEFINED", "budget_families",
-        "check_hom", "check_hom_over", "compose_homs", "verify_hom",
+        "check_hom", "compose_homs", "verify_hom",
     ),
     "instances": (
         "ElementCodec", "FiniteMonoid", "INFINITY", "cyclic_instance",

@@ -27,7 +27,7 @@ from .core import (
     Defined,
     SigmaInstance,
     budget_families,
-    check_hom_over,
+    check_hom,
 )
 
 PASS, FAIL, TRUNCATED = "pass", "fail", "truncated"
@@ -166,7 +166,9 @@ def _regroup(law, inst, budget, fams, engines):
     first violating one in partition-stream order."""
     direction = law.removeprefix("strong_")
     shape = direction if direction == law else UNCONSTRAINED
-    engine = engines.setdefault(shape, BlockSumEngine(inst, shape, budget.caps))
+    engine = engines.get(shape)
+    if engine is None:
+        engine = engines[shape] = BlockSumEngine(inst, shape, budget.caps)
 
     def applies(fam):
         return direction != "bracketing" or inst.sum(fam).defined
@@ -251,7 +253,7 @@ def _law_inverses_exist(inst, budget, fams, engines):
 
 
 def _law_inversion_hom(inst, budget, fams, engines):
-    verdict = check_hom_over(inst.inversion, inst, inst, fams)
+    verdict = check_hom(inst.inversion, inst, inst, fams)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
                           {"family": _format_family(inst, verdict.counterexample)},
@@ -346,13 +348,10 @@ def suite_for(laws: str):
     def group(inst, budget):
         return check_ft_and_group(inst, budget, require_group=True)
 
-    table = {
+    return {
         "weak": check_weak,
         "strong": check_strong,
         "ft": check_ft_and_group,
         "group": group,
         "all": conclude_flavor,
-    }
-    if laws not in table:
-        raise KeyError(laws)
-    return table[laws]
+    }[laws]

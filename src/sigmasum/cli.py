@@ -74,6 +74,10 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
         raise UsageError("zero must be one of the elements")
     if not (isinstance(data["elements"], list) and isinstance(rows, list)):
         raise UsageError("bad instance file: elements and sums must be lists")
+    for e in elements:  # names a family literal can write and read back
+        if not e or e != e.strip() or set(e) & set(",[](){}"):
+            raise UsageError(f"bad instance file: element name {e!r} is empty, "
+                             "padded with spaces or holds one of ,[](){}")
     name = data.get("name", os.path.basename(path))
     flavor = data.get("flavor", "weak")
     if not isinstance(name, str) or flavor not in _FLAVORS:

@@ -19,7 +19,7 @@ from .core import (
     SymbolicCarrier,
     UNDEFINED,
     budget_families,
-    check_hom_over,
+    check_hom,
 )
 from .instances import INT_CODEC, restrict_instance
 
@@ -67,8 +67,8 @@ def projections(prod: SigmaInstance, budget: Budget) -> tuple:
     """The two projection maps of a product instance, verified as homs."""
     x, y = prod.factors
     fams = budget_families(prod, budget)
-    left = check_hom_over(_fst, prod, x, fams)
-    right = check_hom_over(_snd, prod, y, fams)
+    left = check_hom(_fst, prod, x, fams)
+    right = check_hom(_snd, prod, y, fams)
     if not (left.ok and right.ok):
         raise ConstructionError("projection failed hom verification")
     return (Hom(prod, x, _fst, "proj_left", budget),
@@ -226,7 +226,7 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
     members = []
     for image in itertools.product(y.carrier.elements, repeat=len(xs)):
         table = dict(zip(xs, image))
-        if check_hom_over(table.__getitem__, x, y, fams).ok:
+        if check_hom(table.__getitem__, x, y, fams).ok:
             members.append(HomElement(tuple(table.items())))
     if not members:
         raise ConstructionError(
@@ -294,7 +294,7 @@ def check_bilinear(h, x: SigmaInstance, y: SigmaInstance, z: SigmaInstance,
     """Is h : X x Y -> Z structure preserving in each slot separately?
 
     Every h(a, -), a over the samples of X, then every h(-, b), b over those
-    of Y, goes through check_hom_over on one family pool per slot, both built
+    of Y, goes through check_hom on one family pool per slot, both built
     first. The counterexample names the varied slot, the fixed coordinate and
     the family in the varied slot; ``checked`` sums the checks' counts.
     """
@@ -305,7 +305,7 @@ def check_bilinear(h, x: SigmaInstance, y: SigmaInstance, z: SigmaInstance,
     checked = 0
     for slot, fixed_in, varied_in, fams, partial in slots:
         for c in fixed_in.samples():
-            verdict = check_hom_over(partial(c), varied_in, z, fams)
+            verdict = check_hom(partial(c), varied_in, z, fams)
             checked += verdict.checked
             if not verdict.ok:
                 return BilinearVerdict(False, slot, c, verdict.counterexample,

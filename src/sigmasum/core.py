@@ -82,6 +82,7 @@ class FiniteCarrier:
 
     def __init__(self, elements):
         self.elements = tuple(sorted(dict.fromkeys(elements), key=canonical_key))
+        self.samples = self.elements
         self._set = frozenset(self.elements)
 
     def __contains__(self, e):
@@ -89,9 +90,6 @@ class FiniteCarrier:
 
     def __len__(self):
         return len(self.elements)
-
-    def sample(self):
-        return self.elements
 
     def where(self, keep):
         """The elements that satisfy ``keep``, in the same order."""
@@ -109,9 +107,6 @@ class SymbolicCarrier:
 
     def __contains__(self, e):
         return self._contains(e)
-
-    def sample(self):
-        return self.samples
 
     def where(self, keep):
         """Members that satisfy ``keep``; the samples are filtered alike."""
@@ -158,7 +153,7 @@ class SigmaInstance:
         return result
 
     def samples(self) -> tuple:
-        return self.carrier.sample()
+        return self.carrier.samples
 
     def __repr__(self):
         return f"<SigmaInstance {self.name} ({self.flavor})>"
@@ -280,13 +275,7 @@ class Hom:
 
 
 def check_hom(f, source: SigmaInstance, target: SigmaInstance,
-              budget: Budget) -> HomVerdict:
-    """Does f preserve every defined sum within the budget? See check_hom_over."""
-    return check_hom_over(f, source, target, budget_families(source, budget))
-
-
-def check_hom_over(f, source: SigmaInstance, target: SigmaInstance,
-                   fams) -> HomVerdict:
+              fams) -> HomVerdict:
     """Does f preserve the sum of every family of ``fams`` that has one? The
     scan keeps the order of ``fams``: over a ``budget_families`` pool (total
     size, then element order) a counterexample is minimal in that order."""
@@ -304,9 +293,9 @@ def check_hom_over(f, source: SigmaInstance, target: SigmaInstance,
 
 
 def verify_hom(f, source, target, budget, name="", inverse=None) -> Hom:
-    """check_hom, packaged: returns a Hom on success, raises with the witness
-    otherwise."""
-    verdict = check_hom(f, source, target, budget)
+    """check_hom over the source's budget pool, packaged: returns a Hom on
+    success, raises with the witness otherwise."""
+    verdict = check_hom(f, source, target, budget_families(source, budget))
     if not verdict.ok:
         raise HomVerificationError(
             f"{name or 'map'}: {source.name} -> {target.name} fails preservation "

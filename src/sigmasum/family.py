@@ -217,12 +217,9 @@ def subfamilies(fam: Family, omega_finite_cap: int = 2) -> list:
     for e in fam.omega:
         takes = [(e, t) for t in range(omega_finite_cap + 1)] + [(e, OMEGA)]
         axes.append(takes)
-    out = []
-    for combo in itertools.product(*axes) if axes else [()]:
-        out.append(canonicalize(combo))
-    out = list(dict.fromkeys(out))
-    out.sort(key=Family.sort_key)
-    return out
+    # one axis per distinct element, so no two combinations give one family
+    return sorted((canonicalize(combo) for combo in itertools.product(*axes)),
+                  key=Family.sort_key)
 
 
 def families_within(pool, max_size: int, max_omega: int) -> list:

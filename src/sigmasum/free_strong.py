@@ -35,6 +35,7 @@ from .core import (
     QuotientInstance,
     SigmaInstance,
     UNDEFINED,
+    budget_families,
     check_hom,
 )
 
@@ -341,8 +342,9 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
 
     ext_fn = {cls: strong.sum(map_family(f.fn, cls.rep)).value
               for cls in quotient.classes}.__getitem__
-    unit_ok = check_hom(unit_fn, weak, quotient, budget)
-    ext_ok = check_hom(ext_fn, quotient, strong, budget)
+    unit_ok = check_hom(unit_fn, weak, quotient, budget_families(weak, budget))
+    ext_ok = check_hom(ext_fn, quotient, strong,
+                       budget_families(quotient, budget))
     pointwise = all(f(x) == ext_fn(unit_fn(x)) for x in weak.samples())
     commutes = unit_ok.ok and ext_ok.ok and pointwise
     unit = Hom(weak, quotient, unit_fn, "unit",

@@ -308,7 +308,7 @@ def test_new_instance_agrees_with_the_deleted_rule(case):
     candidates = (*parent.samples(), *new.samples(), *STRANGERS)
     for e in candidates:
         assert (e in new.carrier) == (e in old_carrier), e
-    assert new.samples() == old_carrier.sample()
+    assert new.samples() == old_carrier.samples
     fams = budget_families(new, BUDGET)
     assert fams
     for fam in fams:

@@ -660,6 +660,26 @@ def test_definition_file_sections_not_lists_exit_two(data, tmp_path, capsys):
                         "--family", "{finite:[a]}"], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--laws", "weak", "--max-size", "1", "--trials", "0"],
+    ["sum", "--family", "{finite:[a,b]}"],
+], ids=["check", "sum"])
+@pytest.mark.parametrize("name", ["a,b", " a", "a ", "", "[a]", "f(a)", "{a}"],
+                         ids=["comma", "leading_space", "trailing_space",
+                              "empty", "brackets", "parentheses", "braces"])
+def test_definition_file_refuses_names_a_family_literal_cannot_write(
+        name, argv, tmp_path, capsys):
+    # written back, {finite: [a,b]} reads as two elements and " a" as "a"
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "elements": ["0", name, "a", "b"], "zero": "0",
+        "sums": [{"finite": [name], "value": name},
+                 {"finite": ["a", "b"], "value": "0"}]}))
+    err = assert_usage_error([argv[0], "--instance", str(path), *argv[1:]],
+                             capsys)
+    assert f"element name {name!r}" in err
+
+
 @pytest.mark.parametrize("field", [
     {"name": 5},
     {"name": None},

@@ -23,6 +23,7 @@ from sigmasum.instances import (
     real_abs_instance,
 )
 from sigmasum.constructions import (
+    HomElement,
     chain_colimit,
     check_bilinear,
     equaliser,
@@ -65,6 +66,16 @@ def test_product_summability_matches_projection_oracle():
         assert P.sum(fam) == expected
 
 
+def test_product_with_a_symbolic_factor_samples_the_pairs_of_samples():
+    real, pm = real_abs_instance(), pm_instance()
+    P = product(real, pm)
+    assert not P.carrier.is_finite
+    assert P.samples() == tuple((a, b) for a in real.samples()
+                                for b in pm.samples())
+    assert (Fraction(7, 3), "+") in P.carrier
+    assert ("+", "+") not in P.carrier
+
+
 def test_projections_are_verified_homs():
     P = product(pm_instance(), pm_instance())
     pl, pr = projections(P, BUDGET)
@@ -79,11 +90,11 @@ def test_product_universal_property_on_finite_fixtures():
                       pm, pm, BUDGET, name="swap")
     ident = verify_hom(lambda e: e, pm, pm, BUDGET, name="id")
     paired = pairing(ident, swap)
-    assert check_hom(paired, pm, P, BUDGET).ok
+    assert check_hom(paired, pm, P, budget_families(pm, BUDGET)).ok
     # and from a different source
     embed = verify_hom(lambda n: "+" if n == 1 else "0", I, pm, BUDGET)
     paired2 = pairing(embed, embed)
-    assert check_hom(paired2, I, P, BUDGET).ok
+    assert check_hom(paired2, I, P, budget_families(I, BUDGET)).ok
 
 
 # -- equaliser -------------------------------------------------------------------
@@ -127,7 +138,7 @@ def test_equaliser_maximality():
         up = pm.sum(fam)
         if up.defined and up.value in E.carrier:
             assert E.sum(fam) == up
-    assert check_hom(lambda e: e, E, pm, BUDGET).ok
+    assert check_hom(lambda e: e, E, pm, budget_families(E, BUDGET)).ok
 
 
 def test_equaliser_needs_parallel_homs():
@@ -165,8 +176,8 @@ def test_parity_inclusion_chain_colimit():
     assert ca.rep == (0, frozenset({"a"}))
     assert C.class_of((1, frozenset({"b"}))).rep == (1, frozenset({"b"}))
     # stage maps are homs
-    assert check_hom(C.stage_map(0), pa, C, BUDGET).ok
-    assert check_hom(C.stage_map(1), pab, C, BUDGET).ok
+    assert check_hom(C.stage_map(0), pa, C, budget_families(pa, BUDGET)).ok
+    assert check_hom(C.stage_map(1), pab, C, budget_families(pab, BUDGET)).ok
 
 
 def test_colimit_family_becomes_summable_at_later_stage():
@@ -204,6 +215,15 @@ def test_symbolic_colimit_carrier_holds_only_the_classes_it_names():
             C.sum(Family.of(stranger))
 
 
+def test_symbolic_stage_without_inverse_keeps_the_later_representative():
+    # no inverse and no finite carrier to search: min_rep stays at stage 1
+    real = real_abs_instance()
+    ident = verify_hom(lambda e: e, real, real, BUDGET, name="id")
+    C = chain_colimit([real, real], [ident])
+    assert C.stage_map(0)(Fraction(1)).rep == (1, Fraction(1))
+    assert C.class_of((0, Fraction(1))) == C.class_of((1, Fraction(1)))
+
+
 def test_colimit_rejects_non_composable_chain():
     pm = pm_instance()
     en = ext_nat_instance()
@@ -220,6 +240,14 @@ def test_internal_hom_unit_carrier_is_id_and_const0():
     H = internal_hom(I, I, BUDGET)
     tables = {h.table for h in H.carrier.elements}
     assert tables == {((0, 0), (1, 0)), ((0, 0), (1, 1))}
+
+
+def test_hom_element_lookup_and_repr():
+    h = HomElement((("+", "-"), ("0", "0")))
+    assert h("+") == "-"
+    with pytest.raises(KeyError):
+        h("-")
+    assert repr(h) == "hom{'+'->'-', '0'->'0'}"
 
 
 def test_internal_hom_pointwise_sum_oracle():

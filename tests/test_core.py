@@ -80,7 +80,7 @@ def test_singleton_and_empty_contracts():
 def test_swap_is_a_hom_on_pm():
     pm = pm_instance()
     swap = {"+": "-", "-": "+", "0": "0"}
-    verdict = check_hom(lambda e: swap[e], pm, pm, BUDGET)
+    verdict = check_hom(lambda e: swap[e], pm, pm, budget_families(pm, BUDGET))
     assert verdict.ok and verdict.checked > 0
 
 
@@ -89,15 +89,16 @@ def test_inclusion_into_interval_restriction_fails_with_minimal_witness():
     interval = unit_interval_instance()
     # identity map real -> interval is not structure preserving: {3/4, 1/2}
     # sums upstairs but not in the restriction
-    verdict = check_hom(lambda e: e, real, interval, BUDGET)
+    verdict = check_hom(lambda e: e, real, interval,
+                        budget_families(real, BUDGET))
     assert not verdict.ok
     assert verdict.counterexample == Family.of(Fraction(3, 4), Fraction(1, 2))
 
 
 def test_const_zero_is_always_a_hom():
     pm, en = pm_instance(), ext_nat_instance()
-    assert check_hom(lambda e: 0, pm, en, BUDGET).ok
-    assert check_hom(lambda e: "0", pm, pm, BUDGET).ok
+    assert check_hom(lambda e: 0, pm, en, budget_families(pm, BUDGET)).ok
+    assert check_hom(lambda e: "0", pm, pm, budget_families(pm, BUDGET)).ok
 
 
 def test_verify_hom_raises_with_witness():
@@ -117,7 +118,27 @@ def test_hom_composition_verified_at_budget_meet():
     comp = compose_homs(zero, swap)
     meet = comp.verified_budget
     assert meet.max_finite_size == 3
-    assert check_hom(comp.fn, pm, en, meet).ok
+    assert check_hom(comp.fn, pm, en, budget_families(pm, meet)).ok
+
+
+def test_composed_inverse_undoes_the_composite_and_propagates_none():
+    pm = pm_instance()
+    swap_fn = {"+": "-", "-": "+", "0": "0"}.__getitem__
+    swap = verify_hom(swap_fn, pm, pm, BUDGET, name="swap", inverse=swap_fn)
+    twice = compose_homs(swap, swap)
+    for x in pm.samples():
+        assert twice.inverse(twice(x)) == x
+    lost = verify_hom(swap_fn, pm, pm, BUDGET, name="lost",
+                      inverse=lambda y: None)
+    assert compose_homs(lost, swap).inverse("+") is None
+
+
+def test_hom_repr_names_the_map_and_its_ends():
+    pm, en = pm_instance(), ext_nat_instance()
+    assert repr(verify_hom(lambda e: 0, pm, en, BUDGET, name="z")) == (
+        "<Hom z: pm -> extnat>")
+    assert repr(verify_hom(lambda e: 0, pm, en, BUDGET)) == (
+        "<Hom hom: pm -> extnat>")
 
 
 def test_budget_meet_is_componentwise_min():
@@ -149,7 +170,7 @@ def test_check_hom_enumeration_order_is_size_then_lex():
 
 def test_finite_carrier_sorted_and_membership():
     c = FiniteCarrier(("0", "+", "-", "+"))
-    assert c.elements == ("+", "-", "0")
+    assert c.elements == c.samples == ("+", "-", "0")
     assert "+" in c and "x" not in c
 
 
@@ -160,7 +181,7 @@ def test_symbolic_carrier_without_samples_is_unsupported():
         "bare", SymbolicCarrier(lambda e: True, samples=()), 0,
         lambda fam: Defined(0))
     with pytest.raises(ConstructionError):
-        check_hom(lambda e: e, bare, bare, BUDGET)
+        verify_hom(lambda e: e, bare, bare, BUDGET)
 
 
 def test_budget_rejects_negative_bounds():

@@ -11,6 +11,7 @@ from sigmasum.core import (
     FiniteCarrier,
     SymbolicCarrier,
     UNDEFINED,
+    budget_families,
     check_hom,
 )
 from sigmasum.checker import check_weak
@@ -124,7 +125,7 @@ def test_int_group_negation_preserves_sums():
     negated = map_family(ig.inversion, fam)
     assert ig.sum(negated) == Defined(-3)
     assert ig.sum(negated).value == -ig.sum(fam).value
-    assert check_hom(ig.inversion, ig, ig, BUDGET).ok
+    assert check_hom(ig.inversion, ig, ig, budget_families(ig, BUDGET)).ok
 
 
 # -- naturals with infinity --------------------------------------------------------
@@ -170,7 +171,7 @@ def test_restrict_pm_to_nonnegative_signs():
     assert sub.sum(Family.of("+")) == Defined("+")
     assert sub.sum(Family.of("+", "+")) == UNDEFINED
     # the embedding is a hom by construction
-    assert check_hom(sub.embed, sub, pm, BUDGET).ok
+    assert check_hom(sub.embed, sub, pm, budget_families(sub, BUDGET)).ok
 
 
 def test_restrict_requires_injectivity():
@@ -235,7 +236,6 @@ def test_cyclic_instance_fold():
 ])
 def test_zero_padding_and_stripping_preserve_sums(make):
     inst = make()
-    from sigmasum.core import budget_families
     for fam in budget_families(inst, Budget(max_finite_size=3,
                                             max_omega_elems=1, trials=0)):
         r = inst.sum(fam)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import sigmasum.checker as checker
 import sigmasum.constructions as constructions
 import sigmasum.core as core
+import sigmasum.free_strong as free_strong
 from sigmasum.checker import conclude_flavor
 from sigmasum.constructions import (
     BilinearVerdict,
@@ -373,7 +374,7 @@ def pool_calls(monkeypatch):
         calls.append(inst.name)
         return _pool(inst, budget)
 
-    for module in (core, checker, constructions):
+    for module in (core, checker, constructions, free_strong):
         monkeypatch.setattr(module, "budget_families", counted, raising=False)
     return calls
 
@@ -395,6 +396,34 @@ def test_factorize_builds_one_pool_per_check(pool_calls):
     pool_calls.clear()
     fac = factorize(pm, en, const0, CongruenceCaps(max_family_size=3))
     assert pool_calls == ["pm", fac.quotient.name]
+
+
+@pytest.fixture
+def hom_scans(monkeypatch):
+    """Source names of the hom scans the constructions run, in order."""
+    calls = []
+
+    def counted(f, source, target, fams, _scan=core.check_hom):
+        calls.append(source.name)
+        return _scan(f, source, target, fams)
+
+    monkeypatch.setattr(constructions, "check_hom", counted)
+    return calls
+
+
+def test_internal_hom_scans_once_per_candidate_table(hom_scans):
+    parity = powerset_parity_instance(("a", "b"))
+    internal_hom(parity, parity, HOM_BUDGET)
+    assert hom_scans == [parity.name] * 4 ** 4
+
+
+def test_check_bilinear_scans_once_per_fixed_sample(hom_scans):
+    pm, unit = pm_instance(), unit_instance()
+    assert check_bilinear(left_unitor(pm), unit, pm, pm, SMALL).ok
+    # h(n, -) over pm for each unit sample, then h(-, a) over unit for each
+    # pm sample
+    assert hom_scans == (["pm"] * len(unit.samples())
+                         + ["unit"] * len(pm.samples()))
 
 
 def test_suite_with_inversion_map_builds_one_pool(pool_calls):
