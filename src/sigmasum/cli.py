@@ -40,7 +40,7 @@ def resolve_instance(selector: str) -> lib.SigmaInstance:
             return getattr(lib, _PLAIN_SELECTORS[name])()
         if name == "parity":
             points = tuple(s.strip() for s in arg.split(","))
-            if any(not p or set(p) & set("[](){}") for p in points):
+            if not all(map(_nameable, points)):
                 raise UsageError("parity needs points named without "
                                  "brackets, e.g. parity:a,b")
             return lib.powerset_parity_instance(points)
@@ -74,8 +74,8 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
         raise UsageError("zero must be one of the elements")
     if not (isinstance(data["elements"], list) and isinstance(rows, list)):
         raise UsageError("bad instance file: elements and sums must be lists")
-    for e in elements:  # names a family literal can write and read back
-        if not e or e != e.strip() or set(e) & set(",[](){}"):
+    for e in elements:
+        if not _nameable(e):
             raise UsageError(f"bad instance file: element name {e!r} is empty, "
                              "padded with spaces or holds one of ,[](){}")
     name = data.get("name", os.path.basename(path))
@@ -114,6 +114,12 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
 
     return lib.SigmaInstance(name, lib.FiniteCarrier(elements), zero, rule,
                              flavor=flavor, codec=codec)
+
+
+def _nameable(name: str) -> bool:
+    """A name a family literal can write and read back: non-empty, unpadded
+    (the element codec strips it) and free of ``,[](){}``."""
+    return bool(name) and name == name.strip() and not set(name) & set(",[](){}")
 
 
 def _split_top_level(text: str) -> list:
