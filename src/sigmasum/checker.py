@@ -126,7 +126,7 @@ def _first_violation(law, fams, violates, witness, applies=None):
     return LawVerdict(law, PASS, checked=checked)
 
 
-def _law_singleton(inst, budget, fams, engines):
+def _law_singleton(inst, budget, fams, engine):
     for i, x in enumerate(inst.samples()):
         if inst.sum(Family.of(x)) != Defined(x):
             return LawVerdict("singleton", FAIL,
@@ -135,7 +135,7 @@ def _law_singleton(inst, budget, fams, engines):
     return LawVerdict("singleton", PASS, checked=len(inst.samples()))
 
 
-def _law_neutral_element(inst, budget, fams, engines):
+def _law_neutral_element(inst, budget, fams, engine):
     if inst.sum(EMPTY) != Defined(inst.zero):
         return LawVerdict("neutral_element", FAIL,
                           {"family": _format_family(inst, EMPTY)}, 1)
@@ -156,19 +156,16 @@ def _law_neutral_element(inst, budget, fams, engines):
     return verdict
 
 
-def _regroup(law, inst, budget, fams, engines):
+def _regroup(law, inst, budget, fams, engine):
     """(strong_)bracketing: a defined whole must regroup to the same value;
     (strong_)flattening: a defined regrouping forces the whole. A weak law
     names its partition shape, a strong one scans the unconstrained shape.
 
     The scan and the shrinker look only at the distinct block-sum families the
-    run's engine for the shape gives; the shrunk witness's partition is the
-    first violating one in partition-stream order."""
+    run's one engine gives for the shape; the shrunk witness's partition is
+    the first violating one in partition-stream order."""
     direction = law.removeprefix("strong_")
     shape = direction if direction == law else UNCONSTRAINED
-    engine = engines.get(shape)
-    if engine is None:
-        engine = engines[shape] = BlockSumEngine(inst, shape, budget.caps)
 
     def applies(fam):
         return direction != "bracketing" or inst.sum(fam).defined
@@ -181,11 +178,11 @@ def _regroup(law, inst, budget, fams, engines):
 
     def violates(fam):
         r = inst.sum(fam)
-        return any(bad(r, sums) for sums in engine.block_sums(fam))
+        return any(bad(r, sums) for sums in engine.block_sums(fam, shape))
 
     def witness(fam):
         r = inst.sum(fam)
-        part, sums = first_partition_sums(inst, fam, engine.shape, budget.caps,
+        part, sums = first_partition_sums(inst, fam, shape, budget.caps,
                                           lambda sums: bad(r, sums))
         return {"family": _format_family(inst, fam),
                 "partition": _format_partition(inst, part),
@@ -204,7 +201,7 @@ _law_strong_bracketing = partial(_regroup, "strong_bracketing")
 _law_strong_flattening = partial(_regroup, "strong_flattening")
 
 
-def _law_subsummability(inst, budget, fams, engines):
+def _law_subsummability(inst, budget, fams, engine):
     omega_cap = budget.caps.block_size
 
     def bad_sub(fam):
@@ -224,7 +221,7 @@ def _law_subsummability(inst, budget, fams, engines):
                             lambda fam: inst.sum(fam).defined)
 
 
-def _law_zero_sum_all_zero(inst, budget, fams, engines):
+def _law_zero_sum_all_zero(inst, budget, fams, engine):
     def violates(fam):
         return (inst.sum(fam) == Defined(inst.zero)
                 and any(e != inst.zero for e in fam.support()))
@@ -233,7 +230,7 @@ def _law_zero_sum_all_zero(inst, budget, fams, engines):
                             lambda fam: {"family": _format_family(inst, fam)})
 
 
-def _law_finite_totality(inst, budget, fams, engines):
+def _law_finite_totality(inst, budget, fams, engine):
     def violates(fam):
         return fam.is_finite and not inst.sum(fam).defined
 
@@ -242,7 +239,7 @@ def _law_finite_totality(inst, budget, fams, engines):
                             lambda fam: fam.is_finite)
 
 
-def _law_inverses_exist(inst, budget, fams, engines):
+def _law_inverses_exist(inst, budget, fams, engine):
     for i, x in enumerate(inst.samples()):
         pair = Family.of(x, inst.inversion(x))
         if inst.sum(pair) != Defined(inst.zero):
@@ -252,7 +249,7 @@ def _law_inverses_exist(inst, budget, fams, engines):
     return LawVerdict("inverses_exist", PASS, checked=len(inst.samples()))
 
 
-def _law_inversion_hom(inst, budget, fams, engines):
+def _law_inversion_hom(inst, budget, fams, engine):
     verdict = check_hom(inst.inversion, inst, inst, fams)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
@@ -261,7 +258,7 @@ def _law_inversion_hom(inst, budget, fams, engines):
     return LawVerdict("inversion_hom", PASS, checked=verdict.checked)
 
 
-def _law_inverse_cancellation(inst, budget, fams, engines):
+def _law_inverse_cancellation(inst, budget, fams, engine):
     def violates(fam):
         if not inst.sum(fam).defined:
             return False
@@ -279,12 +276,12 @@ def _law_inverse_cancellation(inst, budget, fams, engines):
 def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
               require_group: bool = False) -> LawReport:
     """Run ``laws`` in order over one family pool; the regrouping laws share
-    ``engines``, one block-sum engine per partition shape. Without an
+    one block-sum engine, which serves every partition shape. Without an
     inversion map installed the group laws are skipped, or fail with that
     reason when ``require_group`` is set. Each law runs as the module's
     ``_law_<law>``, looked up at call time."""
     fams = budget_families(inst, budget)
-    engines = {}
+    engine = BlockSumEngine(inst, budget.caps)
     report = LawReport(inst.name, budget)
     for law in laws:
         if law in GROUP_LAWS and inst.inversion is None:
@@ -292,7 +289,7 @@ def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
                 report.laws.append(LawVerdict(
                     law, FAIL, {"reason": "no inversion map installed"}))
             continue
-        report.laws.append(globals()["_law_" + law](inst, budget, fams, engines))
+        report.laws.append(globals()["_law_" + law](inst, budget, fams, engine))
     return report
 
 

@@ -385,23 +385,26 @@ def first_partition_sums(inst, fam: Family, shape: str, caps: Caps, accept):
 
 class BlockSumEngine:
     """Distinct block-sum families of the partitions into summable blocks, for
-    one (instance, shape, caps): the set ``enumerate_partitions`` would reach.
+    one (instance, caps) and any shape: the set ``enumerate_partitions`` would
+    reach.
 
-    Memoised recursion on the residual state: remaining finite counts, omega
-    splits used per omega element (none used: still needs a supplier) and room
-    under ``block_count``. The next block holds the least remaining finite
-    element; once none remain, omega-only blocks follow in any order. Reusing
-    a block adds nothing, as (b, m1), (b, m2) sum like (b, m1 + m2), which
-    takes no more room and fewer splits. States are keyed by element ids, so
-    the subfamilies of a family pool share entries; the memo is never evicted,
-    so scope an engine to one batch of queries.
+    Memoised recursion on the residual state: shape, remaining finite counts,
+    omega splits used per omega element (none used: still needs a supplier)
+    and room under ``block_count``. The next block holds the least remaining
+    finite element; once none remain, omega-only blocks follow in any order.
+    Reusing a block adds nothing, as (b, m1), (b, m2) sum like (b, m1 + m2),
+    which takes no more room and fewer splits. Everything but the memo is
+    shared by the shapes: element ids, block sums, the blocks compiled for
+    each (remaining counts, omega elements), and the block-sum families,
+    interned as sorted (value id, count) tuples and built as ``Family`` only
+    when returned. Without omega elements the shapes coincide, so they share
+    memo entries too. States are keyed by element ids, so the subfamilies of
+    a family pool share entries; nothing is evicted, so scope an engine to one
+    batch of queries.
     """
 
-    def __init__(self, inst, shape: str, caps: Caps):
-        if shape not in _SHAPES:
-            raise ValueError(f"unknown partition shape {shape!r}")
+    def __init__(self, inst, caps: Caps):
         self.inst = inst
-        self.shape = shape
         self.caps = caps
         self._ids: dict = {}     # element -> id
         self._elems: list = []   # id -> element
@@ -409,16 +412,21 @@ class BlockSumEngine:
         self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
         self._sums: dict = {}    # block takes -> block sum id, None if undefined
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
-        self._families: list = [EMPTY]   # sums id -> block-sum family
-        self._family_ids: dict = {EMPTY: 0}
+        self._counts: list = [()]        # sums id -> sorted (value id, count)
+        self._count_ids: dict = {(): 0}
+        self._built: dict = {}           # sums id -> Family, once returned
 
-    def block_sums(self, fam: Family) -> frozenset:
-        """The block-sum families of ``fam``; whether the caps clipped them is
-        ``static_truncation(fam, caps)``, as for the stream."""
+    def block_sums(self, fam: Family, shape: str) -> frozenset:
+        """The block-sum families of ``fam``'s partitions of ``shape``; whether
+        the caps clipped them is ``static_truncation(fam, caps)``, as for the
+        stream."""
+        if shape not in _SHAPES:
+            raise ValueError(f"unknown partition shape {shape!r}")
         rem = tuple((self._id(e), c) for e, c in fam.finite)
         om = tuple(self._id(e) for e in fam.omega)
-        sums = self._solve(rem, om, (0,) * len(om), self.caps.block_count)
-        return frozenset(self._families[i] for i in sums)
+        sums = self._solve(shape if om else UNCONSTRAINED, rem, om,
+                           (0,) * len(om), self.caps.block_count)
+        return frozenset(self._family(i) for i in sums)
 
     def _id(self, e) -> int:
         i = self._ids.get(e)
@@ -427,9 +435,16 @@ class BlockSumEngine:
             self._elems.append(e)
         return i
 
-    def _solve(self, rem, om, used, room):
+    def _family(self, i) -> Family:
+        fam = self._built.get(i)
+        if fam is None:
+            fam = self._built[i] = canonicalize(
+                (self._elems[v], c) for v, c in self._counts[i])
+        return fam
+
+    def _solve(self, shape, rem, om, used, room):
         """Ids of the block-sum families that complete the residual state."""
-        key = (rem, om, used, room)
+        key = (shape, rem, om, used, room)
         out = self._memo.get(key)
         if out is not None:
             return out
@@ -437,64 +452,68 @@ class BlockSumEngine:
         if not rem and all(used):
             found.add(0)  # the empty family: every omega element supplied
         splits = self.caps.omega_splits
-        for value, touch, om_fin, om_take in (self._compiled(rem, om)
-                                              if room > 0 else ()):
-            if any(used[j] >= splits for j in om_take):
-                continue
-            used2 = _supply(used, om_take)
-            mmax = min([room] + [rem[i][1] // t for i, t in touch])
-            for m in range(1, mmax + 1):
-                left = list(rem)
-                for i, t in touch:
-                    left[i] = (left[i][0], left[i][1] - m * t)
-                rem2 = tuple(p for p in left if p[1])
-                self._extend(found, (rem2, om, used2, room - m), value, m)
-            # omega copies of a block must leave the finite counts alone; then
-            # each of its elements is an omega element and gains a supplier
-            suppliers = set(om_take) | set(om_fin)
-            if (not touch and self.shape != FLATTENING
+        for value, om_take, steps, suppliers in (self._compiled(rem, om)
+                                                 if room > 0 else ()):
+            used2 = used
+            if om_take:
+                if (shape == BRACKETING
+                        or any(used[j] >= splits for j in om_take)):
+                    continue
+                used2 = _supply(used, om_take)
+            for m, rem2 in steps:
+                if m > room:
+                    break
+                self._extend(found, self._solve(shape, rem2, om, used2,
+                                                room - m), value, m)
+            if (suppliers and shape != FLATTENING
                     and all(used[j] < splits for j in suppliers)):
-                self._extend(found, (rem, om, _supply(used, suppliers),
-                                     room - 1), value, OMEGA)
+                self._extend(found, self._solve(shape, rem, om,
+                                                _supply(used, suppliers),
+                                                room - 1), value, OMEGA)
         out = self._memo[key] = frozenset(found)
         return out
 
-    def _extend(self, found: set, state, value: int, mult):
-        """Add ``mult`` copies of ``value`` to each family completing
-        ``state``; the sums are interned, so sets hold small ids."""
+    def _extend(self, found: set, subs, value: int, mult):
+        """Add ``mult`` copies of ``value`` to each family of ``subs``; the
+        sums are interned, so sets hold small ids."""
         plus = self._plus
-        for sub in self._solve(*state):
+        for sub in subs:
             key = (sub, value, mult)
             fid = plus.get(key)
             if fid is None:
-                fam = canonicalize(self._families[sub].items()
-                                   + ((self._elems[value], mult),))
-                fid = self._family_ids.get(fam)
+                counts = dict(self._counts[sub])
+                counts[value] = counts.get(value, 0) + mult  # omega absorbs
+                counts = tuple(sorted(counts.items()))
+                fid = self._count_ids.get(counts)
                 if fid is None:
-                    fid = self._family_ids[fam] = len(self._families)
-                    self._families.append(fam)
+                    fid = self._count_ids[counts] = len(self._counts)
+                    self._counts.append(counts)
                 plus[key] = fid
             found.add(fid)
 
     def _compiled(self, rem, om):
         """Summable blocks holding the least remaining finite element (or, with
-        none left, made of omega elements alone), as (sum, finite takes by
-        index into ``rem``, omega elements taken finitely, taken omega)."""
+        none left, made of omega elements alone), as (sum, omega elements taken
+        omega, (multiplicity, remaining counts) steps for finite copies, and
+        the omega elements that omega copies supply, if those are allowed)."""
         key = (rem, om)
         blocks = self._blocks.get(key)
         if blocks is not None:
             return blocks
-        size = self.caps.block_size
-        axes = [range(1 if i == 0 else 0, min(c, size) + 1)
-                for i, (_, c) in enumerate(rem)]
-        om_takes = list(range(size + 1))
-        if self.shape != BRACKETING:
-            om_takes.append(OMEGA)
-        axes += [om_takes] * len(om)
+        size, count = self.caps.block_size, self.caps.block_count
+        combos = [((), 0)]  # (takes so far, size measure so far)
+        for k, (_, c) in enumerate(rem):
+            combos = [(takes + (t,), n + t) for takes, n in combos
+                      for t in range(k == 0, min(c, size - n) + 1)]
+        for _ in om:
+            combos = [(takes + (t,), n + (1 if is_omega(t) else t))
+                      for takes, n in combos
+                      for t in list(range(size - n + 1))
+                      + ([OMEGA] if n < size else [])]
         ids = [i for i, _ in rem] + list(om)
         blocks = self._blocks[key] = []
-        for combo in itertools.product(*axes):
-            if not 1 <= sum(1 if is_omega(t) else t for t in combo) <= size:
+        for combo, n in combos:
+            if n == 0:
                 continue
             takes = tuple((i, t) for i, t in zip(ids, combo) if t)
             value = self._sums.get(takes, False)
@@ -505,18 +524,23 @@ class BlockSumEngine:
                                              else None)
             if value is None:
                 continue
-            touch = tuple((i, t) for i, t in enumerate(combo[:len(rem)]) if t)
+            steps = []
+            for m in range(1, min([count] + [c // t for (_, c), t
+                                             in zip(rem, combo) if t]) + 1):
+                left = ((e, c - m * t) for (e, c), t in zip(rem, combo))
+                steps.append((m, tuple(p for p in left if p[1])))
+            # omega copies of a block must leave the finite counts alone (with
+            # some left, every block holds one); then each of its elements is
+            # an omega element and gains a supplier
             om_part = combo[len(rem):]
             blocks.append((
-                value, touch,
-                tuple(j for j, t in enumerate(om_part) if t and not is_omega(t)),
+                value,
                 tuple(j for j, t in enumerate(om_part) if is_omega(t)),
+                tuple(steps),
+                () if rem else tuple(j for j, t in enumerate(om_part) if t),
             ))
         return blocks
 
 
 def _supply(used, supplied) -> tuple:
-    if not supplied:
-        return used
     return tuple(u + 1 if j in supplied else u for j, u in enumerate(used))
-

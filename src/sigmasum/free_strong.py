@@ -118,7 +118,7 @@ class CongruenceGraph:
         self._build()
 
     def _build(self):
-        engine = BlockSumEngine(self.inst, UNCONSTRAINED, self.caps.caps)
+        engine = BlockSumEngine(self.inst, self.caps.caps)
         zero = self.inst.zero
         bucket: dict = {}
         for fam in self.universe:
@@ -129,7 +129,7 @@ class CongruenceGraph:
         for fam in self.universe:
             targets = set()
             truncated = static_truncation(fam, self.caps.caps)
-            for sums in engine.block_sums(fam):
+            for sums in engine.block_sums(fam, UNCONSTRAINED):
                 truncated |= sums not in self._uset
                 targets.update(
                     t for t in bucket.get(_zero_free(sums, zero), ())

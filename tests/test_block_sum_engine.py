@@ -2,13 +2,17 @@
 
 The engine computes the distinct block-sum families of a family's partitions
 into summable blocks by memoised recursion; the stream enumerates every such
-partition. For random families over the stock samples, every shape and caps
-from 1 to 4, both must give the same set, and the caps must clip the stream
-exactly when ``static_truncation`` says so.
+partition. For random families over the stock samples, each asked in its own
+shape of one engine, and caps from 1 to 4, both must give the same set, and
+the caps must clip the stream exactly when ``static_truncation`` says so.
 """
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigmasum import checker, free_strong
+from sigmasum.checker import check_weak, conclude_flavor
+from sigmasum.core import Budget
 from sigmasum.family import (
     BRACKETING,
     FLATTENING,
@@ -20,6 +24,7 @@ from sigmasum.family import (
     enumerate_partitions,
     static_truncation,
 )
+from sigmasum.free_strong import CongruenceCaps, CongruenceGraph
 from sigmasum.instances import (
     ext_nat_instance,
     int_group_instance,
@@ -50,10 +55,12 @@ def families_over(pool):
 
 @st.composite
 def cases(draw, n_families):
+    """(instance, [(family, shape), ...], caps)."""
     inst = INSTANCES[draw(st.sampled_from(sorted(INSTANCES)))]
-    fams = draw(st.lists(families_over(list(inst.samples())),
+    asks = draw(st.lists(st.tuples(families_over(list(inst.samples())),
+                                   st.sampled_from(SHAPES)),
                          min_size=n_families, max_size=n_families))
-    return inst, fams, draw(st.sampled_from(SHAPES)), draw(caps_st)
+    return inst, asks, draw(caps_st)
 
 
 def stream_block_sums(inst, fam, shape, caps):
@@ -64,21 +71,53 @@ def stream_block_sums(inst, fam, shape, caps):
 
 
 EXTNAT = INSTANCES["extnat"]
+ONE_OMEGA = Family.from_counts([(0, 1), (2, 1)], [1])
 
 
-@settings(max_examples=150)
-@given(cases(n_families=2))
+@settings(max_examples=200)
+@given(cases(n_families=3))
 # two blocks each taking 1 omega times would need two omega splits
-@example((EXTNAT, [Family.from_counts([(0, 1), (2, 1)], [1])] * 2,
-          UNCONSTRAINED, Caps(4, 4, 1)))
+@example((EXTNAT, [(ONE_OMEGA, UNCONSTRAINED)] * 2, Caps(4, 4, 1)))
+# one omega family in every shape: the answers differ, so the memo must
+# tell the shapes apart while sharing everything else
+@example((EXTNAT, [(ONE_OMEGA, shape) for shape in
+                   (UNCONSTRAINED, BRACKETING, FLATTENING)], Caps(4, 4, 2)))
 def test_engine_matches_stream(case):
-    # one engine answers both families, so the second may reuse memo entries
-    # the first left behind, as subfamilies of a family pool do
-    inst, fams, shape, caps = case
-    engine = BlockSumEngine(inst, shape, caps)
-    for fam in fams:
-        assert (set(engine.block_sums(fam))
+    # one engine answers every family in its own shape, so later asks may
+    # reuse memo entries and compiled blocks earlier ones left behind, as the
+    # laws of one suite run do over a family pool
+    inst, asks, caps = case
+    engine = BlockSumEngine(inst, caps)
+    for fam, shape in asks:
+        assert (set(engine.block_sums(fam, shape))
                 == stream_block_sums(inst, fam, shape, caps))
+
+
+def test_engine_refuses_an_unknown_shape():
+    engine = BlockSumEngine(EXTNAT, Caps())
+    with pytest.raises(ValueError, match="unknown partition shape 'round'"):
+        engine.block_sums(ONE_OMEGA, "round")
+
+
+def test_one_engine_serves_a_suite_run_and_a_graph(monkeypatch):
+    # the regrouping laws of one run, and a graph's moves, share one engine
+    built = []
+
+    class Counted(BlockSumEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checker, "BlockSumEngine", Counted)
+    monkeypatch.setattr(free_strong, "BlockSumEngine", Counted)
+    budget = Budget(max_finite_size=2, block_count=3, block_size=3, trials=2)
+    for run in (conclude_flavor, check_weak):
+        built.clear()
+        run(EXTNAT, budget)
+        assert len(built) == 1, run.__name__
+    built.clear()
+    CongruenceGraph(EXTNAT, CongruenceCaps(max_family_size=2))
+    assert len(built) == 1
 
 
 @settings(max_examples=200)
@@ -88,7 +127,7 @@ def test_stream_truncation_is_static(case):
     # such a family has the same partitions under looser caps, while a finite
     # family it clips gains some under caps that cover its size; the omega
     # splits and finite takes of an omega element are always capped
-    _, (fam,), shape, caps = case
+    _, ((fam, shape),), caps = case
     if fam.omega:
         assert static_truncation(fam, caps)
         return

@@ -149,12 +149,12 @@ def oracle_graph(inst, caps, pool):
         list(inst.samples() if pool is None else pool) + [zero],
         caps.max_family_size, caps.max_omega_elems)
     uset = set(universe)
-    engine = BlockSumEngine(inst, UNCONSTRAINED, caps.caps)
+    engine = BlockSumEngine(inst, caps.caps)
     succ, truncated = {}, False
     for fam in universe:
         truncated |= static_truncation(fam, caps.caps)
         succ[fam] = set()
-        for sums in engine.block_sums(fam):
+        for sums in engine.block_sums(fam, UNCONSTRAINED):
             paddings = [sums]
             if not is_omega(sums.count(zero)):
                 room = caps.max_family_size - sums.finite_total
