@@ -396,11 +396,11 @@ class BlockSumEngine:
     which takes no more room and fewer splits. Everything but the memo is
     shared by the shapes: element ids, block sums, the blocks compiled for
     each (remaining counts, omega elements), and the block-sum families,
-    interned as sorted (value id, count) tuples and built as ``Family`` only
-    when returned. Without omega elements the shapes coincide, so they share
-    memo entries too. States are keyed by element ids, so the subfamilies of
-    a family pool share entries; nothing is evicted, so scope an engine to one
-    batch of queries.
+    interned as keys (sorted (value id, count) tuples): ``block_sum_keys``
+    returns them, ``key`` gives any family's, ``block_sums`` builds each once.
+    Without omega elements the shapes coincide and share memo entries too.
+    States are keyed by element ids, so the subfamilies of a family pool share
+    entries; nothing is evicted, so scope an engine to one batch of queries.
     """
 
     def __init__(self, inst, caps: Caps):
@@ -414,19 +414,27 @@ class BlockSumEngine:
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
         self._counts: list = [()]        # sums id -> sorted (value id, count)
         self._count_ids: dict = {(): 0}
-        self._built: dict = {}           # sums id -> Family, once returned
+        self._built: dict = {}           # sums key -> Family, once returned
 
     def block_sums(self, fam: Family, shape: str) -> frozenset:
         """The block-sum families of ``fam``'s partitions of ``shape``; whether
         the caps clipped them is ``static_truncation(fam, caps)``, as for the
         stream."""
+        return frozenset(map(self._family, self.block_sum_keys(fam, shape)))
+
+    def block_sum_keys(self, fam: Family, shape: str) -> list:
+        """The same families as their interned keys, one per family."""
         if shape not in _SHAPES:
             raise ValueError(f"unknown partition shape {shape!r}")
         rem = tuple((self._id(e), c) for e, c in fam.finite)
         om = tuple(self._id(e) for e in fam.omega)
-        sums = self._solve(shape if om else UNCONSTRAINED, rem, om,
-                           (0,) * len(om), self.caps.block_count)
-        return frozenset(self._family(i) for i in sums)
+        return [self._counts[i] for i in self._solve(
+            shape if om else UNCONSTRAINED, rem, om, (0,) * len(om),
+            self.caps.block_count)]
+
+    def key(self, fam: Family) -> tuple:
+        """``fam`` keyed as ``block_sum_keys`` keys its families."""
+        return tuple(sorted((self._id(e), c) for e, c in fam.items()))
 
     def _id(self, e) -> int:
         i = self._ids.get(e)
@@ -435,11 +443,11 @@ class BlockSumEngine:
             self._elems.append(e)
         return i
 
-    def _family(self, i) -> Family:
-        fam = self._built.get(i)
+    def _family(self, key) -> Family:
+        fam = self._built.get(key)
         if fam is None:
-            fam = self._built[i] = canonicalize(
-                (self._elems[v], c) for v, c in self._counts[i])
+            fam = self._built[key] = canonicalize(
+                (self._elems[v], c) for v, c in key)
         return fam
 
     def _solve(self, shape, rem, om, used, room):

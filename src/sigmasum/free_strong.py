@@ -64,16 +64,23 @@ class LeadsTo:
     truncated: bool = False
 
 
-def _zero_free(fam: Family, zero) -> tuple:
-    return (tuple(p for p in fam.finite if p[0] != zero),
-            tuple(e for e in fam.omega if e != zero))
+def _zero_split(pairs, zero) -> tuple:
+    """The (element, count) pairs but ``zero``'s, and ``zero``'s count."""
+    return (tuple(p for p in pairs if p[0] != zero),
+            next((c for e, c in pairs if e == zero), 0))
+
+
+def _covers(have, want) -> bool:
+    """Is the zero split ``want`` the split ``have`` plus any number (even
+    omega) of zeros?"""
+    return have[0] == want[0] and (is_omega(want[1]) if is_omega(have[1])
+                                   else want[1] >= have[1])
 
 
 def _matches_up_to_zeros(sums: Family, target: Family, zero) -> bool:
     """target == sums plus any number (possibly omega) of extra zeros."""
-    have, want = sums.count(zero), target.count(zero)
-    return (_zero_free(sums, zero) == _zero_free(target, zero)
-            and (is_omega(want) if is_omega(have) else want >= have))
+    return _covers(_zero_split(sums.items(), zero),
+                   _zero_split(target.items(), zero))
 
 
 def leads_to(inst: SigmaInstance, a: Family, b: Family,
@@ -100,42 +107,41 @@ class CongruenceGraph:
 
     Nodes are every family over the element pool within the size caps; edges
     are one-step moves. Undirected reachability is the cap-relative rendering
-    of the zig-zag equivalence closure.
+    of the zig-zag equivalence closure. Edges come from one
+    ``BlockSumEngine``'s keys: each distinct block-sum key is matched once
+    against the universe, indexed by zero-free key, so no block-sum family is
+    built as a ``Family``.
     """
 
     def __init__(self, inst: SigmaInstance, caps: CongruenceCaps = CongruenceCaps(),
                  pool=None):
         self.inst = inst
         self.caps = caps
-        if pool is None:
-            pool = inst.samples()
-        self.universe = families_within(list(pool) + [inst.zero],
-                                        caps.max_family_size,
-                                        caps.max_omega_elems)
-        self._uset = set(self.universe)
-        self.truncated = False
-        self._succ: dict = {}
-        self._build()
-
-    def _build(self):
-        engine = BlockSumEngine(self.inst, self.caps.caps)
-        zero = self.inst.zero
+        self.universe = families_within(
+            list(inst.samples() if pool is None else pool) + [inst.zero],
+            caps.max_family_size, caps.max_omega_elems)
+        engine = BlockSumEngine(inst, caps.caps)
+        zero = engine.key(Family(((inst.zero, 1),)))[0][0]  # its element id
         bucket: dict = {}
         for fam in self.universe:
-            bucket.setdefault(_zero_free(fam, zero), []).append(fam)
+            split = _zero_split(engine.key(fam), zero)
+            bucket.setdefault(split[0], []).append((split, fam))
+        moves: dict = {}  # block-sum key -> the members it leads to
+        self.truncated = False
+        self._succ: dict = {}
         self._undirected: dict = {fam: set() for fam in self.universe}
-        # a member's zero paddings within the size caps are members too, so a
-        # move is clipped exactly when its block sums lie outside the universe
         for fam in self.universe:
-            targets = set()
-            truncated = static_truncation(fam, self.caps.caps)
-            for sums in engine.block_sums(fam, UNCONSTRAINED):
-                truncated |= sums not in self._uset
-                targets.update(
-                    t for t in bucket.get(_zero_free(sums, zero), ())
-                    if _matches_up_to_zeros(sums, t, zero))
-            self.truncated |= truncated
-            self._succ[fam] = targets
+            self.truncated |= static_truncation(fam, caps.caps)
+            targets = self._succ[fam] = set()
+            for key in engine.block_sum_keys(fam, UNCONSTRAINED):
+                if key not in moves:
+                    have = _zero_split(key, zero)
+                    members = bucket.get(have[0], ())
+                    # a member's zero paddings within the caps are members,
+                    # so only a block-sum family outside clips the move
+                    self.truncated |= have not in [w for w, _ in members]
+                    moves[key] = [t for w, t in members if _covers(have, w)]
+                targets.update(moves[key])
             self._undirected[fam] |= targets
             for t in targets:
                 self._undirected[t].add(fam)
@@ -144,7 +150,7 @@ class CongruenceGraph:
         return self._succ[fam]
 
     def related(self, a: Family, b: Family, depth: int) -> CongruenceVerdict:
-        if a not in self._uset or b not in self._uset:
+        if a not in self._succ or b not in self._succ:
             raise ConstructionError("family outside the explored universe")
         if a == b:
             return CongruenceVerdict(True, [(a, None)], truncated=self.truncated)

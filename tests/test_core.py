@@ -67,6 +67,15 @@ def test_element_outside_carrier_is_an_error_not_undefined():
         pm.sum(Family.of("x"))
 
 
+def test_carrier_error_names_a_finite_non_member_before_an_omega_one():
+    # "a" sorts first, but the finite part is checked first
+    fam = Family.from_counts([("z", 1)], omega=["a"])
+    with pytest.raises(CarrierError, match=r"^'z' is not in the carrier"):
+        pm_instance().sum(fam)
+    with pytest.raises(CarrierError, match=r"^'a' is not in the carrier"):
+        pm_instance().sum(Family.from_counts([("+", 1)], omega=["a"]))
+
+
 def test_singleton_and_empty_contracts():
     for inst in (pm_instance(), ext_nat_instance(), real_abs_instance()):
         assert inst.sum(EMPTY) == Defined(inst.zero)

@@ -1,7 +1,8 @@
 """The library has no runtime dependencies: every module under ``sigmasum``
 imports only the standard library and ``sigmasum`` itself, only at module
 level (the package's lazy exports are the one deferred import), uses every
-name it imports, and takes no private name of a sibling module. The package
+name it imports, takes no private name of a sibling module and reads no
+private attribute of anything but ``self``. The package
 exports, by defining submodule, the names listed here, and a
 cold ``sigmasum net`` loads only the net engine."""
 import ast
@@ -97,6 +98,38 @@ def test_library_modules_use_every_import_and_no_private_sibling_name():
             if sibling and name.startswith("_"):
                 problems.append(f"{where} is private to its module")
     assert problems == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_library_reads_private_attributes_only_of_self():
+    """``x._name``, ``getattr(x, "_name")`` and ``hasattr(x, "_name")`` take
+    an underscored, non-dunder attribute; only ``self`` may be ``x``, so one
+    module uses another's objects (such as a ``BlockSumEngine``) through their
+    public methods alone."""
+    root = Path(sigmasum.__file__).parent
+    reads = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr):
+                owner = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)
+                  and _is_private(node.args[1].value)):
+                owner = node.args[0]
+            else:
+                continue
+            if not (isinstance(owner, ast.Name) and owner.id == "self"):
+                reads.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []
 
 
 def test_omega_is_spelled_only_as_family_omega():

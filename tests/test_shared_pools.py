@@ -1,17 +1,18 @@
-"""One family pool per hom check, one extension value per class, and a
-congruence graph that finds a move's targets through a zero-free index: each
-checked against the loop it replaced, kept here as the oracle, plus call
-counts that pin the sharing."""
+"""One family pool per hom check, one target sum per distinct image in a hom
+scan, one extension value per class, and a congruence graph built from the
+block-sum engine's keys: each checked against the loop it replaced, kept here
+as the oracle, plus call counts that pin the sharing."""
 import inspect
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sigmasum.checker as checker
 import sigmasum.constructions as constructions
 import sigmasum.core as core
+import sigmasum.family as family
 import sigmasum.free_strong as free_strong
 from sigmasum.checker import conclude_flavor
 from sigmasum.constructions import (
@@ -231,6 +232,51 @@ SMALL_INSTANCES = [unit_instance(), powerset_parity_instance(("a",)),
 
 
 @st.composite
+def hom_tables(draw):
+    """(source, target, table, element on which f raises or None, budget)."""
+    x, y = (draw(st.sampled_from(SMALL_INSTANCES)) for _ in range(2))
+    xs = x.carrier.elements
+    table = dict(zip(xs, draw(st.lists(st.sampled_from(y.carrier.elements),
+                                       min_size=len(xs), max_size=len(xs)))))
+    poison = draw(st.sampled_from((None,) + xs))
+    budget = Budget(max_finite_size=draw(st.integers(0, 3)),
+                    max_omega_elems=draw(st.integers(0, 1)),
+                    trials=draw(st.integers(0, 4)), seed=draw(st.integers(0, 9)))
+    return x, y, table, poison, budget
+
+
+def _scan(check, drawn):
+    """(verdict or raised error, the arguments f was called with)."""
+    x, y, table, poison, budget = drawn
+    calls = []
+
+    def f(e):
+        calls.append(e)
+        if e == poison:
+            raise LookupError(e)
+        return table[e]
+
+    try:
+        outcome = check(f, x, y, budget)
+    except LookupError as err:
+        outcome = ("raised", err.args)
+    return outcome, calls
+
+
+@settings(max_examples=150)
+@given(hom_tables())
+@example((cyclic_instance(3), cyclic_instance(2), {0: 0, 1: 1, 2: 1}, 2,
+          Budget(max_finite_size=2, max_omega_elems=1, trials=0)))
+def test_check_hom_matches_the_image_per_family_scan(drawn):
+    """The same verdict, and f called on the same elements in the same order
+    (so a raising f raises at the same family), as building and summing every
+    image anew."""
+    scan = lambda f, x, y, budget: core.check_hom(  # noqa: E731
+        f, x, y, budget_families(x, budget))
+    assert _scan(scan, drawn) == _scan(oracle_check_hom, drawn)
+
+
+@st.composite
 def bilinear_tables(draw):
     x, y, z = (draw(st.sampled_from(SMALL_INSTANCES)) for _ in range(3))
     keys = list(itertools.product(x.carrier.elements, y.carrier.elements))
@@ -346,6 +392,13 @@ GRAPHS = [
      CongruenceCaps(max_family_size=2, max_omega_elems=0), (0, 1, 2)),
     # a symbolic carrier whose samples already hold the zero
     ("int-size3", int_group_instance, CongruenceCaps(max_family_size=3), None),
+    # block sums outside the universe: 11,743 of the 11,943 (member, block-sum
+    # family) pairs here, and 189 of 1,345 in the next case, where they have
+    # two omega elements or four finite ones
+    ("extnat-size3", ext_nat_instance, CongruenceCaps(max_family_size=3),
+     (0, 1, 2)),
+    ("parity-size3", lambda: powerset_parity_instance(("a", "b")),
+     CongruenceCaps(max_family_size=3), None),
 ]
 
 
@@ -360,6 +413,28 @@ def test_congruence_graph_matches_unpruned_paddings(name, make, caps, pool):
     for fam in universe:
         assert graph.successors(fam) == succ[fam]
     assert graph.components() == components
+
+
+def test_congruence_graph_builds_only_the_blocks_it_sums(monkeypatch):
+    """The edges come from the engine's keys: a ``Family`` is built only for
+    a block handed to the rule, never for a block-sum family (at size 2, 6,188
+    of the 6,275 (member, block-sum family) pairs lie outside the universe)."""
+    built, summed = [], []
+
+    def counted(raw, _canonicalize=family.canonicalize):
+        built.append(_canonicalize(raw))
+        return built[-1]
+
+    def counted_sum(inst, fam, _sum=SigmaInstance.sum):
+        summed.append(fam)
+        return _sum(inst, fam)
+
+    monkeypatch.setattr(family, "canonicalize", counted)
+    monkeypatch.setattr(SigmaInstance, "sum", counted_sum)
+    CongruenceGraph(ext_nat_instance(), CongruenceCaps(max_family_size=2),
+                    pool=(0, 1, 2))
+    assert built == summed
+    assert len(built) == 66
 
 
 # -- one pool per call ---------------------------------------------------------
