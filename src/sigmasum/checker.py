@@ -182,14 +182,14 @@ def _regroup(law, inst, budget, fams, engine):
 
     def witness(fam):
         r = inst.sum(fam)
-        part, sums = first_partition_sums(inst, fam, shape, budget.caps,
+        part, sums = first_partition_sums(inst, fam, shape, engine.caps,
                                           lambda sums: bad(r, sums))
         return {"family": _format_family(inst, fam),
                 "partition": _format_partition(inst, part),
                 "block_sums": _format_family(inst, sums)}
 
     verdict = _first_violation(law, fams, violates, witness, applies)
-    if verdict.status == PASS and any(static_truncation(fam, budget.caps)
+    if verdict.status == PASS and any(static_truncation(fam, engine.caps)
                                       for fam in fams if applies(fam)):
         verdict.status = TRUNCATED
     return verdict

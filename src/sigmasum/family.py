@@ -69,6 +69,7 @@ class Family(CachedHash):
 
     finite: tuple = ()
     omega: tuple = ()
+    _sort_key = None  # not a field: sort_key's cache, as _hash is __hash__'s
 
     @staticmethod
     def of(*elements) -> "Family":
@@ -121,19 +122,17 @@ class Family(CachedHash):
         return self._hash
 
     def sort_key(self):
-        key = self.__dict__.get("_sort_key")
-        if key is None:
+        if self._sort_key is None:
             # lexicographic on the flattened sorted word, so {+,+,-} < {+,-,-}
             word = tuple(k for e, c in self.finite
                          for k in (canonical_key(e),) * c)
-            key = (
+            object.__setattr__(self, "_sort_key", (
                 self.finite_total,
                 len(self.omega),
                 word,
                 tuple(canonical_key(e) for e in self.omega),
-            )
-            object.__setattr__(self, "_sort_key", key)
-        return key
+            ))
+        return self._sort_key
 
     def __repr__(self):
         fin = ", ".join(f"{e!r}:{c}" for e, c in self.finite)
@@ -284,10 +283,6 @@ class Partition:
             (e, count_mul(c, m)) for b, m in self.blocks for e, c in b.items()
         )
 
-    @property
-    def n_blocks(self):
-        return sum(m for _, m in self.blocks) if self.blocks else 0
-
     def __repr__(self):
         inner = ", ".join(f"{b!r}x{m}" for b, m in self.blocks)
         return f"Partition[{inner}]"
@@ -329,6 +324,7 @@ def _partitions(fam: Family, shape: str, caps: Caps, block_filter):
               and (block_filter is None or block_filter(b))]
     blocks.reverse()
     splits = caps.omega_splits
+    pos = {e: i for i, e in enumerate(fam.omega)}  # rec's used is by position
 
     def rec(start, rem, used, entries, room):
         """``entries`` if complete, then its extensions by ``blocks[start:]``
@@ -336,13 +332,14 @@ def _partitions(fam: Family, shape: str, caps: Caps, block_filter):
         ``rem`` holds the finite counts still to cover, ``used`` the entries
         supplying omega to each omega element (each needs one), ``room`` what
         is left under ``block_count``; omega multiplicity takes one unit."""
-        if not any(rem.values()) and all(used.values()):
+        if not any(rem.values()) and all(used):
             yield Partition(entries)
         if room <= 0:
             return
         for j in range(start, len(blocks)):
             block = blocks[j]
-            if any(used[e] >= splits for e in block.omega):
+            om = [pos[e] for e in block.omega]
+            if any(used[i] >= splits for i in om):
                 continue
             touch = [(e, t) for e, t in block.finite if e in rem]
             mmax = min([room] + [rem[e] // t for e, t in touch])
@@ -350,25 +347,18 @@ def _partitions(fam: Family, shape: str, caps: Caps, block_filter):
                 left = dict(rem)
                 for e, t in touch:
                     left[e] -= m * t
-                yield from rec(j + 1, left, _supplied(used, block.omega),
+                yield from rec(j + 1, left, _supply(used, om),
                                entries + ((block, m),), room - m)
             # omega copies of a block must leave the finite counts alone; then
             # each of its elements is an omega element and gains a supplier
-            if (not touch and shape != FLATTENING
-                    and all(used[e] < splits for e in block.support())):
-                yield from rec(j + 1, rem, _supplied(used, block.support()),
-                               entries + ((block, OMEGA),), room - 1)
+            if not touch and shape != FLATTENING:
+                sup = [pos[e] for e in block.support()]
+                if all(used[i] < splits for i in sup):
+                    yield from rec(j + 1, rem, _supply(used, sup),
+                                   entries + ((block, OMEGA),), room - 1)
 
-    yield from rec(0, dict(fam.finite), dict.fromkeys(fam.omega, 0), (),
+    yield from rec(0, dict(fam.finite), (0,) * len(fam.omega), (),
                    caps.block_count)
-
-
-def _supplied(used: dict, elements) -> dict:
-    """``used`` with one more supplying entry for each of ``elements``."""
-    out = dict(used)
-    for e in elements:
-        out[e] += 1
-    return out
 
 
 def first_partition_sums(inst, fam: Family, shape: str, caps: Caps, accept):
@@ -551,4 +541,5 @@ class BlockSumEngine:
 
 
 def _supply(used, supplied) -> tuple:
+    """``used`` with one more supplier at each position in ``supplied``."""
     return tuple(u + 1 if j in supplied else u for j, u in enumerate(used))

@@ -18,10 +18,8 @@ from .family import (
     Caps,
     Family,
     NonNegative,
-    OMEGA,
     families_within,
     first_partition_sums,
-    is_omega,
     map_family,
     static_truncation,
 )
@@ -72,9 +70,8 @@ def _zero_split(pairs, zero) -> tuple:
 
 def _covers(have, want) -> bool:
     """Is the zero split ``want`` the split ``have`` plus any number (even
-    omega) of zeros?"""
-    return have[0] == want[0] and (is_omega(want[1]) if is_omega(have[1])
-                                   else want[1] >= have[1])
+    omega) of zeros? An omega count is ``inf``: only omega covers it."""
+    return have[0] == want[0] and want[1] >= have[1]
 
 
 def _matches_up_to_zeros(sums: Family, target: Family, zero) -> bool:
@@ -87,10 +84,11 @@ def leads_to(inst: SigmaInstance, a: Family, b: Family,
              caps: CongruenceCaps = CongruenceCaps()) -> LeadsTo:
     """One-step relation: some partition of ``a`` into summable blocks has
     block sums forming exactly ``b`` (up to extra zeros, i.e. empty blocks)."""
+    pcaps = caps.caps
     part, _ = first_partition_sums(
-        inst, a, UNCONSTRAINED, caps.caps,
+        inst, a, UNCONSTRAINED, pcaps,
         lambda sums: _matches_up_to_zeros(sums, b, inst.zero))
-    return LeadsTo(part is not None, part, static_truncation(a, caps.caps))
+    return LeadsTo(part is not None, part, static_truncation(a, pcaps))
 
 
 @dataclass
@@ -131,7 +129,7 @@ class CongruenceGraph:
         self._succ: dict = {}
         self._undirected: dict = {fam: set() for fam in self.universe}
         for fam in self.universe:
-            self.truncated |= static_truncation(fam, caps.caps)
+            self.truncated |= static_truncation(fam, engine.caps)
             targets = self._succ[fam] = set()
             for key in engine.block_sum_keys(fam, UNCONSTRAINED):
                 if key not in moves:
@@ -260,19 +258,15 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             admitted.append(cls)
 
     reps = {cls: cls.rep.items() for cls in classes}
-    by_counts = {(frozenset(fam.finite), frozenset(fam.omega)): cls
+    by_counts = {frozenset(fam.items()): cls
                  for fam, cls in class_of_family.items()}
 
     def rule(fam_of_classes: Family):
-        fin, om = {}, set()
+        counts = {}
         for cls, c in fam_of_classes.items():
-            for e, ce in reps[cls]:
-                if OMEGA in (c, ce):  # omega absorbs the finite copies
-                    om.add(e)
-                    fin.pop(e, None)
-                elif e not in om:
-                    fin[e] = fin.get(e, 0) + c * ce
-        cls = by_counts.get((frozenset(fin.items()), frozenset(om)))
+            for e, ce in reps[cls]:  # counts are nonzero; omega is inf
+                counts[e] = counts.get(e, 0) + c * ce
+        cls = by_counts.get(frozenset(counts.items()))
         return UNDEFINED if cls is None else Defined(cls)
 
     return QuotientInstance(

@@ -282,6 +282,8 @@ class FiniteMonoid:
                 if op(a, b) not in self.elements:
                     raise ConstructionError(
                         f"({a!r},{b!r}): {op(a, b)!r} is not an element")
+        if identity not in self.elements:
+            raise ConstructionError(f"identity {identity!r} is not an element")
         for a in self.elements:
             if op(a, identity) != a or op(identity, a) != a:
                 raise ConstructionError(f"{a!r}: identity law fails")
@@ -323,7 +325,7 @@ def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
     return SigmaInstance(
         name or f"discrete({monoid.name})",
         FiniteCarrier(monoid.elements), monoid.identity,
-        lambda fam: extended_sum_discrete(monoid, fam),
+        fold_rule(monoid.fold, len(monoid.elements)),
         flavor="finitely_total",
         codec=INT_CODEC if all(isinstance(e, int) for e in monoid.elements) else None,
     )

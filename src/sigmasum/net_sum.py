@@ -142,8 +142,9 @@ def _certified(gf, eps, max_terms):
     with the tail, which comes in index order. ``sorted_tail`` over the block
     finds the stop; ``gen`` runs on exactly the indices consumed up to it, in
     order, and ``bound`` on at most one tail index more. A term above its
-    bound (up to a relative 1e-12), a NaN term or bound, or a tail bound
-    above the one before raises CertificateError at its index."""
+    bound (up to a relative 1e-12), a NaN term or bound, a tail bound above
+    the one before, or a negative ``sorted_tail`` at the stop raises
+    CertificateError at its index."""
     cert = gf.certificate
     k = cert.nonincreasing_from
     k = max_terms if k is None else min(k, max_terms)
@@ -175,6 +176,9 @@ def _certified(gf, eps, max_terms):
         if not math.isfinite(total):
             raise OverflowError("the sum overflows the float range")
         if hit is not None:
+            if tails[hit - a] < 0:
+                raise CertificateError(
+                    f"sorted_tail({hit}) = {tails[hit - a]} is negative")
             return NetVerdict("converged", total, tails[hit - a],
                               terms_used=used)
     return NetVerdict("inconclusive", terms_used=max_terms)

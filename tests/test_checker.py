@@ -379,3 +379,14 @@ def test_conclude_flavor_is_none_when_a_weak_law_fails():
     assert [v.law for v in report.laws if v.failed] == [
         "bracketing", "flattening", "strong_bracketing", "strong_flattening",
         "zero_sum_all_zero", "finite_totality"]
+
+
+def test_a_weak_run_builds_its_partition_caps_once(caps_built):
+    # the truncation scan and the witnesses read the engine's caps; the
+    # regrouping fixture fails both regrouping laws, so witnesses are built
+    for inst in (pm_instance(), resolve_instance(REGROUPING_FAILS)):
+        caps_built.clear()
+        report = check_weak(inst, BUDGET)
+        assert [v.status for v in report.laws][2:] in (
+            ["truncated", "truncated"], ["fail", "fail"])
+        assert len(caps_built) == 1

@@ -1,8 +1,9 @@
 """The library has no runtime dependencies: every module under ``sigmasum``
 imports only the standard library and ``sigmasum`` itself, only at module
 level (the package's lazy exports are the one deferred import), uses every
-name it imports, takes no private name of a sibling module and reads no
-private attribute of anything but ``self``. The package
+name it imports, takes no private name of a sibling module, reads no
+private attribute of anything but ``self`` and uses each private name it
+binds at module level; every law a suite names has its function. The package
 exports, by defining submodule, the names listed here, and a
 cold ``sigmasum net`` loads only the net engine."""
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import sigmasum
+from sigmasum import checker
 
 
 def test_library_imports_only_the_standard_library():
@@ -130,6 +132,43 @@ def test_library_reads_private_attributes_only_of_self():
             if not (isinstance(owner, ast.Name) and owner.id == "self"):
                 reads.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
     assert reads == []
+
+
+def test_every_law_in_a_suite_has_its_function_and_no_other():
+    """The runner dispatches law ``x`` to ``checker._law_x`` by name, so a
+    misspelt law or a law function no suite names shows only here."""
+    named = checker.WEAK_LAWS + checker.STRONG_LAWS + checker.FT_LAWS \
+        + checker.GROUP_LAWS
+    defined = sorted(n.removeprefix("_law_") for n in vars(checker)
+                     if n.startswith("_law_"))
+    assert len(set(named)) == len(named)
+    assert sorted(named) == defined
+    assert all(callable(getattr(checker, "_law_" + law)) for law in named)
+
+
+def test_every_private_module_level_name_is_used_in_its_module():
+    """A module-level ``_name`` (function, class or binding) is referenced in
+    its own module, other than where it is bound; the law functions, which
+    the runner finds by name, are checked by the test above instead."""
+    root = Path(sigmasum.__file__).parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(root)
+        bound = [node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))]
+        bound += [target.id for node in tree.body
+                  if isinstance(node, ast.Assign) for target in node.targets
+                  if isinstance(target, ast.Name)]
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unused += [f"{where}: {name}" for name in bound
+                   if _is_private(name) and name not in loaded
+                   and not (where.name == "checker.py"
+                            and name.startswith("_law_"))]
+    assert unused == []
 
 
 def test_omega_is_spelled_only_as_family_omega():

@@ -293,7 +293,7 @@ def test_partition_omega_flattening_includes_expected_splits():
 def test_partition_flattening_has_finitely_many_blocks():
     fam = Family.from_counts([], omega=["0"])
     for p in enumerate_partitions(fam, FLATTENING, Caps()):
-        assert p.n_blocks != OMEGA
+        assert all(m != OMEGA for _, m in p.blocks)
 
 
 def test_partition_bracketing_blocks_all_finite():
@@ -333,7 +333,7 @@ def test_partition_shapes_agree_on_their_overlap():
     assert brack <= unc and flat <= unc
     overlap = {key(p) for p in enumerate_partitions(fam, UNCONSTRAINED, caps)
                if all(b.is_finite for b, _ in p.blocks)
-               and p.n_blocks != OMEGA}
+               and all(m != OMEGA for _, m in p.blocks)}
     assert brack & flat == overlap
 
 
@@ -411,6 +411,86 @@ def test_stream_order_pm_with_omega(shape):
     stream = enumerate_partitions(fam, shape, Caps(2, 2, 2))
     assert [repr(p) for p in stream] == _PM_OMEGA_ORDER[shape]
     assert static_truncation(fam, Caps(2, 2, 2))
+
+
+# the first 10 partitions of {+; omega: 0, -}, each omega element allowed one
+# supplier, and the stream lengths
+_TWO_OMEGA_ORDER = {
+    BRACKETING: (216, [
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '0':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':1, '0':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '0':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':1})x1]",
+        "Partition[Family({'0':3})x1, "
+        "Family({'-':1, '0':2})xinf, Family({'+':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '0':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '-':1, '0':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '-':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '0':1})x1]",
+    ]),
+    FLATTENING: (307, [
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})x1, "
+        "Family({'+':1}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})x1, "
+        "Family({'+':1}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':3})x1, "
+        "Family({'+':1}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'+':1, '0':2})x1, "
+        "Family({}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'+':1, '-':1, '0':1})x1, "
+        "Family({}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'+':1, '-':2})x1, "
+        "Family({}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'0':2}, omega={'-'})x1, "
+        "Family({'+':1, '-':1}, omega={'0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'0':2}, omega={'-'})x1, "
+        "Family({'+':1}, omega={'0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2}, omega={'0'})x1, "
+        "Family({'+':1, '0':1}, omega={'-'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2}, omega={'0'})x1, "
+        "Family({'+':1}, omega={'-'})x1]",
+    ]),
+    UNCONSTRAINED: (1157, [
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})x1, "
+        "Family({'+':1}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '0':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':1, '0':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '0':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':1, '0':2})xinf, "
+        "Family({'+':1, '-':1})x1]",
+        "Partition[Family({'0':3})x1, "
+        "Family({'-':1, '0':2})xinf, Family({'+':1})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})x1, "
+        "Family({'+':1}, omega={'-', '0'})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '0':2})x1]",
+        "Partition[Family({'0':3})x1, Family({'-':2, '0':1})xinf, "
+        "Family({'+':1, '-':1, '0':1})x1]",
+    ]),
+}
+
+
+@pytest.mark.parametrize("shape", [BRACKETING, FLATTENING, UNCONSTRAINED])
+def test_stream_order_with_two_omega_elements_and_one_split(shape):
+    fam = Family.from_counts([("+", 1)], omega=["0", "-"])
+    parts = [repr(p) for p in enumerate_partitions(fam, shape, Caps(3, 3, 1))]
+    length, head = _TWO_OMEGA_ORDER[shape]
+    assert (len(parts), parts[:10]) == (length, head)
 
 
 def test_stream_order_real_summable_blocks():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -43,6 +44,7 @@ from sigmasum.free_strong import (
     factorize,
     free_strong_quotient,
     intersect_instances,
+    _covers,
     _matches_up_to_zeros,
     leads_to,
 )
@@ -123,6 +125,24 @@ def _families_on_zero_a_b(draw):
         else:
             finite.append((e, draw(st.integers(0, 3))))
     return Family.from_counts(finite, omega)
+
+
+def _branchy_covers(have, want):
+    """``_covers`` with the omega count written out by hand, as an oracle."""
+    return have[0] == want[0] and (is_omega(want[1]) if is_omega(have[1])
+                                   else want[1] >= have[1])
+
+
+def test_covers_adds_omega_as_infinity():
+    counts, rests = (0, 1, 2, OMEGA), ((), (("a", 1),))
+    cases = [((hr, h), (wr, w)) for hr, h, wr, w
+             in itertools.product(rests, counts, rests, counts)]
+    assert len(cases) == 64
+    assert [_covers(*c) for c in cases] == [_branchy_covers(*c) for c in cases]
+    # only equal zero-free parts, and then exactly when want has no fewer zeros
+    assert {c for c in cases if _covers(*c)} == {
+        ((r, h), (r, w)) for r in rests
+        for h in counts for w in counts if counts.index(w) >= counts.index(h)}
 
 
 @given(_families_on_zero_a_b(), _families_on_zero_a_b(), st.booleans())
@@ -465,3 +485,13 @@ def test_factorize_canonicalizes_few_families(monkeypatch):
     calls.clear()
     assert factorize(pm, en, const0).commutes
     assert len(calls) <= 8000  # 18,247 when it canonicalized the union
+
+
+def test_congruence_search_builds_its_partition_caps_once(caps_built):
+    caps = CongruenceCaps(max_family_size=2)
+    graph = CongruenceGraph(ext_nat_instance(), caps, pool=(0, 1, 2))
+    assert graph.truncated and len(caps_built) == 1
+    caps_built.clear()
+    assert leads_to(pm_instance(), Family.of("+", "-"), Family.of("0"),
+                    caps).holds
+    assert len(caps_built) == 1

@@ -354,6 +354,29 @@ def test_rising_bound_in_a_declared_tail_is_detected():
         extended_sum_real(gf, eps=1e-9)
 
 
+def test_negative_tail_at_the_stop_is_a_certificate_error():
+    gf = GeneratorFamily(gen=lambda i: 0.5 ** i,
+                         certificate=AbsoluteBound(lambda i: 0.5 ** i,
+                                                   lambda n: -1.0 if n >= 2
+                                                   else 1.0, 0))
+    with pytest.raises(CertificateError, match=r"^sorted_tail\(2\) = -1.0 is "
+                                               r"negative$"):
+        extended_sum_real(gf, eps=1e-9)
+    # a negative zero is zero: the bound holds
+    zero = GeneratorFamily(gen=lambda i: 0.0, certificate=AbsoluteBound(
+        lambda i: 0.0, lambda n: -0.0, 0))
+    assert extended_sum_real(zero, eps=1e-9) == NetVerdict(
+        "converged", 0.0, -0.0, terms_used=1)
+
+
+def test_nan_tail_never_stops_the_certified_engine():
+    gf = GeneratorFamily(gen=lambda i: 0.5 ** i,
+                         certificate=AbsoluteBound(lambda i: 0.5 ** i,
+                                                   lambda n: math.nan, 0))
+    assert extended_sum_real(gf, eps=1e-9, max_terms=50) == NetVerdict(
+        "inconclusive", terms_used=50)
+
+
 # -- divergence and inconclusive ---------------------------------------------------
 
 
@@ -597,6 +620,9 @@ def test_discrete_fold_oracle_mod_two():
 def test_discrete_rejects_foreign_elements():
     with pytest.raises(CarrierError):
         extended_sum_discrete(cyclic_monoid(2), Family.of(7))
+    # the instance checks its carrier before the rule runs
+    with pytest.raises(CarrierError, match="^7 is not in the carrier of "):
+        discrete_instance(cyclic_monoid(2)).sum(Family.of(7))
 
 
 def test_monoid_table_validated():
@@ -609,6 +635,18 @@ def test_monoid_table_validated():
     table = {(1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): 2}
     with pytest.raises(ConstructionError, match=r"^\(1,1,2\): not associative$"):
         FiniteMonoid((0, 1, 2), lambda a, b: table.get((a, b), a + b), 0)
+
+
+def test_monoid_identity_must_be_an_element():
+    # max has 0 as its identity on {1, 2}, but the empty family's sum, the
+    # identity, would lie outside the monoid
+    with pytest.raises(ConstructionError, match="^identity 0 is not an element$"):
+        FiniteMonoid((1, 2), max, 0)
+    with pytest.raises(ConstructionError, match="^identity 0 is not an element$"):
+        cyclic_monoid(0)
+    # the closure check comes first
+    with pytest.raises(ConstructionError, match=r"^\(1,1\): 2 is not an element$"):
+        FiniteMonoid((1,), lambda a, b: a + b, 0)
 
 
 def test_monoid_table_must_be_closed():
