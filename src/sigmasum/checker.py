@@ -95,47 +95,53 @@ def _shrink_candidates(fam: Family):
 
 def shrink_family(fam: Family, violates) -> Family:
     """Greedy minimization: drop occurrences / demote omega parts while the
-    violation persists."""
-    improved = True
-    while improved:
-        improved = False
+    violation persists. Every candidate is smaller than ``fam``."""
+    while True:
         for cand in sorted(_shrink_candidates(fam), key=Family.sort_key):
-            if cand != fam and violates(cand):
+            if violates(cand):
                 fam = cand
-                improved = True
                 break
-    return fam
+        else:
+            return fam
 
 
 # -- individual laws --------------------------------------------------------
 
 
-def _first_violation(law, fams, violates, witness, applies=None):
-    """Scan ``fams`` in order, counting the families ``applies`` admits (all
-    of them without it); the first admitted family that ``violates`` the law
-    is shrunk and reported as ``witness(shrunk)``. ``violates`` must check the
-    precondition itself: the shrinker calls it on families never admitted."""
-    checked = 0
+def _first_violation(law, inst, fams, violates, extra=None, applies=None,
+                     clipped=None):
+    """The one scan deciding a law's verdict: count the families of ``fams``
+    that ``applies`` admits (all without it), shrink the first admitted one
+    that ``violates`` the law and report its ``family`` entry plus
+    ``extra(shrunk)``. ``violates`` checks the precondition itself, since the
+    shrinker calls it on families never admitted. A law with no violation is
+    ``truncated`` if ``clipped`` held for an admitted family, else ``pass``."""
+    checked, status = 0, PASS
     for fam in fams:
         if applies is not None and not applies(fam):
             continue
         checked += 1
         if violates(fam):
-            return LawVerdict(law, FAIL, witness(shrink_family(fam, violates)),
-                              checked)
-    return LawVerdict(law, PASS, checked=checked)
+            fam = shrink_family(fam, violates)
+            witness = {"family": _format_family(inst, fam)}
+            witness.update(extra(fam) if extra is not None else {})
+            return LawVerdict(law, FAIL, witness, checked)
+        if status == PASS and clipped is not None and clipped(fam):
+            status = TRUNCATED
+    return LawVerdict(law, status, checked=checked)
 
 
-def _law_singleton(inst, budget, fams, engine):
-    for i, x in enumerate(inst.samples()):
-        if inst.sum(Family.of(x)) != Defined(x):
-            return LawVerdict("singleton", FAIL,
-                              {"family": _format_family(inst, Family.of(x))},
-                              checked=i + 1)
-    return LawVerdict("singleton", PASS, checked=len(inst.samples()))
+def _law_singleton(inst, fams, engine):
+    # the shrinker's one candidate, the empty family, is no singleton
+    def violates(fam):
+        return (fam.finite_total == 1
+                and inst.sum(fam) != Defined(fam.finite[0][0]))
+
+    return _first_violation("singleton", inst, map(Family.of, inst.samples()),
+                            violates)
 
 
-def _law_neutral_element(inst, budget, fams, engine):
+def _law_neutral_element(inst, fams, engine):
     if inst.sum(EMPTY) != Defined(inst.zero):
         return LawVerdict("neutral_element", FAIL,
                           {"family": _format_family(inst, EMPTY)}, 1)
@@ -146,17 +152,15 @@ def _law_neutral_element(inst, budget, fams, engine):
     def violates(fam):
         return defined(fam) and not defined(fam.without(inst.zero))
 
-    def witness(fam):
-        return {"family": _format_family(inst, fam),
-                "stripped": _format_family(inst, fam.without(inst.zero))}
-
-    verdict = _first_violation("neutral_element", fams, violates, witness,
-                               defined)
+    verdict = _first_violation(
+        "neutral_element", inst, fams, violates,
+        lambda fam: {"stripped": _format_family(inst, fam.without(inst.zero))},
+        defined)
     verdict.checked += 1  # the empty family
     return verdict
 
 
-def _regroup(law, inst, budget, fams, engine):
+def _regroup(law, inst, fams, engine):
     """(strong_)bracketing: a defined whole must regroup to the same value;
     (strong_)flattening: a defined regrouping forces the whole. A weak law
     names its partition shape, a strong one scans the unconstrained shape.
@@ -180,19 +184,15 @@ def _regroup(law, inst, budget, fams, engine):
         r = inst.sum(fam)
         return any(bad(r, sums) for sums in engine.block_sums(fam, shape))
 
-    def witness(fam):
+    def extra(fam):
         r = inst.sum(fam)
         part, sums = first_partition_sums(inst, fam, shape, engine.caps,
                                           lambda sums: bad(r, sums))
-        return {"family": _format_family(inst, fam),
-                "partition": _format_partition(inst, part),
+        return {"partition": _format_partition(inst, part),
                 "block_sums": _format_family(inst, sums)}
 
-    verdict = _first_violation(law, fams, violates, witness, applies)
-    if verdict.status == PASS and any(static_truncation(fam, engine.caps)
-                                      for fam in fams if applies(fam)):
-        verdict.status = TRUNCATED
-    return verdict
+    return _first_violation(law, inst, fams, violates, extra, applies,
+                            lambda fam: static_truncation(fam, engine.caps))
 
 
 _law_bracketing = partial(_regroup, "bracketing")
@@ -201,8 +201,8 @@ _law_strong_bracketing = partial(_regroup, "strong_bracketing")
 _law_strong_flattening = partial(_regroup, "strong_flattening")
 
 
-def _law_subsummability(inst, budget, fams, engine):
-    omega_cap = budget.caps.block_size
+def _law_subsummability(inst, fams, engine):
+    omega_cap = engine.caps.block_size
 
     def bad_sub(fam):
         if not inst.sum(fam).defined:
@@ -212,44 +212,39 @@ def _law_subsummability(inst, budget, fams, engine):
                 return sub
         return None
 
-    def witness(fam):
-        return {"family": _format_family(inst, fam),
-                "subfamily": _format_family(inst, bad_sub(fam))}
-
-    return _first_violation("subsummability", fams,
-                            lambda fam: bad_sub(fam) is not None, witness,
-                            lambda fam: inst.sum(fam).defined)
+    return _first_violation(
+        "subsummability", inst, fams, lambda fam: bad_sub(fam) is not None,
+        lambda fam: {"subfamily": _format_family(inst, bad_sub(fam))},
+        lambda fam: inst.sum(fam).defined)
 
 
-def _law_zero_sum_all_zero(inst, budget, fams, engine):
+def _law_zero_sum_all_zero(inst, fams, engine):
     def violates(fam):
         return (inst.sum(fam) == Defined(inst.zero)
                 and any(e != inst.zero for e in fam.support()))
 
-    return _first_violation("zero_sum_all_zero", fams, violates,
-                            lambda fam: {"family": _format_family(inst, fam)})
+    return _first_violation("zero_sum_all_zero", inst, fams, violates)
 
 
-def _law_finite_totality(inst, budget, fams, engine):
+def _law_finite_totality(inst, fams, engine):
     def violates(fam):
         return fam.is_finite and not inst.sum(fam).defined
 
-    return _first_violation("finite_totality", fams, violates,
-                            lambda fam: {"family": _format_family(inst, fam)},
-                            lambda fam: fam.is_finite)
+    return _first_violation("finite_totality", inst, fams, violates,
+                            applies=lambda fam: fam.is_finite)
 
 
-def _law_inverses_exist(inst, budget, fams, engine):
-    for i, x in enumerate(inst.samples()):
-        pair = Family.of(x, inst.inversion(x))
-        if inst.sum(pair) != Defined(inst.zero):
-            return LawVerdict("inverses_exist", FAIL,
-                              {"family": _format_family(inst, pair)},
-                              checked=i + 1)
-    return LawVerdict("inverses_exist", PASS, checked=len(inst.samples()))
+def _law_inverses_exist(inst, fams, engine):
+    # the shrinker's candidates, one element of the pair, are no pairs
+    def violates(fam):
+        return fam.finite_total == 2 and inst.sum(fam) != Defined(inst.zero)
+
+    return _first_violation(
+        "inverses_exist", inst,
+        (Family.of(x, inst.inversion(x)) for x in inst.samples()), violates)
 
 
-def _law_inversion_hom(inst, budget, fams, engine):
+def _law_inversion_hom(inst, fams, engine):
     verdict = check_hom(inst.inversion, inst, inst, fams)
     if not verdict.ok:
         return LawVerdict("inversion_hom", FAIL,
@@ -258,16 +253,15 @@ def _law_inversion_hom(inst, budget, fams, engine):
     return LawVerdict("inversion_hom", PASS, checked=verdict.checked)
 
 
-def _law_inverse_cancellation(inst, budget, fams, engine):
+def _law_inverse_cancellation(inst, fams, engine):
     def violates(fam):
         if not inst.sum(fam).defined:
             return False
         both = disjoint_union(fam, map_family(inst.inversion, fam))
         return inst.sum(both) != Defined(inst.zero)
 
-    return _first_violation("inverse_cancellation", fams, violates,
-                            lambda fam: {"family": _format_family(inst, fam)},
-                            lambda fam: inst.sum(fam).defined)
+    return _first_violation("inverse_cancellation", inst, fams, violates,
+                            applies=lambda fam: inst.sum(fam).defined)
 
 
 # -- suites ------------------------------------------------------------------
@@ -279,7 +273,7 @@ def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
     one block-sum engine, which serves every partition shape. Without an
     inversion map installed the group laws are skipped, or fail with that
     reason when ``require_group`` is set. Each law runs as the module's
-    ``_law_<law>``, looked up at call time."""
+    ``_law_<law>(inst, fams, engine)``, looked up at call time."""
     fams = budget_families(inst, budget)
     engine = BlockSumEngine(inst, budget.caps)
     report = LawReport(inst.name, budget)
@@ -289,7 +283,7 @@ def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
                 report.laws.append(LawVerdict(
                     law, FAIL, {"reason": "no inversion map installed"}))
             continue
-        report.laws.append(globals()["_law_" + law](inst, budget, fams, engine))
+        report.laws.append(globals()["_law_" + law](inst, fams, engine))
     return report
 
 
@@ -342,13 +336,10 @@ def conclude_flavor(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport
 
 def suite_for(laws: str):
     """Suite selector used by the command line: weak | strong | ft | group | all."""
-    def group(inst, budget):
-        return check_ft_and_group(inst, budget, require_group=True)
-
     return {
         "weak": check_weak,
         "strong": check_strong,
         "ft": check_ft_and_group,
-        "group": group,
+        "group": partial(check_ft_and_group, require_group=True),
         "all": conclude_flavor,
     }[laws]

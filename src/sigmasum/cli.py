@@ -233,25 +233,16 @@ def cmd_check(args, out) -> int:
         raise UsageError(f"cannot write report: {exc}")
     with sink as fh:
         report = lib.checker.suite_for(args.laws)(inst, budget)
+        base = {"instance": inst.name, "budget": budget.to_dict(), "seed": seed}
         lines = []
-        for verdict in report.laws:
-            row = {
-                "instance": inst.name,
-                "law": verdict.law,
-                "verdict": verdict.status,
-                "checked": verdict.checked,
-                "budget": budget.to_dict(),
-                "seed": seed,
-            }
-            if verdict.witness is not None:
-                row["witness"] = verdict.witness
+        for v in report.laws:
+            row = dict(base, law=v.law, verdict=v.status, checked=v.checked)
+            if v.witness is not None:
+                row["witness"] = v.witness
             lines.append(json.dumps(row, sort_keys=True))
         if report.flavor is not None:
-            lines.append(json.dumps({
-                "instance": inst.name, "law": "flavor_conclusion",
-                "verdict": report.flavor, "budget": budget.to_dict(),
-                "seed": seed,
-            }, sort_keys=True))
+            lines.append(json.dumps(dict(base, law="flavor_conclusion",
+                                         verdict=report.flavor), sort_keys=True))
         try:
             fh.write("\n".join(lines) + "\n")
             fh.flush()

@@ -113,8 +113,6 @@ class CongruenceGraph:
 
     def __init__(self, inst: SigmaInstance, caps: CongruenceCaps = CongruenceCaps(),
                  pool=None):
-        self.inst = inst
-        self.caps = caps
         self.universe = families_within(
             list(inst.samples() if pool is None else pool) + [inst.zero],
             caps.max_family_size, caps.max_omega_elems)

@@ -12,7 +12,7 @@ from sigmasum.core import (
     SigmaInstance,
     UNDEFINED,
 )
-from sigmasum.family import EMPTY, Family
+from sigmasum.family import EMPTY, Family, format_family_literal
 from sigmasum.instances import (
     ElementCodec,
     cyclic_instance,
@@ -390,3 +390,90 @@ def test_a_weak_run_builds_its_partition_caps_once(caps_built):
         assert [v.status for v in report.laws][2:] in (
             ["truncated", "truncated"], ["fail", "fail"])
         assert len(caps_built) == 1
+
+
+# -- the per-sample laws against their former loops ---------------------------
+
+SAMPLES_ONLY = Budget(max_finite_size=1, max_omega_elems=0, trials=0, seed=7)
+
+
+def _singleton_loop(inst):
+    """The singleton law as a loop of its own over the samples: an oracle
+    for the shared scan, which must neither shrink nor recount."""
+    for i, x in enumerate(inst.samples()):
+        if inst.sum(Family.of(x)) != Defined(x):
+            return ("singleton", "fail", i + 1,
+                    {"family": format_family_literal(Family.of(x), inst.codec)})
+    return ("singleton", "pass", len(inst.samples()), None)
+
+
+def _inverses_loop(inst):
+    """The inverse-pair law as a loop of its own over the samples."""
+    for i, x in enumerate(inst.samples()):
+        pair = Family.of(x, inst.inversion(x))
+        if inst.sum(pair) != Defined(inst.zero):
+            return ("inverses_exist", "fail", i + 1,
+                    {"family": format_family_literal(pair, inst.codec)})
+    return ("inverses_exist", "pass", len(inst.samples()), None)
+
+
+def _row(verdict):
+    return (verdict.law, verdict.status, verdict.checked, verdict.witness)
+
+
+def _per_sample_rows(inst):
+    """The per-sample laws' rows as the suites give them, and as the loops
+    do."""
+    got = [_row(check_weak(inst, SAMPLES_ONLY).verdict("singleton"))]
+    want = [_singleton_loop(inst)]
+    if inst.inversion is not None:
+        group = check_ft_and_group(inst, SAMPLES_ONLY)
+        got.append(_row(group.verdict("inverses_exist")))
+        want.append(_inverses_loop(inst))
+    return got, want
+
+
+@pytest.mark.parametrize("selector", ["pm", "parity:a,b", "interval", "zmod:3",
+                                      "real", "int", "extnat", "unit",
+                                      REGROUPING_FAILS])
+def test_per_sample_laws_match_their_loops(selector):
+    got, want = _per_sample_rows(resolve_instance(selector))
+    assert got == want
+
+
+def test_singleton_fails_at_the_third_sample_unshrunk():
+    z3 = cyclic_instance(3)
+
+    def rule(fam):
+        return Defined(1) if fam == Family.of(2) else z3.sum(fam)
+
+    inst = SigmaInstance("two_sums_to_one", z3.carrier, 0, rule,
+                         codec=z3.codec)
+    assert inst.samples() == (0, 1, 2)
+    got, want = _per_sample_rows(inst)
+    assert got == want
+    assert got[0] == ("singleton", "fail", 3,
+                      {"family": "{finite: [2], omega: []}"})
+
+
+def test_a_wrong_inverse_pair_stays_the_witness():
+    # 1 -> 3 is wrong on Z/5, and neither {1} nor {3} sums to zero, so a
+    # shrinker that took a single element would still see a violation
+    z5 = cyclic_instance(5)
+    inverse = {0: 0, 1: 3, 2: 3, 3: 2, 4: 1}
+    inst = SigmaInstance("z5", z5.carrier, 0, z5.sum, inversion=inverse.get,
+                         codec=z5.codec)
+    assert z5.sum(Family.of(1)) != Defined(0) != z5.sum(Family.of(3))
+    got, want = _per_sample_rows(inst)
+    assert got == want
+    assert got[1] == ("inverses_exist", "fail", 2,
+                      {"family": "{finite: [1, 3], omega: []}"})
+
+
+@pytest.mark.parametrize("selector, x", [("zmod:2", 1), ("int", 0)])
+def test_self_inverse_pairs_match_the_loop(selector, x):
+    inst = resolve_instance(selector)
+    assert Family.of(x, inst.inversion(x)) == Family.from_counts([(x, 2)])
+    got, want = _per_sample_rows(inst)
+    assert got == want
+    assert got[1][:2] == ("inverses_exist", "pass")

@@ -3,7 +3,8 @@ imports only the standard library and ``sigmasum`` itself, only at module
 level (the package's lazy exports are the one deferred import), uses every
 name it imports, takes no private name of a sibling module, reads no
 private attribute of anything but ``self`` and uses each private name it
-binds at module level; every law a suite names has its function. The package
+binds at module level, and reads every parameter it takes; every law a suite
+names has its function. The package
 exports, by defining submodule, the names listed here, and a
 cold ``sigmasum net`` loads only the net engine."""
 import ast
@@ -169,6 +170,31 @@ def test_every_private_module_level_name_is_used_in_its_module():
                    and not (where.name == "checker.py"
                             and name.startswith("_law_"))]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    """Each ``def`` reads every parameter but ``self`` in its body, nested
+    functions included. The one exemption is ``fams`` and ``engine`` of the
+    law functions: the runner calls every law as ``(inst, fams, engine)``."""
+    root = Path(sigmasum.__file__).parent
+    unread = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {inner.id for stmt in node.body for inner in ast.walk(stmt)
+                    if isinstance(inner, ast.Name)
+                    and isinstance(inner.ctx, ast.Load)}
+            exempt = {"self"} | ({"fams", "engine"}
+                                 if node.name.startswith("_law_") else set())
+            unread += [f"{where}:{node.lineno} {node.name}({name})"
+                       for name in params
+                       if name not in read and name not in exempt]
+    assert unread == []
 
 
 def test_omega_is_spelled_only_as_family_omega():
