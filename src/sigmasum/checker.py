@@ -21,6 +21,7 @@ from .family import (
     is_omega,
     static_truncation,
     subfamilies,
+    subfamily_product,
 )
 from .core import (
     Budget,
@@ -165,29 +166,28 @@ def _regroup(law, inst, fams, engine):
     (strong_)flattening: a defined regrouping forces the whole. A weak law
     names its partition shape, a strong one scans the unconstrained shape.
 
-    The scan and the shrinker look only at the distinct block-sum families the
-    run's one engine gives for the shape; the shrunk witness's partition is
-    the first violating one in partition-stream order."""
+    The scan and the shrinker compare only the results of the block-sum
+    families the run's one engine gives for the shape; the shrunk witness's
+    partition is the first violating one in partition-stream order."""
     direction = law.removeprefix("strong_")
     shape = direction if direction == law else UNCONSTRAINED
 
     def applies(fam):
         return direction != "bracketing" or inst.sum(fam).defined
 
-    def bad(r, sums):
-        rs = inst.sum(sums)
+    def bad(r, rs):
         if direction == "bracketing":
             return r.defined and rs != r
         return rs.defined and r != rs
 
     def violates(fam):
         r = inst.sum(fam)
-        return any(bad(r, sums) for sums in engine.block_sums(fam, shape))
+        return any(bad(r, rs) for rs in engine.block_sum_results(fam, shape))
 
     def extra(fam):
         r = inst.sum(fam)
         part, sums = first_partition_sums(inst, fam, shape, engine.caps,
-                                          lambda sums: bad(r, sums))
+                                          lambda sums: bad(r, inst.sum(sums)))
         return {"partition": _format_partition(inst, part),
                 "block_sums": _format_family(inst, sums)}
 
@@ -202,19 +202,18 @@ _law_strong_flattening = partial(_regroup, "strong_flattening")
 
 
 def _law_subsummability(inst, fams, engine):
-    omega_cap = engine.caps.block_size
+    # any unsummable subfamily decides; the witness shows the least one
+    def unsummable(sub):
+        return not inst.sum(sub).defined
 
-    def bad_sub(fam):
-        if not inst.sum(fam).defined:
-            return None
-        for sub in subfamilies(fam, omega_finite_cap=omega_cap):
-            if not inst.sum(sub).defined:
-                return sub
-        return None
+    def violates(fam):
+        return inst.sum(fam).defined and any(map(
+            unsummable, subfamily_product(fam, engine.caps.block_size)))
 
     return _first_violation(
-        "subsummability", inst, fams, lambda fam: bad_sub(fam) is not None,
-        lambda fam: {"subfamily": _format_family(inst, bad_sub(fam))},
+        "subsummability", inst, fams, violates,
+        lambda fam: {"subfamily": _format_family(inst, next(filter(
+            unsummable, subfamilies(fam, engine.caps.block_size))))},
         lambda fam: inst.sum(fam).defined)
 
 

@@ -101,20 +101,13 @@ class Family(CachedHash):
         return sum(c for _, c in self.finite)
 
     @property
-    def size_measure(self) -> int:
-        # finite occurrences plus one per omega-repeated element
-        return self.finite_total + len(self.omega)
-
-    @property
     def is_finite(self) -> bool:
         return not self.omega
 
     def without(self, e) -> "Family":
-        """Drop every occurrence of ``e`` (finite and omega)."""
-        return canonicalize((x, c) for x, c in self.items() if x != e)
-
-    def pad(self, e, k) -> "Family":
-        return disjoint_union(self, canonicalize([(e, k)]))
+        """Drop every occurrence of ``e`` (finite and omega), in order."""
+        return Family(tuple(p for p in self.finite if p[0] != e),
+                      tuple(x for x in self.omega if x != e))
 
     def __hash__(self):
         if self._hash is None:
@@ -210,15 +203,17 @@ def subfamilies(fam: Family, omega_finite_cap: int = 2) -> list:
     Taking finitely many copies of an omega element is capped at
     ``omega_finite_cap`` to keep the list finite.
     """
-    axes = []
-    for e, c in fam.finite:
-        axes.append([(e, t) for t in range(c + 1)])
-    for e in fam.omega:
-        takes = [(e, t) for t in range(omega_finite_cap + 1)] + [(e, OMEGA)]
-        axes.append(takes)
-    # one axis per distinct element, so no two combinations give one family
-    return sorted((canonicalize(combo) for combo in itertools.product(*axes)),
+    return sorted(subfamily_product(fam, omega_finite_cap),
                   key=Family.sort_key)
+
+
+def subfamily_product(fam: Family, omega_finite_cap: int):
+    """The same subfamilies, unsorted, in the product order of the counts."""
+    axes = [[(e, t) for t in range(c + 1)] for e, c in fam.finite]
+    axes += [[(e, t) for t in range(omega_finite_cap + 1)] + [(e, OMEGA)]
+             for e in fam.omega]
+    # one axis per distinct element, so no two combinations give one family
+    return map(canonicalize, itertools.product(*axes))
 
 
 def families_within(pool, max_size: int, max_omega: int) -> list:
@@ -319,7 +314,7 @@ def enumerate_partitions(fam: Family, shape: str, caps: Caps = Caps(),
 def _partitions(fam: Family, shape: str, caps: Caps, block_filter):
     # subfamilies come in increasing sort_key order; blocks go largest first
     blocks = [b for b in subfamilies(fam, caps.block_size)
-              if 1 <= b.size_measure <= caps.block_size
+              if 1 <= b.finite_total + len(b.omega) <= caps.block_size
               and not (shape == BRACKETING and b.omega)
               and (block_filter is None or block_filter(b))]
     blocks.reverse()
@@ -384,11 +379,12 @@ class BlockSumEngine:
     finite element; once none remain, omega-only blocks follow in any order.
     Reusing a block adds nothing, as (b, m1), (b, m2) sum like (b, m1 + m2),
     which takes no more room and fewer splits. Everything but the memo is
-    shared by the shapes: element ids, block sums, the blocks compiled for
-    each (remaining counts, omega elements), and the block-sum families,
-    interned as keys (sorted (value id, count) tuples): ``block_sum_keys``
-    returns them, ``key`` gives any family's, ``block_sums`` builds each once.
-    Without omega elements the shapes coincide and share memo entries too.
+    shared by the shapes: element ids, the blocks compiled for each
+    (remaining counts, omega elements), and the block-sum families, interned
+    as keys (sorted (value id, count) tuples): ``block_sum_keys`` returns
+    them, ``key`` gives any family's, and ``block_sum_results`` their sums,
+    each block or family summed once. Without omega elements the shapes
+    coincide and share memo entries too.
     States are keyed by element ids, so the subfamilies of a family pool share
     entries; nothing is evicted, so scope an engine to one batch of queries.
     """
@@ -400,27 +396,26 @@ class BlockSumEngine:
         self._elems: list = []   # id -> element
         self._memo: dict = {}
         self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
-        self._sums: dict = {}    # block takes -> block sum id, None if undefined
+        self._results: dict = {}  # key -> the instance's result on it
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
         self._counts: list = [()]        # sums id -> sorted (value id, count)
         self._count_ids: dict = {(): 0}
-        self._built: dict = {}           # sums key -> Family, once returned
-
-    def block_sums(self, fam: Family, shape: str) -> frozenset:
-        """The block-sum families of ``fam``'s partitions of ``shape``; whether
-        the caps clipped them is ``static_truncation(fam, caps)``, as for the
-        stream."""
-        return frozenset(map(self._family, self.block_sum_keys(fam, shape)))
+        self._scanned: dict = {}  # solved id set -> results of its ids
 
     def block_sum_keys(self, fam: Family, shape: str) -> list:
-        """The same families as their interned keys, one per family."""
-        if shape not in _SHAPES:
-            raise ValueError(f"unknown partition shape {shape!r}")
-        rem = tuple((self._id(e), c) for e, c in fam.finite)
-        om = tuple(self._id(e) for e in fam.omega)
-        return [self._counts[i] for i in self._solve(
-            shape if om else UNCONSTRAINED, rem, om, (0,) * len(om),
-            self.caps.block_count)]
+        """The block-sum families of ``fam``'s partitions of ``shape`` as their
+        interned keys, one per family; whether the caps clipped them is
+        ``static_truncation(fam, caps)``, as for the stream."""
+        return [self._counts[i] for i in self._solved(fam, shape)]
+
+    def block_sum_results(self, fam: Family, shape: str) -> tuple:
+        """The instance's results on the same families."""
+        ids = self._solved(fam, shape)
+        out = self._scanned.get(ids)
+        if out is None:
+            out = self._scanned[ids] = tuple(
+                self._result(self._counts[i]) for i in ids)
+        return out
 
     def key(self, fam: Family) -> tuple:
         """``fam`` keyed as ``block_sum_keys`` keys its families."""
@@ -433,12 +428,20 @@ class BlockSumEngine:
             self._elems.append(e)
         return i
 
-    def _family(self, key) -> Family:
-        fam = self._built.get(key)
-        if fam is None:
-            fam = self._built[key] = canonicalize(
-                (self._elems[v], c) for v, c in key)
-        return fam
+    def _solved(self, fam: Family, shape: str) -> frozenset:
+        if shape not in _SHAPES:
+            raise ValueError(f"unknown partition shape {shape!r}")
+        rem = tuple((self._id(e), c) for e, c in fam.finite)
+        om = tuple(self._id(e) for e in fam.omega)
+        return self._solve(shape if om else UNCONSTRAINED, rem, om,
+                           (0,) * len(om), self.caps.block_count)
+
+    def _result(self, key):
+        r = self._results.get(key)
+        if r is None:
+            r = self._results[key] = self.inst.sum(canonicalize(
+                (self._elems[v], c) for v, c in key))
+        return r
 
     def _solve(self, shape, rem, om, used, room):
         """Ids of the block-sum families that complete the residual state."""
@@ -513,15 +516,11 @@ class BlockSumEngine:
         for combo, n in combos:
             if n == 0:
                 continue
-            takes = tuple((i, t) for i, t in zip(ids, combo) if t)
-            value = self._sums.get(takes, False)
-            if value is False:
-                r = self.inst.sum(canonicalize(
-                    (self._elems[i], t) for i, t in takes))
-                value = self._sums[takes] = (self._id(r.value) if r.defined
-                                             else None)
-            if value is None:
+            r = self._result(tuple(sorted(
+                (i, t) for i, t in zip(ids, combo) if t)))
+            if not r.defined:
                 continue
+            value = self._id(r.value)
             steps = []
             for m in range(1, min([count] + [c // t for (_, c), t
                                              in zip(rem, combo) if t]) + 1):

@@ -3,16 +3,21 @@
 The engine computes the distinct block-sum families of a family's partitions
 into summable blocks by memoised recursion; the stream enumerates every such
 partition. For random families over the stock samples, each asked in its own
-shape of one engine, and caps from 1 to 4, both must give the same set, and
-the caps must clip the stream exactly when ``static_truncation`` says so.
+shape of one engine, and caps from 1 to 4, both must give the same set, the
+results the regrouping laws compare must be the instance's results on that
+set, and the caps must clip the stream exactly when ``static_truncation``
+says so.
 """
+from collections import Counter
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmasum import checker, free_strong
 from sigmasum.checker import check_weak, conclude_flavor
-from sigmasum.core import Budget
+from sigmasum.core import Budget, SigmaInstance
 from sigmasum.family import (
     BRACKETING,
     FLATTENING,
@@ -89,14 +94,19 @@ def test_engine_matches_stream(case):
     inst, asks, caps = case
     engine = BlockSumEngine(inst, caps)
     for fam, shape in asks:
-        assert (set(engine.block_sums(fam, shape))
-                == stream_block_sums(inst, fam, shape, caps))
+        expected = stream_block_sums(inst, fam, shape, caps)
+        assert (set(engine.block_sum_keys(fam, shape))
+                == set(map(engine.key, expected)))
+        assert (set(engine.block_sum_results(fam, shape))
+                == {inst.sum(sums) for sums in expected})
 
 
 def test_engine_refuses_an_unknown_shape():
     engine = BlockSumEngine(EXTNAT, Caps())
-    with pytest.raises(ValueError, match="unknown partition shape 'round'"):
-        engine.block_sums(ONE_OMEGA, "round")
+    for ask in (engine.block_sum_keys, engine.block_sum_results):
+        with pytest.raises(ValueError,
+                           match="unknown partition shape 'round'"):
+            ask(ONE_OMEGA, "round")
 
 
 def test_one_engine_serves_a_suite_run_and_a_graph(monkeypatch):
@@ -139,3 +149,42 @@ def test_stream_truncation_is_static(case):
 
 def partitions(fam, shape, caps):
     return {frozenset(p.blocks) for p in enumerate_partitions(fam, shape, caps)}
+
+
+REGROUPING = ("bracketing", "flattening", "strong_bracketing",
+              "strong_flattening")
+
+
+@pytest.mark.parametrize("make", [ext_nat_instance, real_abs_instance])
+def test_a_suite_run_sums_each_block_sum_family_once(make, monkeypatch):
+    """While the regrouping laws of one ``conclude_flavor`` run, the rule is
+    asked about each family at most once, the scanned pool members aside:
+    the run's one engine sums each distinct block and block-sum family once,
+    and the laws compare its results."""
+    pool, summed, regrouping = [], Counter(), []
+
+    def counted_pool(inst, budget, _pool=checker.budget_families):
+        pool.extend(_pool(inst, budget))
+        return pool
+
+    def counted_sum(inst, fam, _sum=SigmaInstance.sum):
+        if regrouping and not any(fam is member for member in pool):
+            summed[fam] += 1
+        return _sum(inst, fam)
+
+    def flagged(law_fn, *args):
+        regrouping.append(law_fn)
+        try:
+            return law_fn(*args)
+        finally:
+            regrouping.pop()
+
+    monkeypatch.setattr(checker, "budget_families", counted_pool)
+    monkeypatch.setattr(SigmaInstance, "sum", counted_sum)
+    for law in REGROUPING:
+        monkeypatch.setattr(checker, "_law_" + law, partial(
+            flagged, getattr(checker, "_law_" + law)))
+    report = conclude_flavor(make(), Budget(
+        max_finite_size=3, block_count=3, block_size=3, trials=5, seed=7))
+    assert not any(report.verdict(law).failed for law in REGROUPING)
+    assert summed and max(summed.values()) == 1

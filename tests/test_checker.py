@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sigmasum.checker as checker
 import sigmasum.core as core
@@ -11,16 +13,26 @@ from sigmasum.core import (
     FiniteCarrier,
     SigmaInstance,
     UNDEFINED,
+    budget_families,
 )
-from sigmasum.family import EMPTY, Family, format_family_literal
+from sigmasum.family import (
+    EMPTY,
+    BlockSumEngine,
+    Family,
+    format_family_literal,
+    subfamilies,
+)
 from sigmasum.instances import (
     ElementCodec,
+    FiniteMonoid,
     cyclic_instance,
+    discrete_instance,
     ext_nat_instance,
     int_group_instance,
     pm_instance,
     powerset_parity_instance,
     real_abs_instance,
+    restrict_instance,
     unit_interval_instance,
 )
 from sigmasum.checker import (
@@ -477,3 +489,65 @@ def test_self_inverse_pairs_match_the_loop(selector, x):
     got, want = _per_sample_rows(inst)
     assert got == want
     assert got[1][:2] == ("inverses_exist", "pass")
+
+
+# -- the subsummability scan against the sorted one it replaces ---------------
+
+
+TABLES = {
+    "cyclic": lambda n: lambda a, b: (a + b) % n,
+    "counter": lambda n: lambda a, b: min(a + b, n - 1),
+    "max": lambda n: max,
+}
+
+
+@st.composite
+def subsummability_cases(draw):
+    """(instance, budget): the interval, or a FiniteMonoid table's discrete
+    instance restricted to its identity and some other elements, where a
+    summable family can have unsummable subfamilies."""
+    if draw(st.booleans()):
+        inst = unit_interval_instance()
+    else:
+        n = draw(st.integers(2, 5))
+        table = TABLES[draw(st.sampled_from(sorted(TABLES)))](n)
+        keep = draw(st.sets(st.integers(1, n - 1)))
+        inst = restrict_instance(
+            discrete_instance(FiniteMonoid(range(n), table, 0)),
+            (0, *sorted(keep)))
+    return inst, Budget(max_finite_size=draw(st.integers(1, 3)),
+                        max_omega_elems=draw(st.integers(0, 1)),
+                        block_size=draw(st.integers(1, 3)),
+                        trials=draw(st.integers(0, 3)),
+                        seed=draw(st.integers(0, 9)))
+
+
+def sorted_subsummability(inst, fams, omega_cap):
+    """The scan as it was: each family's first unsummable subfamily in
+    ``subfamilies`` order, both to decide and for the witness."""
+    def bad_sub(fam):
+        if inst.sum(fam).defined:
+            for sub in subfamilies(fam, omega_cap):
+                if not inst.sum(sub).defined:
+                    return sub
+        return None
+
+    return checker._first_violation(
+        "subsummability", inst, fams, lambda fam: bad_sub(fam) is not None,
+        lambda fam: {"subfamily": format_family_literal(bad_sub(fam),
+                                                        inst.codec)},
+        lambda fam: inst.sum(fam).defined)
+
+
+@settings(max_examples=150)
+@given(subsummability_cases())
+@example((unit_interval_instance(), BUDGET))
+@example((restrict_instance(cyclic_instance(4), (0, 1, 3)), BUDGET))
+# {1, 2, 2} sums to 0 in Z5, and {2, 2} comes before {1, 2} in product order
+@example((restrict_instance(cyclic_instance(5), (0, 1, 2)), BUDGET))
+def test_subsummability_witness_is_the_first_sorted_unsummable_subfamily(case):
+    inst, budget = case
+    fams = budget_families(inst, budget)
+    verdict = checker._law_subsummability(
+        inst, fams, BlockSumEngine(inst, budget.caps))
+    assert verdict == sorted_subsummability(inst, fams, budget.block_size)

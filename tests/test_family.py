@@ -736,6 +736,24 @@ def test_canonicalize_count_errors_keep_their_messages():
         [("a", 2), ("b", 2)])
 
 
+_counted = st.one_of(st.integers(0, 3), st.just(OMEGA))
+
+
+@settings(max_examples=300)
+@given(st.one_of(*(
+    st.lists(st.tuples(elements, _counted), max_size=6) for elements in (
+        _numbers, _strings,
+        st.sampled_from(["ab", "ba", "ca", "ac"]).map(_Backwards),
+        # a class and its representative share a sort key: ties keep order
+        st.one_of(_numbers, _numbers.map(ClassElement))))))
+def test_without_matches_recanonicalising(raw):
+    # every finite element, every omega element and one absent element
+    fam = canonicalize(raw)
+    for e in fam.support() + ("absent",):
+        assert fam.without(e) == canonicalize(
+            (x, c) for x, c in fam.items() if x != e)
+
+
 # -- cached hashes --------------------------------------------------------------
 
 

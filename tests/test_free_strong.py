@@ -153,8 +153,8 @@ def test_matches_up_to_zeros_is_exactly_a_zero_padding(s, t, share):
             + [(e, c) for e, c in t.finite if e == "0"],
             [e for e in s.omega if e != "0"] + [e for e in t.omega if e == "0"])
     pads = [] if is_omega(s.count("0")) else (
-        [s.pad("0", k) for k in range(1, t.finite_total + 1)]
-        + [s.pad("0", OMEGA)])
+        [disjoint_union(s, Family.from_counts([("0", k)]))
+         for k in [*range(1, t.finite_total + 1), OMEGA]])
     assert _matches_up_to_zeros(s, t, "0") == (t == s or t in pads)
 
 
