@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import sigmasum as lib
 from .net_sum import extended_sum_real, parse_generator_spec
@@ -177,7 +178,7 @@ def _default_seed() -> int:
             return int(env)
         except ValueError:
             raise UsageError("SIGMA_SUM_SEED must be an integer")
-    return 7
+    return lib.Budget.seed
 
 
 # check option -> Budget field; an option left unset takes the Budget default,
@@ -233,7 +234,7 @@ def cmd_check(args, out) -> int:
         raise UsageError(f"cannot write report: {exc}")
     with sink as fh:
         report = lib.checker.suite_for(args.laws)(inst, budget)
-        base = {"instance": inst.name, "budget": budget.to_dict(), "seed": seed}
+        base = {"instance": inst.name, "budget": asdict(budget), "seed": seed}
         lines = []
         for v in report.laws:
             row = dict(base, law=v.law, verdict=v.status, checked=v.checked)

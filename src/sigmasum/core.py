@@ -10,7 +10,7 @@ smaller carrier.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Any, Callable
 
@@ -215,9 +215,6 @@ class Budget(NonNegative):
         return replace(self, **{
             f.name: min(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self) if f.name != "seed"})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def budget_families(inst: SigmaInstance, budget: Budget) -> list:

@@ -382,9 +382,10 @@ class BlockSumEngine:
     shared by the shapes: element ids, the blocks compiled for each
     (remaining counts, omega elements), and the block-sum families, interned
     as keys (sorted (value id, count) tuples): ``block_sum_keys`` returns
-    them, ``key`` gives any family's, and ``block_sum_results`` their sums,
-    each block or family summed once. Without omega elements the shapes
-    coincide and share memo entries too.
+    them, ``key`` gives any family's, and ``block_sum_results`` yields their
+    sums lazily, each block or family summed once. A memo entry is the set of
+    ids ``_solve`` built. Without omega elements the shapes coincide and share
+    memo entries too.
     States are keyed by element ids, so the subfamilies of a family pool share
     entries; nothing is evicted, so scope an engine to one batch of queries.
     """
@@ -400,7 +401,6 @@ class BlockSumEngine:
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
         self._counts: list = [()]        # sums id -> sorted (value id, count)
         self._count_ids: dict = {(): 0}
-        self._scanned: dict = {}  # solved id set -> results of its ids
 
     def block_sum_keys(self, fam: Family, shape: str) -> list:
         """The block-sum families of ``fam``'s partitions of ``shape`` as their
@@ -408,14 +408,10 @@ class BlockSumEngine:
         ``static_truncation(fam, caps)``, as for the stream."""
         return [self._counts[i] for i in self._solved(fam, shape)]
 
-    def block_sum_results(self, fam: Family, shape: str) -> tuple:
-        """The instance's results on the same families."""
-        ids = self._solved(fam, shape)
-        out = self._scanned.get(ids)
-        if out is None:
-            out = self._scanned[ids] = tuple(
-                self._result(self._counts[i]) for i in ids)
-        return out
+    def block_sum_results(self, fam: Family, shape: str):
+        """The instance's results on the same families, each summed as it is
+        read; the ids are solved (and the shape checked) at the call."""
+        return (self._result(self._counts[i]) for i in self._solved(fam, shape))
 
     def key(self, fam: Family) -> tuple:
         """``fam`` keyed as ``block_sum_keys`` keys its families."""
@@ -428,7 +424,7 @@ class BlockSumEngine:
             self._elems.append(e)
         return i
 
-    def _solved(self, fam: Family, shape: str) -> frozenset:
+    def _solved(self, fam: Family, shape: str) -> set:
         if shape not in _SHAPES:
             raise ValueError(f"unknown partition shape {shape!r}")
         rem = tuple((self._id(e), c) for e, c in fam.finite)
@@ -471,8 +467,8 @@ class BlockSumEngine:
                 self._extend(found, self._solve(shape, rem, om,
                                                 _supply(used, suppliers),
                                                 room - 1), value, OMEGA)
-        out = self._memo[key] = frozenset(found)
-        return out
+        self._memo[key] = found
+        return found
 
     def _extend(self, found: set, subs, value: int, mult):
         """Add ``mult`` copies of ``value`` to each family of ``subs``; the

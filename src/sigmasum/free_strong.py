@@ -184,7 +184,8 @@ class CongruenceGraph:
         return CongruenceVerdict(True, chain, truncated=self.truncated)
 
     def components(self) -> list:
-        """Connected components (sorted, deterministic) of the undirected graph."""
+        """Connected components, each sorted by ``Family.sort_key``, in the
+        order of their least members: the universe is in that order."""
         seen = set()
         comps = []
         for fam in self.universe:
@@ -202,7 +203,6 @@ class CongruenceGraph:
                         stack.append(nxt)
             comp.sort(key=Family.sort_key)
             comps.append(comp)
-        comps.sort(key=lambda c: c[0].sort_key())
         return comps
 
 
@@ -239,7 +239,7 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         raise ConstructionError("target instance is not declared strong")
 
     graph = CongruenceGraph(weak, caps)
-    class_of_family: dict = {}
+    by_counts: dict = {}  # frozenset(fam.items()) -> class
     classes = []
     admitted = []
     for comp in graph.components():
@@ -250,14 +250,15 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         if len(summable) > 1:
             raise ConstructionError(
                 "component mixes summable and unsummable images")
-        class_of_family.update(dict.fromkeys(comp, cls))
+        by_counts.update((frozenset(fam.items()), cls) for fam in comp)
         classes.append(cls)
         if summable == {True}:
             admitted.append(cls)
 
     reps = {cls: cls.rep.items() for cls in classes}
-    by_counts = {frozenset(fam.items()): cls
-                 for fam, cls in class_of_family.items()}
+
+    def class_of(fam: Family):
+        return by_counts.get(frozenset(fam.items()))
 
     def rule(fam_of_classes: Family):
         counts = {}
@@ -269,8 +270,8 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
 
     return QuotientInstance(
         name or f"free_strong({weak.name})",
-        FiniteCarrier(admitted), class_of_family[EMPTY], rule,
-        class_of=class_of_family.get, classes=classes, flavor="strong",
+        FiniteCarrier(admitted), class_of(EMPTY), rule,
+        class_of=class_of, classes=classes, flavor="strong",
         graph=graph,
     )
 

@@ -4,6 +4,7 @@ block-sum engine's keys: each checked against the loop it replaced, kept here
 as the oracle, plus call counts that pin the sharing."""
 import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +59,7 @@ from sigmasum.free_strong import (
     CongruenceGraph,
     factorize,
     free_strong_quotient,
+    leads_to,
 )
 from sigmasum.instances import (
     cyclic_instance,
@@ -424,6 +426,35 @@ def test_congruence_graph_matches_unpruned_paddings(name, make, caps, pool):
     for fam in universe:
         assert graph.successors(fam) == succ[fam]
     assert graph.components() == components
+
+
+ONE_STEP = [
+    # (id, instance, caps, pool, pairs to sample; None: every ordered pair)
+    ("pm", pm_instance, CongruenceCaps(max_family_size=3, max_omega_elems=0),
+     None, None),
+    ("zmod3", lambda: cyclic_instance(3),
+     CongruenceCaps(max_family_size=3, max_omega_elems=0), None, None),
+    # a negative walks the whole partition stream of `a`, so sample
+    ("pm-omega", pm_instance, CongruenceCaps(max_family_size=2), None, 60),
+    ("extnat-omega", ext_nat_instance, CongruenceCaps(max_family_size=2),
+     (0, 1, 2), 60),
+]
+
+
+@pytest.mark.parametrize("name, make, caps, pool, sample", ONE_STEP,
+                         ids=[c[0] for c in ONE_STEP])
+def test_leads_to_agrees_with_graph_successors(name, make, caps, pool, sample):
+    """The partition stream (``leads_to``) and the engine's keys
+    (``CongruenceGraph.successors``) decide the same one-step moves inside
+    the universe."""
+    inst = make()
+    graph = CongruenceGraph(inst, caps, pool=pool)
+    pairs = list(itertools.product(graph.universe, repeat=2))
+    if sample is not None:
+        pairs = random.Random(7).sample(pairs, sample)
+    for a, b in pairs:
+        assert leads_to(inst, a, b, caps).holds == (b in graph.successors(a)), \
+            (a, b)
 
 
 def test_congruence_graph_builds_only_the_blocks_it_sums(monkeypatch):
