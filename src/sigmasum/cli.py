@@ -1,8 +1,11 @@
 """Command line front end: law suites, sum evaluation, net summation.
 
 Exit codes: 0 success (requested laws pass, or the sum/net command ran),
-1 law failure, 2 usage/config error. ``check`` emits one JSON object per law
-on stdout (or to --out); ``sum`` and ``net`` print single-line results.
+1 law failure and nothing else, 2 usage/config error. ``main`` is the one
+error boundary: any ValueError (the library's refusals are all ValueErrors)
+or OSError prints ``error: <message>`` on one line and exits 2. ``check``
+emits one JSON object per law on stdout (or to --out); ``sum`` and ``net``
+print single-line results.
 ``net`` runs on ``net_sum`` alone; ``check`` and ``sum`` reach the rest of the
 library through the package, which imports a submodule on first use.
 """
@@ -36,21 +39,16 @@ def resolve_instance(selector: str) -> lib.SigmaInstance:
     if selector.endswith(".json"):
         return load_definition_file(selector)
     name, colon, arg = selector.partition(":")
-    try:
-        if name in _PLAIN_SELECTORS and not colon:
-            return getattr(lib, _PLAIN_SELECTORS[name])()
-        if name == "parity":
-            points = tuple(s.strip() for s in arg.split(","))
-            if not all(map(_nameable, points)):
-                raise UsageError("parity needs points named without "
-                                 "brackets, e.g. parity:a,b")
-            return lib.powerset_parity_instance(points)
-        if name == "zmod" and arg.isascii() and arg.isdigit():
-            return lib.cyclic_instance(int(arg))
-    except UsageError:
-        raise
-    except (ValueError, lib.ConstructionError) as exc:
-        raise UsageError(str(exc))
+    if name in _PLAIN_SELECTORS and not colon:
+        return getattr(lib, _PLAIN_SELECTORS[name])()
+    if name == "parity":
+        points = tuple(s.strip() for s in arg.split(","))
+        if not all(map(lib.family.is_nameable, points)):
+            raise UsageError("parity needs points named without "
+                             "brackets, e.g. parity:a,b")
+        return lib.powerset_parity_instance(points)
+    if name == "zmod" and arg.isascii() and arg.isdigit():
+        return lib.cyclic_instance(int(arg))
     raise UsageError(f"unknown or malformed instance selector {selector!r}")
 
 
@@ -76,7 +74,7 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
     if not (isinstance(data["elements"], list) and isinstance(rows, list)):
         raise UsageError("bad instance file: elements and sums must be lists")
     for e in elements:
-        if not _nameable(e):
+        if not lib.family.is_nameable(e):
             raise UsageError(f"bad instance file: element name {e!r} is empty, "
                              "padded with spaces or holds one of ,[](){}")
     name = data.get("name", os.path.basename(path))
@@ -115,60 +113,6 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
 
     return lib.SigmaInstance(name, lib.FiniteCarrier(elements), zero, rule,
                              flavor=flavor, codec=codec)
-
-
-def _nameable(name: str) -> bool:
-    """A name a family literal can write and read back: non-empty, unpadded
-    (the element codec strips it) and free of ``,[](){}``."""
-    return bool(name) and name == name.strip() and not set(name) & set(",[](){}")
-
-
-def _split_top_level(text: str) -> list:
-    """Split on commas that are not nested inside brackets. A blank text has
-    no entries; an empty entry, such as after a trailing comma, is an error."""
-    if not text.strip():
-        return []
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
-    if "" in parts:
-        raise UsageError(f"empty entry in {text.strip()!r}")
-    return parts
-
-
-def parse_family_literal(text: str, codec: lib.ElementCodec) -> lib.Family:
-    """``{finite: [e, e, ...], omega: [e, ...]}`` with instance element syntax."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise UsageError("family literal must be {finite: [...], omega: [...]}")
-    body = text[1:-1]
-    sections = {}
-    for part in _split_top_level(body):
-        key, _, rest = part.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if key not in ("finite", "omega"):
-            raise UsageError(f"unknown family section {key!r}")
-        if not (rest.startswith("[") and rest.endswith("]")):
-            raise UsageError(f"section {key!r} must be a [...] list")
-        if key in sections:
-            raise UsageError(f"repeated family section {key!r}")
-        sections[key] = _split_top_level(rest[1:-1])
-    try:
-        pairs = [(codec.parse(e), 1) for e in sections.get("finite", [])]
-        omegas = [(codec.parse(e), lib.OMEGA) for e in sections.get("omega", [])]
-    except ValueError as exc:
-        raise UsageError(f"bad element: {exc}")
-    return lib.canonicalize(pairs + omegas)
 
 
 def _default_seed() -> int:
@@ -219,36 +163,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_text(inst, budget, seed, report) -> str:
+    """One JSON line per law, then the flavor conclusion if there is one."""
+    base = {"instance": inst.name, "budget": asdict(budget), "seed": seed}
+    lines = []
+    for v in report.laws:
+        row = dict(base, law=v.law, verdict=v.status, checked=v.checked)
+        if v.witness is not None:
+            row["witness"] = v.witness
+        lines.append(json.dumps(row, sort_keys=True))
+    if report.flavor is not None:
+        lines.append(json.dumps(dict(base, law="flavor_conclusion",
+                                     verdict=report.flavor), sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_check(args, out) -> int:
     inst = resolve_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
     given = {field: getattr(args, field) for field in _BUDGET_OPTIONS.values()
              if getattr(args, field) is not None}
-    try:
-        budget = lib.Budget(seed=seed, **given)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    try:  # before the suite runs: an unwritable path costs no run
-        sink = open(args.out, "w") if args.out else contextlib.nullcontext(out)
-    except OSError as exc:
-        raise UsageError(f"cannot write report: {exc}")
-    with sink as fh:
-        report = lib.checker.suite_for(args.laws)(inst, budget)
-        base = {"instance": inst.name, "budget": asdict(budget), "seed": seed}
-        lines = []
-        for v in report.laws:
-            row = dict(base, law=v.law, verdict=v.status, checked=v.checked)
-            if v.witness is not None:
-                row["witness"] = v.witness
-            lines.append(json.dumps(row, sort_keys=True))
-        if report.flavor is not None:
-            lines.append(json.dumps(dict(base, law="flavor_conclusion",
-                                         verdict=report.flavor), sort_keys=True))
-        try:
-            fh.write("\n".join(lines) + "\n")
+    budget = lib.Budget(seed=seed, **given)
+    try:  # opened before the suite runs: an unwritable path costs no run
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(out)) as fh:
+            report = lib.checker.suite_for(args.laws)(inst, budget)
+            fh.write(_report_text(inst, budget, seed, report))
             fh.flush()
-        except OSError as exc:
-            raise UsageError(f"cannot write report: {exc}")
+    except OSError as exc:  # from the open, a write, the flush or the close
+        raise UsageError(f"cannot write report: {exc}")
     return 0 if report.ok else 1
 
 
@@ -265,11 +208,7 @@ def cmd_sum(args, out) -> int:
                 literal = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read family file: {exc}")
-    fam = parse_family_literal(literal, inst.codec)
-    try:
-        result = inst.sum(fam)
-    except lib.CarrierError as exc:
-        raise UsageError(str(exc))
+    result = inst.sum(lib.family.parse_family_literal(literal, inst.codec))
     if result.defined:
         out.write(f"defined {inst.codec.format(result.value)}\n")
     else:
@@ -284,10 +223,7 @@ def _fmt_float(x: float) -> str:
 
 
 def cmd_net(args, out) -> int:
-    try:
-        gf = parse_generator_spec(args.gen)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    gf = parse_generator_spec(args.gen)
     if args.require_certificate and gf.certificate is None:
         raise UsageError(f"generator {gf.description} has no certificate")
     if not args.eps > 0:
@@ -320,10 +256,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.run(args, sys.stdout)
-    except UsageError as exc:  # tried first: naming lib's errors loads core
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (lib.CarrierError, lib.ConstructionError) as exc:
+    except (ValueError, OSError) as exc:  # no library class: that loads core
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,11 +140,67 @@ EMPTY = Family()
 
 def format_family_literal(fam: Family, codec=None) -> str:
     """``{finite: [e, e, ...], omega: [e, ...]}`` text, elements written by the
-    instance's codec (``repr`` without one); the command line parses it back."""
+    instance's codec (``repr`` without one); ``parse_family_literal`` reads it
+    back."""
     fmt = codec.format if codec else repr
     fin = ", ".join(fmt(e) for e, c in fam.finite for _ in range(c))
     om = ", ".join(fmt(e) for e in fam.omega)
     return "{finite: [" + fin + "], omega: [" + om + "]}"
+
+
+def is_nameable(name: str) -> bool:
+    """A name a family literal can write and read back: non-empty, unpadded
+    (the element codec strips it) and free of ``,[](){}``."""
+    return bool(name) and name == name.strip() and not set(name) & set(",[](){}")
+
+
+def _split_top_level(text: str) -> list:
+    """Split on commas that are not nested inside brackets. A blank text has
+    no entries; an empty entry, such as after a trailing comma, is an error."""
+    if not text.strip():
+        return []
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur).strip())
+    if "" in parts:
+        raise ValueError(f"empty entry in {text.strip()!r}")
+    return parts
+
+
+def parse_family_literal(text: str, codec) -> Family:
+    """The family ``format_family_literal`` wrote: ``{finite: [e, ...],
+    omega: [e, ...]}``, elements read by the instance's codec. Malformed
+    text raises ValueError."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError("family literal must be {finite: [...], omega: [...]}")
+    sections = {}
+    for part in _split_top_level(text[1:-1]):
+        key, _, rest = part.partition(":")
+        key = key.strip()
+        rest = rest.strip()
+        if key not in ("finite", "omega"):
+            raise ValueError(f"unknown family section {key!r}")
+        if not (rest.startswith("[") and rest.endswith("]")):
+            raise ValueError(f"section {key!r} must be a [...] list")
+        if key in sections:
+            raise ValueError(f"repeated family section {key!r}")
+        sections[key] = _split_top_level(rest[1:-1])
+    try:
+        pairs = [(codec.parse(e), 1) for e in sections.get("finite", [])]
+        omegas = [(codec.parse(e), OMEGA) for e in sections.get("omega", [])]
+    except ValueError as exc:
+        raise ValueError(f"bad element: {exc}")
+    return canonicalize(pairs + omegas)
 
 
 def canonicalize(raw) -> Family:

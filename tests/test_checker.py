@@ -20,6 +20,7 @@ from sigmasum.family import (
     BlockSumEngine,
     Family,
     format_family_literal,
+    parse_family_literal,
     subfamilies,
 )
 from sigmasum.instances import (
@@ -46,7 +47,7 @@ from sigmasum.checker import (
     conclude_flavor,
     shrink_family,
 )
-from sigmasum.cli import parse_family_literal, resolve_instance
+from sigmasum.cli import resolve_instance
 
 BUDGET = Budget(max_finite_size=3, max_omega_elems=1, trials=0, seed=7)
 
@@ -162,6 +163,12 @@ def test_witnesses_replay_to_violations():
     fam = parse_family_literal(probe["family"], ig.codec)
     assert ig.sum(fam) == Defined(0)
     assert any(e != 0 for e in fam.support())
+
+
+def test_verdict_of_a_law_the_report_lacks_is_a_key_error():
+    report = _report("weak", "pm", pm_instance)
+    with pytest.raises(KeyError, match=r"^'subsummability'$"):
+        report.verdict("subsummability")
 
 
 # -- verdict semantics -----------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigmasum.checker as checker
-from sigmasum.cli import main, parse_family_literal, resolve_instance
-from sigmasum.family import Family, families_within, format_family_literal
-from sigmasum.instances import pm_instance
+from sigmasum.cli import main, resolve_instance
+from sigmasum.family import (Family, families_within, format_family_literal,
+                             is_nameable, parse_family_literal)
+from sigmasum.instances import ElementCodec, pm_instance
 
 
 # the built-in instance selectors
@@ -60,10 +62,22 @@ def test_every_pool_family_round_trips_through_the_literal(selector):
 
 def test_family_literal_errors():
     pm = pm_instance()
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match=re.escape(
+            "family literal must be {finite: [...], omega: [...]}")):
         parse_family_literal("finite:[+]", pm.codec)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match=re.escape(
+            "bad element: bad element 'q', expected 0, + or -")):
         parse_family_literal("{finite:[q]}", pm.codec)
+
+
+@given(st.lists(st.text(max_size=6).filter(is_nameable), min_size=1,
+                max_size=3, unique=True))
+def test_families_over_nameable_names_round_trip_through_the_literal(names):
+    # the codec a definition file gives its instance
+    codec = ElementCodec(lambda s: s.strip(), str)
+    for fam in families_within(names, 2, 1):
+        text = format_family_literal(fam, codec)
+        assert parse_family_literal(text, codec) == fam, text
 
 
 # -- sum command -------------------------------------------------------------------
@@ -167,8 +181,11 @@ ALTERNATING_LINE = (
      "converged -0.21428571408614516 ±1.9956912313188824e-10\n"),
     (["--gen", "alternating_harmonic", "--eps", "1e-09",
       "--max-terms", "200000"], ALTERNATING_LINE),
+    # a certified search whose tail bound never falls below eps
+    (["--gen", "geometric(0.5,0.5)", "--eps", "1e-300", "--max-terms", "5"],
+     "inconclusive after 5 terms\n"),
 ], ids=["readme-geometric", "readme-finite", "readme-alternating",
-        "finite", "geometric", "alternating"])
+        "finite", "geometric", "alternating", "inconclusive"])
 def test_net_output_is_pinned_in_a_fresh_process(argv, stdout):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -710,6 +727,200 @@ def test_definition_file_accepts_each_flavor(flavor, tmp_path):
 
 def test_net_nan_eps_exits_two(capsys):
     assert_usage_error(["net", "--gen", "finite(1,2)", "--eps", "nan"], capsys)
+
+
+# -- every refusal: exit 2, nothing on stdout, one pinned line on stderr -------
+
+
+def _definition(**data):
+    return json.dumps({"elements": ["0", "a"], "zero": "0", "sums": [],
+                       **data}).encode()
+
+
+# the files the refusals read, written into the working directory
+REFUSAL_FILES = {
+    "not_json.json": b"{not json",
+    "not_utf8.json": b'{"elements": ["\xff"], "zero": "0"}',
+    "no_elements.json": json.dumps({"zero": "0"}).encode(),
+    "zero_not_element.json": _definition(zero="z"),
+    "elements_string.json": _definition(elements="0a"),
+    "bad_name.json": _definition(elements=["0", "a,b"]),
+    "bad_flavor.json": _definition(flavor="group"),
+    "row_not_object.json": _definition(sums=[["a"]]),
+    "finite_string.json": _definition(sums=[{"finite": "a", "value": "a"}]),
+    "table_element.json": _definition(sums=[{"finite": ["zz"], "value": "a"}]),
+    "table_value.json": _definition(sums=[{"finite": ["a"], "value": "9"}]),
+    "two_values.json": _definition(sums=[{"finite": ["a"], "value": "a"},
+                                         {"finite": ["a"], "value": "0"}]),
+    "not_utf8.txt": b"{finite:[\xff]}",
+}
+CHECK = ["check", "--max-size", "1", "--trials", "0", "--instance"]
+
+
+def _sum(instance, literal):
+    return ["sum", "--instance", instance, "--family", literal]
+
+
+# case -> (argv, the stderr line without "error: " and its newline)
+REFUSALS = {
+    # check
+    "negative_budget": (["check", "--instance", "pm", "--max-size", "-1"],
+                        "max_finite_size must be >= 0"),
+    "seed_not_an_integer": (CHECK + ["pm"], "SIGMA_SUM_SEED must be an integer"),
+    "out_unwritable": (
+        CHECK + ["pm", "--out", "missing/report.jsonl"],
+        "cannot write report: [Errno 2] No such file or directory: "
+        "'missing/report.jsonl'"),
+    # instance selectors
+    "unknown_selector": (CHECK + ["nosuch"],
+                         "unknown or malformed instance selector 'nosuch'"),
+    "zmod_zero": (CHECK + ["zmod:0"], "modulus must be >= 1"),
+    "parity_without_points": (
+        CHECK + ["parity:"],
+        "parity needs points named without brackets, e.g. parity:a,b"),
+    # definition files
+    "file_missing": (CHECK + ["missing.json"],
+                     "cannot load instance file: [Errno 2] No such file or "
+                     "directory: 'missing.json'"),
+    "file_not_json": (CHECK + ["not_json.json"],
+                      "cannot load instance file: Expecting property name "
+                      "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "file_not_utf8": (CHECK + ["not_utf8.json"],
+                      "cannot load instance file: 'utf-8' codec can't decode "
+                      "byte 0xff in position 15: invalid start byte"),
+    "file_without_elements": (CHECK + ["no_elements.json"],
+                              "bad instance file: missing 'elements'"),
+    "zero_not_an_element": (CHECK + ["zero_not_element.json"],
+                            "zero must be one of the elements"),
+    "elements_not_a_list": (
+        CHECK + ["elements_string.json"],
+        "bad instance file: elements and sums must be lists"),
+    "element_name_unwritable": (
+        CHECK + ["bad_name.json"],
+        "bad instance file: element name 'a,b' is empty, padded with spaces "
+        "or holds one of ,[](){}"),
+    "unknown_flavor": (
+        CHECK + ["bad_flavor.json"],
+        "bad instance file: name must be a string and flavor one of weak, "
+        "strong, finitely_total, sigma_group"),
+    "row_not_an_object": (
+        CHECK + ["row_not_object.json"],
+        "bad instance file: each sums row must be an object with a value"),
+    "row_finite_not_a_list": (
+        CHECK + ["finite_string.json"],
+        "bad instance file: finite and omega must be lists"),
+    "table_element_unknown": (CHECK + ["table_element.json"],
+                              "table element 'zz' not among the elements"),
+    "table_value_unknown": (CHECK + ["table_value.json"],
+                            "table value '9' not among the elements"),
+    "family_with_two_values": (
+        CHECK + ["two_values.json"],
+        "family {finite: [a], omega: []} has two values, 'a' and '0'"),
+    # sum: the family source and the literal
+    "no_family_source": (["sum", "--instance", "pm"],
+                         "need exactly one of --family or --family-file"),
+    "family_file_missing": (
+        ["sum", "--instance", "pm", "--family-file", "missing.txt"],
+        "cannot read family file: [Errno 2] No such file or directory: "
+        "'missing.txt'"),
+    "family_file_not_utf8": (
+        ["sum", "--instance", "pm", "--family-file", "not_utf8.txt"],
+        "cannot read family file: 'utf-8' codec can't decode byte 0xff in "
+        "position 9: invalid start byte"),
+    "literal_without_braces": (
+        _sum("pm", "finite:[+]"),
+        "family literal must be {finite: [...], omega: [...]}"),
+    "unknown_section": (_sum("pm", "{bogus:[+]}"),
+                        "unknown family section 'bogus'"),
+    "section_not_a_list": (_sum("pm", "{finite:+}"),
+                           "section 'finite' must be a [...] list"),
+    "repeated_section": (_sum("pm", "{finite:[+], finite:[-]}"),
+                         "repeated family section 'finite'"),
+    "empty_entry": (_sum("pm", "{finite:[+,,-]}"), "empty entry in '+,,-'"),
+    "bad_pm_element": (_sum("pm", "{finite:[q]}"),
+                       "bad element: bad element 'q', expected 0, + or -"),
+    "bad_subset_literal": (_sum("parity:a,b", "{finite:[a]}"),
+                           "bad element: bad subset literal 'a'"),
+    "point_outside_the_universe": (_sum("parity:a,b", "{finite:[[c]]}"),
+                                   "bad element: 'c' is not in the universe"),
+    "negative_extnat": (_sum("extnat", "{finite:[-1]}"),
+                        "bad element: extnat elements are nonnegative"),
+    "zero_denominator": (_sum("real", "{finite:[1/0]}"),
+                         "bad element: zero denominator in '1/0'"),
+    "element_outside_the_carrier": (_sum("zmod:3", "{omega:[5]}"),
+                                    "5 is not in the carrier of zmod3"),
+    # net
+    "bad_generator_spec": (["net", "--gen", "!!"], "bad generator spec '!!'"),
+    "unknown_generator": (["net", "--gen", "nope(1)"],
+                          "unknown generator kind 'nope'"),
+    "generator_arity": (["net", "--gen", "geometric(1)"],
+                        "geometric takes (a, r)"),
+    "non_finite_parameter": (
+        ["net", "--gen", "power(nan)"],
+        "generator parameters must be finite in 'power(nan)'"),
+    "no_certificate": (
+        ["net", "--gen", "alternating_harmonic", "--require-certificate"],
+        "generator alternating_harmonic has no certificate"),
+    "eps_negative": (["net", "--gen", "finite(1,2)", "--eps", "-1"],
+                     "--eps must be positive"),
+    "eps_nan": (["net", "--gen", "finite(1,2)", "--eps", "nan"],
+                "--eps must be positive"),
+    "max_terms_zero": (["net", "--gen", "finite(1,2)", "--max-terms", "0"],
+                       "--max-terms must be positive"),
+    "certified_sum_overflows": (["net", "--gen", "finite(1e308,1e308)"],
+                                "the sum overflows the float range"),
+}
+# the environment a case runs under; every other case unsets the seed
+REFUSAL_ENV = {"seed_not_an_integer": {"SIGMA_SUM_SEED": "x"}}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_every_refusal_prints_its_pinned_line(case, tmp_path, monkeypatch,
+                                              capsys):
+    argv, message = REFUSALS[case]
+    for name, data in REFUSAL_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SIGMA_SUM_SEED", raising=False)
+    for key, value in REFUSAL_ENV.get(case, {}).items():
+        monkeypatch.setenv(key, value)
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# -- a failed write is a refusal too, never a law failure ---------------------
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CHECK + ["pm"], "cannot write report: [Errno 28] No space left on device"),
+    (_sum("pm", "{finite:[+]}"), "[Errno 28] No space left on device"),
+    (["net", "--gen", "finite(1,2)"], "[Errno 28] No space left on device"),
+], ids=["check", "sum", "net"])
+def test_a_failed_write_exits_two_with_one_line(argv, message, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_check_out_to_a_full_device_exits_two_in_a_fresh_process():
+    # the failed flush, and the close after it, both name the report
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "sigmasum.cli", *CHECK, "pm",
+                           "--out", "/dev/full"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: cannot write report: [Errno 28] No space left on "
+        "device\n")
 
 
 # -- argv fuzzing: exit 0, 1 or 2, never a traceback; only check fails laws ------

@@ -141,6 +141,13 @@ def test_equaliser_maximality():
     assert check_hom(lambda e: e, E, pm, budget_families(E, BUDGET)).ok
 
 
+def test_equaliser_needs_verified_homs():
+    pm, ident, _ = _pm_id_and_swap()
+    with pytest.raises(ConstructionError,
+                       match=r"^equaliser needs verified homs$"):
+        equaliser(lambda e: e, ident)
+
+
 def test_equaliser_needs_parallel_homs():
     pm, ident, _ = _pm_id_and_swap()
     other = verify_hom(lambda e: 0, pm, ext_nat_instance(), BUDGET)
@@ -230,6 +237,29 @@ def test_colimit_rejects_non_composable_chain():
     h = verify_hom(lambda e: 0, pm, en, BUDGET)
     with pytest.raises(ConstructionError):
         chain_colimit([pm, pm], [h])
+
+
+def test_colimit_needs_one_hom_fewer_than_stages():
+    pm = pm_instance()
+    ident = verify_hom(lambda e: e, pm, pm, BUDGET, name="id")
+    with pytest.raises(ConstructionError,
+                       match=r"^need n stages and n-1 connecting homs$"):
+        chain_colimit([pm, pm, pm], [ident])
+
+
+def test_colimit_connecting_maps_must_be_verified_homs():
+    pm = pm_instance()
+    with pytest.raises(ConstructionError,
+                       match=r"^connecting maps must be verified homs$"):
+        chain_colimit([pm, pm], [lambda e: e])
+
+
+def test_colimit_class_of_refuses_an_element_outside_its_stage():
+    pm = pm_instance()
+    C = chain_colimit([pm, pm], [verify_hom(lambda e: e, pm, pm, BUDGET)])
+    with pytest.raises(ConstructionError,
+                       match=r"^'x' not in stage 0 carrier$"):
+        C.class_of((0, "x"))
 
 
 # -- internal hom --------------------------------------------------------------------

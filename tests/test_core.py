@@ -5,9 +5,11 @@ import pytest
 from sigmasum.core import (
     Budget,
     CarrierError,
+    ConstructionError,
     Defined,
     FiniteCarrier,
     HomVerificationError,
+    SigmaInstance,
     SumResult,
     UNDEFINED,
     budget_families,
@@ -76,6 +78,12 @@ def test_carrier_error_names_a_finite_non_member_before_an_omega_one():
         pm_instance().sum(Family.from_counts([("+", 1)], omega=["a"]))
 
 
+def test_a_rule_that_returns_no_sum_result_is_a_type_error():
+    bad = SigmaInstance("bad", FiniteCarrier(["0"]), "0", lambda fam: "0")
+    with pytest.raises(TypeError, match=r"^rule of bad returned '0'$"):
+        bad.sum(Family.of("0"))
+
+
 def test_singleton_and_empty_contracts():
     for inst in (pm_instance(), ext_nat_instance(), real_abs_instance()):
         assert inst.sum(EMPTY) == Defined(inst.zero)
@@ -128,6 +136,14 @@ def test_hom_composition_verified_at_budget_meet():
     meet = comp.verified_budget
     assert meet.max_finite_size == 3
     assert check_hom(comp.fn, pm, en, budget_families(pm, meet)).ok
+
+
+def test_homs_that_do_not_compose_are_refused():
+    pm, en = pm_instance(), ext_nat_instance()
+    zero = verify_hom(lambda e: 0, pm, en, BUDGET, name="z")
+    ident = verify_hom(lambda e: e, pm, pm, BUDGET, name="id")
+    with pytest.raises(ConstructionError, match=r"^homs are not composable$"):
+        compose_homs(ident, zero)  # zero lands in en, ident starts at pm
 
 
 def test_composed_inverse_undoes_the_composite_and_propagates_none():

@@ -271,6 +271,21 @@ def test_quotient_requires_verified_hom_and_strong_target():
         free_strong_quotient(pm, ext_nat_instance(), lambda e: 0, CAPS)
 
 
+def test_quotient_hom_must_map_weak_to_strong():
+    en = ext_nat_instance()
+    ident = verify_hom(lambda e: e, en, en, BUDGET, name="id")
+    with pytest.raises(ConstructionError, match=r"^f must map the weak "
+                       r"instance to the strong one$"):
+        free_strong_quotient(pm_instance(), en, ident, CAPS)
+
+
+def test_graph_relates_only_families_of_its_universe():
+    graph = CongruenceGraph(pm_instance(), CAPS)
+    with pytest.raises(ConstructionError,
+                       match=r"^family outside the explored universe$"):
+        graph.related(Family.of("+", "+", "+", "+", "+"), EMPTY, 1)
+
+
 def _one_step_with_parked_side(inst, step_witness, parked, source, target):
     """Verify (source + parked) ~> (target + parked) through the one-step
     definition itself: the witness partition's blocks plus singleton blocks of
@@ -366,6 +381,12 @@ def test_intersect_with_a_finite_first_carrier_is_finite():
     assert both.sum(Family.of(1, 2)) == UNDEFINED  # 0 mod 3, 3 in int
 
 
+def test_intersect_needs_an_instance():
+    with pytest.raises(ConstructionError,
+                       match=r"^need at least one instance$"):
+        intersect_instances([])
+
+
 def test_intersect_rejects_different_zeros():
     pm, en = pm_instance(), ext_nat_instance()
     with pytest.raises(ConstructionError):
@@ -383,6 +404,14 @@ def test_factorization_triangle_commutes():
     assert fac.extension.verified_budget is not None
     for x in pm.samples():
         assert const0(x) == fac.extension(fac.unit(x))
+
+
+def test_factorize_refuses_a_singleton_outside_the_universe():
+    # at family size 0 the universe holds no singleton family
+    pm, en, const0, _ = _quotient()
+    with pytest.raises(ConstructionError, match=r"^singleton of '0' is "
+                       r"outside the universe$"):
+        factorize(pm, en, const0, CongruenceCaps(max_family_size=0))
 
 
 def test_unit_sends_elements_to_singleton_classes():

@@ -187,6 +187,14 @@ def test_restrict_requires_zero_preimage():
         restrict_instance(pm, FiniteCarrier(("+",)))
 
 
+def test_symbolic_restriction_along_an_embedding_needs_an_inverse():
+    with pytest.raises(ConstructionError, match=r"^symbolic restriction with "
+                       r"a nontrivial embedding needs an inverse$"):
+        restrict_instance(int_group_instance(),
+                          SymbolicCarrier(lambda e: True, (0, 1)),
+                          lambda x: 2 * x)
+
+
 def test_caller_inverse_restriction_keeps_sums_in_its_carrier():
     sub = restrict_instance(int_group_instance(),
                             SymbolicCarrier(lambda e: e in (0, 1), (0, 1)),
