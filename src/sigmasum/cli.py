@@ -1,13 +1,14 @@
 """Command line front end: law suites, sum evaluation, net summation.
 
-Exit codes: 0 success (requested laws pass, or the sum/net command ran),
+Exit codes: 0 success (requested laws pass, a sum/net command ran, --help),
 1 law failure and nothing else, 2 usage/config error. ``main`` is the one
-error boundary: any ValueError (the library's refusals are all ValueErrors)
-or OSError prints ``error: <message>`` on one line and exits 2. ``check``
-emits one JSON object per law on stdout (or to --out); ``sum`` and ``net``
-print single-line results.
-``net`` runs on ``net_sum`` alone; ``check`` and ``sum`` reach the rest of the
-library through the package, which imports a submodule on first use.
+error boundary: a ValueError (every library refusal, and every argument
+error, which the parser raises instead of printing its usage) or an OSError
+prints ``error: <message>`` on one line (a newline in the message is written
+as ``\\n``) and exits 2. ``check`` emits one JSON object per law on stdout
+(or to --out); ``sum`` and ``net`` print single-line results. ``net`` runs
+on ``net_sum`` alone; ``check`` and ``sum`` reach the rest of the library
+through the package, which imports a submodule on first use.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from dataclasses import asdict
 
 import sigmasum as lib
 from .net_sum import extended_sum_real, parse_generator_spec
-
-
-class UsageError(ValueError):
-    pass
 
 
 # the selectors that take no argument, with their package constructors
@@ -44,12 +41,12 @@ def resolve_instance(selector: str) -> lib.SigmaInstance:
     if name == "parity":
         points = tuple(s.strip() for s in arg.split(","))
         if not all(map(lib.family.is_nameable, points)):
-            raise UsageError("parity needs points named without "
+            raise ValueError("parity needs points named without "
                              "brackets, e.g. parity:a,b")
         return lib.powerset_parity_instance(points)
     if name == "zmod" and arg.isascii() and arg.isdigit():
         return lib.cyclic_instance(int(arg))
-    raise UsageError(f"unknown or malformed instance selector {selector!r}")
+    raise ValueError(f"unknown or malformed instance selector {selector!r}")
 
 
 _FLAVORS = ("weak", "strong", "finitely_total", "sigma_group")
@@ -62,48 +59,48 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot load instance file: {exc}")
+        raise ValueError(f"cannot load instance file: {exc}")
     try:
         elements = [str(e) for e in data["elements"]]
         zero = str(data["zero"])
         rows = data.get("sums", [])
     except (KeyError, TypeError) as exc:
-        raise UsageError(f"bad instance file: missing {exc}")
+        raise ValueError(f"bad instance file: missing {exc}")
     if zero not in elements:
-        raise UsageError("zero must be one of the elements")
+        raise ValueError("zero must be one of the elements")
     if not (isinstance(data["elements"], list) and isinstance(rows, list)):
-        raise UsageError("bad instance file: elements and sums must be lists")
+        raise ValueError("bad instance file: elements and sums must be lists")
     for e in elements:
         if not lib.family.is_nameable(e):
-            raise UsageError(f"bad instance file: element name {e!r} is empty, "
+            raise ValueError(f"bad instance file: element name {e!r} is empty, "
                              "padded with spaces or holds one of ,[](){}")
     name = data.get("name", os.path.basename(path))
     flavor = data.get("flavor", "weak")
     if not isinstance(name, str) or flavor not in _FLAVORS:
-        raise UsageError("bad instance file: name must be a string and flavor "
+        raise ValueError("bad instance file: name must be a string and flavor "
                          "one of " + ", ".join(_FLAVORS))
     codec = lib.ElementCodec(lambda s: s.strip(), str)
     table = {}
     for row in rows:
         if not isinstance(row, dict) or "value" not in row:
-            raise UsageError("bad instance file: each sums row must be an "
+            raise ValueError("bad instance file: each sums row must be an "
                              "object with a value")
         finite, omega = row.get("finite", []), row.get("omega", [])
         if not (isinstance(finite, list) and isinstance(omega, list)):
-            raise UsageError("bad instance file: finite and omega must be "
+            raise ValueError("bad instance file: finite and omega must be "
                              "lists")
         finite = [str(e) for e in finite]
         omega = [str(e) for e in omega]
         for e in finite + omega:
             if e not in elements:
-                raise UsageError(f"table element {e!r} not among the elements")
+                raise ValueError(f"table element {e!r} not among the elements")
         fam = lib.canonicalize([(e, 1) for e in finite]
                                + [(e, lib.OMEGA) for e in omega])
         value = str(row["value"])
         if value not in elements:
-            raise UsageError(f"table value {value!r} not among the elements")
+            raise ValueError(f"table value {value!r} not among the elements")
         if table.setdefault(fam, value) != value:
-            raise UsageError(
+            raise ValueError(
                 f"family {lib.format_family_literal(fam, codec)} has two "
                 f"values, {table[fam]!r} and {value!r}")
 
@@ -116,13 +113,10 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
 
 
 def _default_seed() -> int:
-    env = os.environ.get("SIGMA_SUM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError("SIGMA_SUM_SEED must be an integer")
-    return lib.Budget.seed
+    try:
+        return int(os.environ.get("SIGMA_SUM_SEED", lib.Budget.seed))
+    except ValueError:
+        raise ValueError("SIGMA_SUM_SEED must be an integer")
 
 
 # check option -> Budget field; an option left unset takes the Budget default,
@@ -132,8 +126,13 @@ _BUDGET_OPTIONS = {"--max-size": "max_finite_size", "--omega": "max_omega_elems"
                    "--omega-splits": "omega_splits", "--trials": "trials"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an argument error is one more refusal
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmasum",
         description="partial-summation law suites, sums, and net evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -163,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_text(inst, budget, seed, report) -> str:
+def _report_text(report) -> str:
     """One JSON line per law, then the flavor conclusion if there is one."""
-    base = {"instance": inst.name, "budget": asdict(budget), "seed": seed}
+    base = {"instance": report.instance, "budget": asdict(report.budget),
+            "seed": report.budget.seed}
     lines = []
     for v in report.laws:
         row = dict(base, law=v.law, verdict=v.status, checked=v.checked)
@@ -188,26 +188,24 @@ def cmd_check(args, out) -> int:
         with (open(args.out, "w") if args.out
               else contextlib.nullcontext(out)) as fh:
             report = lib.checker.suite_for(args.laws)(inst, budget)
-            fh.write(_report_text(inst, budget, seed, report))
+            fh.write(_report_text(report))
             fh.flush()
     except OSError as exc:  # from the open, a write, the flush or the close
-        raise UsageError(f"cannot write report: {exc}")
+        raise ValueError(f"cannot write report: {exc}")
     return 0 if report.ok else 1
 
 
 def cmd_sum(args, out) -> int:
     inst = resolve_instance(args.instance)
-    if inst.codec is None:
-        raise UsageError(f"instance {inst.name} has no element syntax")
     if (args.family is None) == (args.family_file is None):
-        raise UsageError("need exactly one of --family or --family-file")
+        raise ValueError("need exactly one of --family or --family-file")
     literal = args.family
     if literal is None:
         try:
             with open(args.family_file, encoding="utf-8") as fh:
                 literal = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read family file: {exc}")
+            raise ValueError(f"cannot read family file: {exc}")
     result = inst.sum(lib.family.parse_family_literal(literal, inst.codec))
     if result.defined:
         out.write(f"defined {inst.codec.format(result.value)}\n")
@@ -225,15 +223,15 @@ def _fmt_float(x: float) -> str:
 def cmd_net(args, out) -> int:
     gf = parse_generator_spec(args.gen)
     if args.require_certificate and gf.certificate is None:
-        raise UsageError(f"generator {gf.description} has no certificate")
+        raise ValueError(f"generator {gf.description} has no certificate")
     if not args.eps > 0:
-        raise UsageError("--eps must be positive")
+        raise ValueError("--eps must be positive")
     if args.max_terms <= 0:
-        raise UsageError("--max-terms must be positive")
+        raise ValueError("--max-terms must be positive")
     try:
         verdict = extended_sum_real(gf, args.eps, args.max_terms)
     except OverflowError:
-        raise UsageError("the sum overflows the float range")
+        raise ValueError("the sum overflows the float range")
     if verdict.kind == "converged":
         out.write(f"converged {_fmt_float(verdict.value)} "
                   f"±{_fmt_float(verdict.error_bound)}\n")
@@ -249,16 +247,15 @@ def cmd_net(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # kept to the end: not garbage during the run
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
         return args.run(args, sys.stdout)
     except (ValueError, OSError) as exc:  # no library class: that loads core
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
+    except SystemExit:  # --help, after printing the usage
+        return 0
 
 
 if __name__ == "__main__":

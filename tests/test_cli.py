@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -376,10 +377,11 @@ def test_check_weak_shape_witness_bytes_are_pinned(suite, budget, monkeypatch):
 
 
 def test_check_reports_byte_identical_across_processes():
-    import subprocess
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
     def run(hashseed):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.path.join(root, "src"))
         return subprocess.run(
             [sys.executable, "-m", "sigmasum.cli", "check", "--instance",
              "parity:a,b", "--laws", "weak", "--max-size", "2",
@@ -869,6 +871,28 @@ REFUSALS = {
                        "--max-terms must be positive"),
     "certified_sum_overflows": (["net", "--gen", "finite(1e308,1e308)"],
                                 "the sum overflows the float range"),
+    # argument errors: argparse's message, without its usage block
+    "laws_unknown": (
+        ["check", "--instance", "pm", "--laws", "bogus"],
+        "argument --laws: invalid choice: 'bogus' (choose from 'weak', "
+        "'strong', 'ft', 'group', 'all')"),
+    "max_terms_not_an_integer": (
+        ["net", "--gen", "finite(1)", "--max-terms", "x"],
+        "argument --max-terms: invalid int value: 'x'"),
+    "max_size_not_an_integer": (
+        ["check", "--instance", "pm", "--max-size", "x"],
+        "argument --max-size: invalid int value: 'x'"),
+    "no_subcommand": ([], "the following arguments are required: command"),
+    "check_without_instance": (
+        ["check", "--laws", "weak"],
+        "the following arguments are required: --instance"),
+    "net_without_gen": (["net", "--eps", "1e-3"],
+                        "the following arguments are required: --gen"),
+    "unknown_option": (CHECK + ["pm", "--bogus", "1"],
+                       "unrecognized arguments: --bogus 1"),
+    # a newline in the message is written as \n, so the error stays one line
+    "argument_with_a_newline": (CHECK + ["pm", "x\ny"],
+                                "unrecognized arguments: x\\ny"),
 }
 # the environment a case runs under; every other case unsets the seed
 REFUSAL_ENV = {"seed_not_an_integer": {"SIGMA_SUM_SEED": "x"}}
@@ -888,6 +912,18 @@ def test_every_refusal_prints_its_pinned_line(case, tmp_path, monkeypatch,
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_help_prints_the_usage_and_exits_zero(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "sigmasum.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: sigmasum ")
+    capsys.readouterr()
+    assert run_cli(["--help"]) == (0, done.stdout)
+    assert capsys.readouterr().err == ""
 
 
 # -- a failed write is a refusal too, never a law failure ---------------------
@@ -991,3 +1027,102 @@ def test_main_never_raises_and_only_check_fails_laws(argv):
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "check"
     assert code == 2 or MISSING_DIR_OUT not in argv
+
+
+# -- structured argv: every refusal, an argument error too, is one line --------
+
+# subcommand -> option -> (good values, bad values); None is a flag alone
+CLI_OPTIONS = {
+    "check": {
+        "--instance": (SELECTORS + ["tiny.json"],
+                       ["missing.json", "nosuch", "zmod:0", "parity:"]),
+        "--laws": (["weak", "strong", "ft", "group", "all"], ["bogus", ""]),
+        "--max-size": (["0", "2"], ["-1", "x"]),
+        "--omega": (["1"], ["-1", "x"]),
+        "--block-count": (["1", "3"], ["-1", ""]),
+        "--block-size": (["3"], ["x"]),
+        "--omega-splits": (["0", "2"], ["1.5"]),
+        "--trials": (["3"], ["-1", "x"]),
+        "--seed": (["3", "-4"], ["x"]),
+        "--out": (["report.jsonl"], ["missing/report.jsonl", ""]),
+    },
+    "sum": {
+        "--instance": (SELECTORS + ["tiny.json"], ["missing.json", "nosuch"]),
+        "--family": (["{finite:[+,+,-]}", "{finite:[1,2],omega:[0]}",
+                      "{finite:[[a],[a,b]]}", "{finite:[a]}", "{omega:[0]}"],
+                     ["{finite:[q]}", "finite:[+]", "{finite:[+,,-]}", ""]),
+        "--family-file": (["family.txt"], ["missing.txt", ""]),
+    },
+    "net": {
+        "--gen": (["geometric(0.5,0.5)", "finite(1,2,3)", "power(2)",
+                   "alternating_harmonic"],
+                  ["finite(1e308,1e308)", "geometric(1)", "nope(1)", "!!",
+                   ""]),
+        "--eps": (["1e-9", "1"], ["-1", "nan", "x"]),
+        "--max-terms": (["10"], ["0", "x"]),
+        "--require-certificate": ([None], ["yes"]),
+    },
+}
+# the options each subcommand mostly starts with: those it cannot run
+# without, and for check the suite
+CLI_FIRST = {"check": ["--instance", "--laws"],
+             "sum": ["--instance", "--family"], "net": ["--gen"]}
+UNKNOWN_OPTIONS = ["--bogus", "-x", "--bogus=1", "-"]
+# appended to keep each run small; a later option wins over an earlier one
+CLI_TAIL = {"check": ["--max-size", "1", "--omega", "0", "--trials", "0"],
+            "net": ["--max-terms", "50"]}
+# the files the structured command lines name, in their working directory
+CLI_FILES = {
+    "tiny.json": _definition(sums=[{"finite": [], "value": "0"},
+                                   {"finite": ["a"], "value": "a"}]),
+    "family.txt": b"{finite: [+, -]}",
+}
+
+
+@st.composite
+def structured_argvs(draw):
+    """A subcommand or a junk first token, then 0-4 option/value pairs: the
+    subcommand's options, each with a good value or (one time in four) a
+    bad one, or (one time in eight) an unknown option."""
+    command = draw(st.sampled_from([*CLI_OPTIONS, *CLI_OPTIONS, "bogus", "",
+                                    "-x"]))
+    options = CLI_OPTIONS.get(command, {})
+    argv = [command]
+    for i in range(draw(st.integers(0, 4))):
+        if options and draw(st.integers(0, 7)):
+            first = CLI_FIRST[command]
+            option = (first[i] if i < len(first) and draw(st.integers(0, 3))
+                      else draw(st.sampled_from(sorted(options))))
+            good, bad = options[option]
+            value = draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0
+                                         else good))
+        else:
+            option = draw(st.sampled_from(UNKNOWN_OPTIONS))
+            value = draw(st.sampled_from([None, "1", "x", "a\nb"]))
+        argv += [option] if value is None else [option, value]
+    return argv + CLI_TAIL.get(command, [])
+
+
+@settings(max_examples=500)
+@given(structured_argvs())
+def test_every_command_line_exits_0_1_or_2_and_refuses_on_one_line(argv):
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in CLI_FILES.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err):
+                code, out = run_cli(argv)
+        finally:
+            os.chdir(cwd)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n"), err
+    else:
+        assert err == ""

@@ -8,6 +8,9 @@ from sigmasum.core import (
     ClassElement,
     ConstructionError,
     Defined,
+    FiniteCarrier,
+    Hom,
+    SigmaInstance,
     UNDEFINED,
     budget_families,
     check_hom,
@@ -82,6 +85,17 @@ def test_projections_are_verified_homs():
     assert pl.verified_budget is not None and pr.verified_budget is not None
 
 
+def test_projections_refuse_a_product_without_the_product_rule():
+    I = unit_instance()
+    pairs = FiniteCarrier([(a, b) for a in (0, 1) for b in (0, 1)])
+    # declared a product of two unit instances, but every family sums to zero
+    fake = SigmaInstance("fake", pairs, (0, 0), lambda fam: Defined((0, 0)),
+                         factors=(I, I))
+    with pytest.raises(ConstructionError,
+                       match=r"^projection failed hom verification$"):
+        projections(fake, BUDGET)
+
+
 def test_product_universal_property_on_finite_fixtures():
     pm = pm_instance()
     I = unit_instance()
@@ -153,6 +167,13 @@ def test_equaliser_needs_parallel_homs():
     other = verify_hom(lambda e: 0, pm, ext_nat_instance(), BUDGET)
     with pytest.raises(ConstructionError):
         equaliser(ident, other)
+
+
+def test_equaliser_needs_the_zero_in_the_agreement_set():
+    I = unit_instance()
+    with pytest.raises(ConstructionError, match=r"^the zero element must be "
+                       r"in the agreement set$"):
+        equaliser(Hom(I, I, lambda x: x), Hom(I, I, lambda x: 1 - x))
 
 
 # -- chain colimit ----------------------------------------------------------------
@@ -320,6 +341,18 @@ def test_internal_hom_into_pm_passes_weak_suite():
     report = check_weak(H, Budget(max_finite_size=3, max_omega_elems=1,
                                   trials=0, seed=7))
     assert report.ok
+
+
+def test_internal_hom_refuses_a_target_whose_zero_no_hom_keeps():
+    I = unit_instance()
+    # the unit rule, but declaring 1 the zero: the identity and the map to 0
+    # are homs, while the constant map to the declared zero sends the empty
+    # family, which sums to 0, to 1
+    y = SigmaInstance("y", FiniteCarrier((0, 1)), 1, I.sum)
+    budget = Budget(max_finite_size=2, max_omega_elems=0, trials=0)
+    with pytest.raises(ConstructionError, match=r"^constant-zero map failed "
+                       r"certification$"):
+        internal_hom(I, y, budget)
 
 
 def test_internal_hom_needs_finite_carriers():

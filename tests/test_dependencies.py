@@ -5,8 +5,9 @@ name it imports, takes no private name of a sibling module, reads no
 private attribute of anything but ``self`` and uses each private name it
 binds at module level, and reads every parameter it takes; every law a suite
 names has its function. The package
-exports, by defining submodule, the names listed here, and a
-cold ``sigmasum net`` loads only the net engine."""
+exports, by defining submodule, the names listed here, a cold
+``sigmasum net`` loads only the net engine, and every module is written
+in the Python 3.10 grammar that ``requires-python`` declares."""
 import ast
 import importlib
 import os
@@ -38,6 +39,19 @@ def test_library_imports_only_the_standard_library():
                 if top != "sigmasum" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.relative_to(root)}: {name}")
     assert foreign == []
+
+
+def test_library_parses_as_python_3_10():
+    """``requires-python`` is ``>=3.10``: no module may use later syntax,
+    such as ``except*``, which the 3.10 grammar refuses."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
+    root = Path(sigmasum.__file__).parent
+    modules = sorted(root.rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def _is_import_call(node):

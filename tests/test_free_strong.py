@@ -279,6 +279,22 @@ def test_quotient_hom_must_map_weak_to_strong():
         free_strong_quotient(pm_instance(), en, ident, CAPS)
 
 
+def test_quotient_refuses_a_component_with_mixed_images():
+    # the identity into a target declared strong that leaves every family
+    # with a "-" unsummable: {} and {+, -} pair off into one component, but
+    # only the image of {} is summable
+    pm = pm_instance()
+    plus = SigmaInstance(
+        "plus", pm.carrier, "0",
+        lambda fam: UNDEFINED if fam.count("-") else pm.sum(fam),
+        flavor="strong")
+    ident = Hom(pm, plus, lambda e: e, "id", BUDGET)
+    caps = CongruenceCaps(max_family_size=2, max_omega_elems=0)
+    with pytest.raises(ConstructionError, match=r"^component mixes summable "
+                       r"and unsummable images$"):
+        free_strong_quotient(pm, plus, ident, caps)
+
+
 def test_graph_relates_only_families_of_its_universe():
     graph = CongruenceGraph(pm_instance(), CAPS)
     with pytest.raises(ConstructionError,
