@@ -32,8 +32,8 @@ def _snd(p):
     return p[1]
 
 
-def product(x: SigmaInstance, y: SigmaInstance, *, samples=None,
-            name=None) -> SigmaInstance:
+def product(x: SigmaInstance, y: SigmaInstance, *,
+            samples=None) -> SigmaInstance:
     """Pairs of carriers; a pair family is summable exactly when both
     projections are, the value being the pair of projection sums."""
 
@@ -59,7 +59,7 @@ def product(x: SigmaInstance, y: SigmaInstance, *, samples=None,
             samples=pool,
         )
     flavor = x.flavor if x.flavor == y.flavor else "weak"
-    return SigmaInstance(name or f"{x.name}x{y.name}", carrier,
+    return SigmaInstance(f"{x.name}x{y.name}", carrier,
                          (x.zero, y.zero), rule, flavor=flavor, factors=(x, y))
 
 
@@ -80,7 +80,7 @@ def pairing(f, g):
     return lambda a: (f(a), g(a))
 
 
-def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
+def equaliser(f: Hom, g: Hom) -> SigmaInstance:
     """Restriction of the common source to the agreement set of two homs.
 
     A family over the agreement set is summable exactly when it is summable
@@ -96,11 +96,10 @@ def equaliser(f: Hom, g: Hom, *, name=None) -> SigmaInstance:
     if f(x.zero) != g(x.zero):
         raise ConstructionError("the zero element must be in the agreement set")
     return restrict_instance(x, x.carrier.where(lambda e: f(e) == g(e)),
-                             name=name or f"eq({x.name})", flavor=x.flavor,
-                             codec=x.codec)
+                             name=f"eq({x.name})", flavor=x.flavor)
 
 
-def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
+def chain_colimit(stages, homs) -> QuotientInstance:
     """Colimit of a finite chain of instances along verified homs.
 
     Two stage elements are identified when they agree after pushing forward;
@@ -127,19 +126,15 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
         # earliest (stage, element) pushing to this final value
         stage, elem = last, value
         while stage > 0:
-            hom = homs[stage - 1]
+            hom, carrier = homs[stage - 1], stages[stage - 1].carrier
             if hom.inverse is not None:
                 prev = hom.inverse(elem)
-                if prev is None or hom(prev) != elem:
-                    break
-            elif stages[stage - 1].carrier.is_finite:
-                # the first preimage in carrier (canonical_key) order
-                for prev in stages[stage - 1].carrier.elements:
-                    if hom(prev) == elem:
-                        break
-                else:
-                    break
+            elif carrier.is_finite:  # the first preimage in carrier order
+                prev = next((e for e in carrier.elements if hom(e) == elem),
+                            None)
             else:
+                break
+            if prev is None or hom(prev) != elem:
                 break
             elem = prev
             stage -= 1
@@ -185,7 +180,7 @@ def chain_colimit(stages, homs, *, name=None) -> QuotientInstance:
         carrier = SymbolicCarrier(is_class, samples=tuple(dict.fromkeys(pool)))
 
     return QuotientInstance(
-        name or "colim(" + "->".join(s.name for s in stages) + ")",
+        "colim(" + "->".join(s.name for s in stages) + ")",
         carrier, class_of((0, stages[0].zero)), rule,
         class_of=class_of, classes=tuple(classes.values()),
         flavor=stages[0].flavor if len({s.flavor for s in stages}) == 1 else "weak",
@@ -214,8 +209,8 @@ class HomElement:
         return f"hom{{{inner}}}"
 
 
-def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
-                 name=None) -> SigmaInstance:
+def internal_hom(x: SigmaInstance, y: SigmaInstance,
+                 budget: Budget) -> SigmaInstance:
     """Instance on the budget-certified homs x -> y; a family of homs sums to
     its pointwise sum when that is defined everywhere and, like every rule
     value, lies in the carrier."""
@@ -246,7 +241,7 @@ def internal_hom(x: SigmaInstance, y: SigmaInstance, budget: Budget, *,
             rows.append((a, r.value))
         return Defined(HomElement(tuple(rows)))
 
-    return SigmaInstance(name or f"[{x.name},{y.name}]", carrier, zero, rule,
+    return SigmaInstance(f"[{x.name},{y.name}]", carrier, zero, rule,
                          flavor="weak")
 
 

@@ -184,8 +184,8 @@ class QuotientInstance(SigmaInstance):
     ``stage_map(i)`` the map of a colimit's stage i into it."""
 
     def __init__(self, name, carrier, zero, rule, class_of, classes,
-                 flavor="weak", codec=None, graph=None, stage_map=None):
-        super().__init__(name, carrier, zero, rule, flavor=flavor, codec=codec)
+                 flavor="weak", graph=None, stage_map=None):
+        super().__init__(name, carrier, zero, rule, flavor=flavor)
         self.class_of = class_of
         self.classes = tuple(classes)
         self.graph = graph
@@ -309,7 +309,7 @@ def verify_hom(f, source, target, budget, name="", inverse=None) -> Hom:
                inverse=inverse)
 
 
-def compose_homs(g: Hom, f: Hom, name="") -> Hom:
+def compose_homs(g: Hom, f: Hom) -> Hom:
     """g after f; verified budget is the meet of the two budgets."""
     if f.target is not g.source:
         raise ConstructionError("homs are not composable")
@@ -323,4 +323,4 @@ def compose_homs(g: Hom, f: Hom, name="") -> Hom:
             mid = g_inv(y)
             return None if mid is None else f_inv(mid)
     return Hom(f.source, g.target, lambda x: g.fn(f.fn(x)),
-               name=name or f"{g.name}.{f.name}", verified_budget=vb, inverse=inv)
+               name=f"{g.name}.{f.name}", verified_budget=vb, inverse=inv)

@@ -145,64 +145,57 @@ class CongruenceGraph:
     def successors(self, fam: Family) -> set:
         return self._succ[fam]
 
-    def related(self, a: Family, b: Family, depth: int) -> CongruenceVerdict:
-        if a not in self._succ or b not in self._succ:
-            raise ConstructionError("family outside the explored universe")
-        if a == b:
-            return CongruenceVerdict(True, [(a, None)], truncated=self.truncated)
+    def _walk(self, a: Family, depth: int, b=None):
+        """Breadth-first from ``a`` over the undirected edges, neighbours in
+        ``Family.sort_key`` order, for at most ``depth`` levels, stopping once
+        ``b`` is reached. Returns each reached family's parent and the last
+        level's frontier."""
         parent = {a: None}
         frontier = [a]
-        exhausted = False
-        for _ in range(depth):
+        level = 0
+        while frontier and level < depth and b not in parent:
             new = []
             for fam in frontier:
                 for nxt in sorted(self._undirected[fam], key=Family.sort_key):
-                    if nxt in parent:
-                        continue
-                    parent[nxt] = fam
-                    if nxt == b:
-                        return self._verdict(parent, a, b)
-                    new.append(nxt)
+                    if nxt not in parent:
+                        parent[nxt] = fam
+                        new.append(nxt)
             frontier = new
-            if not frontier:
-                break
-        else:
-            exhausted = bool(frontier)
-        return CongruenceVerdict(False, [], depth_exhausted=exhausted,
-                                 truncated=self.truncated)
+            level += 1
+        return parent, frontier
 
-    def _verdict(self, parent, a, b) -> CongruenceVerdict:
+    def related(self, a: Family, b: Family, depth: int) -> CongruenceVerdict:
+        """Is ``b`` within ``depth`` undirected steps of ``a``? The chain is
+        the breadth-first path, each step marked forward or backward; a
+        negative verdict is ``depth_exhausted`` when the walk still had
+        families to expand at the depth bound."""
+        if a not in self._succ or b not in self._succ:
+            raise ConstructionError("family outside the explored universe")
+        parent, frontier = self._walk(a, depth, b)
+        if b not in parent:
+            return CongruenceVerdict(False, [], depth_exhausted=bool(frontier),
+                                     truncated=self.truncated)
         path = [b]
         while path[-1] != a:
             path.append(parent[path[-1]])
         path.reverse()
-        chain = []
-        for cur, nxt in zip(path, path[1:]):
-            step = "forward" if nxt in self._succ[cur] else "backward"
-            chain.append((cur, step))
+        chain = [(cur, "forward" if nxt in self._succ[cur] else "backward")
+                 for cur, nxt in zip(path, path[1:])]
         chain.append((b, None))
         return CongruenceVerdict(True, chain, truncated=self.truncated)
 
     def components(self) -> list:
-        """Connected components, each sorted by ``Family.sort_key``, in the
-        order of their least members: the universe is in that order."""
+        """Connected components, each the set the walk reaches from its least
+        member, sorted by ``Family.sort_key``, in the order of their least
+        members: the universe is in that order."""
         seen = set()
         comps = []
         for fam in self.universe:
-            if fam in seen:
-                continue
-            comp = []
-            stack = [fam]
-            seen.add(fam)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nxt in self._undirected[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            comp.sort(key=Family.sort_key)
-            comps.append(comp)
+            if fam not in seen:
+                comp = sorted(self._walk(fam, len(self.universe))[0],
+                              key=Family.sort_key)
+                seen.update(comp)
+                comps.append(comp)
         return comps
 
 
@@ -217,8 +210,8 @@ def equivalent(inst: SigmaInstance, a: Family, b: Family,
 
 
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
-                         caps: CongruenceCaps = CongruenceCaps(), *,
-                         name=None) -> QuotientInstance:
+                         caps: CongruenceCaps = CongruenceCaps()
+                         ) -> QuotientInstance:
     """Quotient of the cap-bounded family universe by the zig-zag closure,
     restricted to classes whose image under ``f`` is summable in the strong
     target; a class family sums to the class of the disjoint union of
@@ -269,14 +262,14 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         return UNDEFINED if cls is None else Defined(cls)
 
     return QuotientInstance(
-        name or f"free_strong({weak.name})",
+        f"free_strong({weak.name})",
         FiniteCarrier(admitted), class_of(EMPTY), rule,
         class_of=class_of, classes=classes, flavor="strong",
         graph=graph,
     )
 
 
-def intersect_instances(instances, *, name=None) -> SigmaInstance:
+def intersect_instances(instances) -> SigmaInstance:
     """Pointwise intersection: a family sums to x exactly when every instance
     agrees on Defined(x). The carrier is the first one's members that every
     other carrier has (finite when the first is); zeros must coincide."""
@@ -300,7 +293,7 @@ def intersect_instances(instances, *, name=None) -> SigmaInstance:
         return UNDEFINED
 
     flavor = "strong" if all(i.flavor == "strong" for i in instances) else "weak"
-    return SigmaInstance(name or "&".join(i.name for i in instances),
+    return SigmaInstance("&".join(i.name for i in instances),
                          carrier, first.zero, rule, flavor=flavor,
                          codec=first.codec)
 

@@ -13,7 +13,6 @@ from typing import Callable
 
 from .family import OMEGA, Family, count_mul, is_omega, map_family
 from .core import (
-    CarrierError,
     Defined,
     UNDEFINED,
     ConstructionError,
@@ -208,14 +207,14 @@ def _identity(x):
 
 
 def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
-                      inverse=None, name=None, flavor="weak",
-                      codec=None) -> SigmaInstance:
+                      inverse=None, name=None,
+                      flavor="weak") -> SigmaInstance:
     """Pull the parent's summation back along an injective embedding.
 
     A family is summable exactly when its image is summable in the parent
     with the value inside the embedded carrier; the embedding is then
     structure preserving by construction. Along the identity this is the
-    parent's rule on the smaller carrier. Along another embedding the sum is
+    parent's rule and codec on the smaller carrier. Along another embedding the sum is
     the preimage x of the parent's value y, from the carrier's table or from
     ``inverse`` (required on a symbolic carrier), provided embed(x) == y.
     """
@@ -224,8 +223,9 @@ def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
 
     if embed is None:
         zero, rule, embed = parent.zero, parent.sum, _identity
-        codec = parent.codec if codec is None else codec
+        codec = parent.codec
     else:
+        codec = None
         if carrier.is_finite:
             table = {embed(e): e for e in carrier.elements}
             if len(table) != len(carrier):
@@ -309,21 +309,19 @@ def cyclic_monoid(n: int) -> FiniteMonoid:
 
 
 def extended_sum_discrete(monoid: FiniteMonoid, fam: Family) -> SumResult:
-    """Extended sum in the discrete topology: the net of finite partial sums
-    converges exactly when it is eventually constant. Let s fold the finite
-    part and |M| copies of each omega element; from |M| copies on, the powers
-    of every element are periodic, so the family is summable, with sum s,
-    exactly when s + e == s for every omega element e."""
-    for e in fam.support():
-        if e not in monoid.elements:
-            raise CarrierError(f"{e!r} not in {monoid.name}")
-    return fold_rule(monoid.fold, len(monoid.elements))(fam)
+    """Extended sum in the discrete topology, ``discrete_instance(monoid)``'s
+    sum: the net of finite partial sums converges exactly when it is
+    eventually constant. An element outside the monoid raises CarrierError."""
+    return discrete_instance(monoid).sum(fam)
 
 
-def discrete_instance(monoid: FiniteMonoid, name=None) -> SigmaInstance:
-    """The summation instance a discrete Hausdorff monoid induces."""
+def discrete_instance(monoid: FiniteMonoid) -> SigmaInstance:
+    """The summation instance a discrete Hausdorff monoid induces. Let s fold
+    the finite part and |M| copies of each omega element; from |M| copies on,
+    the powers of every element are periodic, so the family is summable, with
+    sum s, exactly when s + e == s for every omega element e."""
     return SigmaInstance(
-        name or f"discrete({monoid.name})",
+        f"discrete({monoid.name})",
         FiniteCarrier(monoid.elements), monoid.identity,
         fold_rule(monoid.fold, len(monoid.elements)),
         flavor="finitely_total",

@@ -19,7 +19,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat, tee
+from itertools import chain, compress, islice, repeat
 from typing import Callable
 
 
@@ -143,17 +143,16 @@ def _certified(gf, eps, max_terms):
     finds the stop; ``gen`` runs on exactly the indices consumed up to it, in
     order, and ``bound`` on at most one tail index more. A term above its
     bound (up to a relative 1e-12), a NaN term or bound, a tail bound above
-    the one before, or a negative ``sorted_tail`` at the stop raises
-    CertificateError at its index."""
+    the last tail bound consumed (the one before it), or a negative
+    ``sorted_tail`` at the stop raises CertificateError at its index."""
     cert = gf.certificate
     k = cert.nonincreasing_from
     k = max_terms if k is None else min(k, max_terms)
-    # (-bound(i), i, the bound's ceiling: bound(i - 1) in the tail)
-    head = sorted((-cert.bound(i), i, math.inf) for i in range(k))
-    bounds, ceilings = tee(map(cert.bound, range(k, max_terms)))
-    tail = zip(map(operator.neg, bounds), range(k, max_terms),
-               chain([math.inf], ceilings))
+    head = sorted((-cert.bound(i), i) for i in range(k))
+    tail = zip(map(operator.neg, map(cert.bound, range(k, max_terms))),
+               range(k, max_terms))
     order = heapq.merge(head, tail) if head else tail
+    ceiling = math.inf  # the last tail bound consumed: bound(i - 1)
     state = ()
     for a, b in _blocks(0, max_terms):  # a terms are consumed before index a
         tails = list(map(cert.sorted_tail, range(a, b)))
@@ -161,12 +160,14 @@ def _certified(gf, eps, max_terms):
                    None)
         terms = []
         used = b if hit is None else hit + 1
-        for neg_bound, i, ceiling in islice(order, used - a):
+        for neg_bound, i in islice(order, used - a):
             bound = -neg_bound
-            if bound > ceiling:
-                raise CertificateError(
-                    f"bound({i}) = {bound} exceeds bound({i - 1}) = {ceiling},"
-                    f" though declared non-increasing from {k}")
+            if i >= k:
+                if bound > ceiling:
+                    raise CertificateError(
+                        f"bound({i}) = {bound} exceeds bound({i - 1}) ="
+                        f" {ceiling}, though declared non-increasing from {k}")
+                ceiling = bound
             term = gf.gen(i)
             if not abs(term) <= bound + 1e-12 * bound:  # NaN fails too
                 raise CertificateError(

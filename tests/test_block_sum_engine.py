@@ -9,7 +9,7 @@ set, and the caps must clip the stream exactly when ``static_truncation``
 says so.
 """
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,11 +68,15 @@ def cases(draw, n_families):
     return inst, asks, draw(caps_st)
 
 
+@lru_cache(maxsize=None)
 def stream_block_sums(inst, fam, shape, caps):
+    # a pure function of its arguments, the instances being the module's own:
+    # hypothesis asks the same question many times over
     stream = enumerate_partitions(fam, shape, caps,
                                   block_filter=lambda b: inst.sum(b).defined)
-    return {canonicalize((inst.sum(b).value, m) for b, m in part.blocks)
-            for part in stream}
+    return frozenset(
+        canonicalize((inst.sum(b).value, m) for b, m in part.blocks)
+        for part in stream)
 
 
 EXTNAT = INSTANCES["extnat"]

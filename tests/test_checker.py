@@ -388,6 +388,26 @@ def test_group_laws_fail_for_a_broken_inversion():
          {"family": "{finite: [2], omega: []}"})]
 
 
+def test_inverse_cancellation_shrinks_to_a_summable_witness():
+    # {0, 0} sums to b, but its union with its image under the identity
+    # inversion, {0, 0, 0, 0}, has no sum, so {0, 0} fails the law. The
+    # union for its subfamily {0} is {0, 0}, which sums to b and not to 0,
+    # but {0} has no sum, so the shrinker must keep {0, 0}
+    table = {EMPTY: "0", Family.of("0", "0"): "b"}
+
+    def rule(fam):
+        return Defined(table[fam]) if fam in table else UNDEFINED
+
+    inst = SigmaInstance("cancel", FiniteCarrier(("0", "b")), "0", rule,
+                         inversion=lambda x: x,
+                         codec=ElementCodec(str.strip, str))
+    budget = Budget(max_finite_size=2, max_omega_elems=0, trials=0)
+    verdict = check_ft_and_group(inst, budget).verdict("inverse_cancellation")
+    assert (verdict.law, verdict.status, verdict.checked, verdict.witness) == (
+        "inverse_cancellation", "fail", 2,
+        {"family": "{finite: [0, 0], omega: []}"})
+
+
 REGROUPING_FAILS = os.path.join(os.path.dirname(__file__), "fixtures",
                                 "regrouping_fails.json")
 

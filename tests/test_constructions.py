@@ -355,6 +355,19 @@ def test_internal_hom_refuses_a_target_whose_zero_no_hom_keeps():
         internal_hom(I, y, budget)
 
 
+def test_internal_hom_refuses_a_budget_that_certifies_no_hom():
+    # y sums only {} and {0}: a hom from the unit must send {1}, which sums
+    # to 1, to a family y sums, so 1 -> 0, and then {0, 1}, which sums to 1,
+    # goes to {0, 0}, which y does not sum
+    y = SigmaInstance("y", FiniteCarrier((0, 1)), 0,
+                      lambda fam: Defined(0) if fam in (EMPTY, Family.of(0))
+                      else UNDEFINED)
+    budget = Budget(max_finite_size=2, max_omega_elems=0, trials=0)
+    with pytest.raises(ConstructionError, match=r"^budget too small to "
+                       r"certify any hom \(empty carrier\)$"):
+        internal_hom(unit_instance(), y, budget)
+
+
 def test_internal_hom_needs_finite_carriers():
     with pytest.raises(ConstructionError):
         internal_hom(real_abs_instance(), unit_instance(), BUDGET)

@@ -1,7 +1,8 @@
 """One family pool per hom check, one target sum per distinct image in a hom
-scan, one extension value per class, and a congruence graph built from the
-block-sum engine's keys: each checked against the loop it replaced, kept here
-as the oracle, plus call counts that pin the sharing."""
+scan, one extension value per class, a congruence graph built from the
+block-sum engine's keys and one walk over it: each checked against the loop
+it replaced, kept here as the oracle, plus call counts that pin the
+sharing."""
 import inspect
 import itertools
 import random
@@ -57,6 +58,7 @@ from sigmasum.family import (
 from sigmasum.free_strong import (
     CongruenceCaps,
     CongruenceGraph,
+    CongruenceVerdict,
     factorize,
     free_strong_quotient,
     leads_to,
@@ -426,6 +428,87 @@ def test_congruence_graph_matches_unpruned_paddings(name, make, caps, pool):
     for fam in universe:
         assert graph.successors(fam) == succ[fam]
     assert graph.components() == components
+
+
+def oracle_related(graph, a, b, depth):
+    """The breadth-first search that answered ``related`` on its own: it
+    stops at the first sight of ``b`` and reads the chain off its parents."""
+    if a == b:
+        return CongruenceVerdict(True, [(a, None)], truncated=graph.truncated)
+    parent = {a: None}
+    frontier = [a]
+    exhausted = False
+    for _ in range(depth):
+        new = []
+        for fam in frontier:
+            for nxt in sorted(graph._undirected[fam], key=Family.sort_key):
+                if nxt in parent:
+                    continue
+                parent[nxt] = fam
+                if nxt == b:
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    chain = [(cur, "forward" if later in graph.successors(cur)
+                              else "backward")
+                             for cur, later in zip(path, path[1:])]
+                    return CongruenceVerdict(True, chain + [(b, None)],
+                                             truncated=graph.truncated)
+                new.append(nxt)
+        frontier = new
+        if not frontier:
+            break
+    else:
+        exhausted = bool(frontier)
+    return CongruenceVerdict(False, [], depth_exhausted=exhausted,
+                             truncated=graph.truncated)
+
+
+def oracle_components(graph):
+    """The depth-first traversal that found the components on its own."""
+    seen = set()
+    comps = []
+    for fam in graph.universe:
+        if fam in seen:
+            continue
+        comp = []
+        stack = [fam]
+        seen.add(fam)
+        while stack:
+            cur = stack.pop()
+            comp.append(cur)
+            for nxt in graph._undirected[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        comps.append(sorted(comp, key=Family.sort_key))
+    return comps
+
+
+WALKS = [
+    # (id, instance, caps, pool, pairs to sample; None: every ordered pair)
+    ("pm-no-omega", pm_instance,
+     CongruenceCaps(max_family_size=3, max_omega_elems=0), None, None),
+    *((name, make, caps, pool, 60) for name, make, caps, pool in GRAPHS),
+]
+
+
+@pytest.mark.parametrize("name, make, caps, pool, sample", WALKS,
+                         ids=[c[0] for c in WALKS])
+def test_one_walk_matches_the_search_and_the_traversal(name, make, caps, pool,
+                                                       sample):
+    """``related`` and ``components`` share one breadth-first walk; both
+    match the separate search and traversal they replaced, at depths 0-6."""
+    graph = CongruenceGraph(make(), caps, pool=pool)
+    assert graph.components() == oracle_components(graph)
+    pairs = list(itertools.product(graph.universe, repeat=2))
+    if sample is not None:
+        pairs = random.Random(7).sample(pairs, sample)
+    for a, b in pairs:
+        for depth in range(7):
+            assert graph.related(a, b, depth) == \
+                oracle_related(graph, a, b, depth), (a, b, depth)
 
 
 ONE_STEP = [
