@@ -33,11 +33,17 @@ from .core import (
 
 PASS, FAIL, TRUNCATED = "pass", "fail", "truncated"
 
-WEAK_LAWS = ("singleton", "neutral_element", "bracketing", "flattening")
-STRONG_LAWS = ("subsummability", "strong_bracketing", "strong_flattening",
-               "zero_sum_all_zero")
-FT_LAWS = ("finite_totality",)
-GROUP_LAWS = ("inverses_exist", "inversion_hom", "inverse_cancellation")
+# each law's group, in run order; law ``x`` runs as the module's ``_law_x``
+LAWS = {"singleton": "weak", "neutral_element": "weak", "bracketing": "weak",
+        "flattening": "weak", "subsummability": "strong",
+        "strong_bracketing": "strong", "strong_flattening": "strong",
+        "zero_sum_all_zero": "strong", "finite_totality": "ft",
+        "inverses_exist": "group", "inversion_hom": "group",
+        "inverse_cancellation": "group"}
+# each flavor's groups, whose laws must all run and not fail; strongest first
+FLAVORS = {"sigma_group": {"weak", "ft", "group"},
+           "strong": {"weak", "strong"},
+           "finitely_total": {"weak", "ft"}, "weak": {"weak"}}
 
 
 @dataclass
@@ -266,18 +272,18 @@ def _law_inverse_cancellation(inst, fams, engine):
 # -- suites ------------------------------------------------------------------
 
 
-def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
+def _run_laws(inst: SigmaInstance, budget: Budget, groups: tuple,
               require_group: bool = False) -> LawReport:
-    """Run ``laws`` in order over one family pool; the regrouping laws share
-    one block-sum engine, which serves every partition shape. Without an
-    inversion map installed the group laws are skipped, or fail with that
-    reason when ``require_group`` is set. Each law runs as the module's
-    ``_law_<law>(inst, fams, engine)``, looked up at call time."""
+    """Run the laws of ``groups`` in ``LAWS`` order over one family pool; the
+    regrouping laws share one block-sum engine, which serves every partition
+    shape. Without an inversion map installed the group laws are skipped, or
+    fail with that reason when ``require_group`` is set. Each law runs as the
+    module's ``_law_<law>(inst, fams, engine)``, looked up at call time."""
     fams = budget_families(inst, budget)
     engine = BlockSumEngine(inst, budget.caps)
     report = LawReport(inst.name, budget)
-    for law in laws:
-        if law in GROUP_LAWS and inst.inversion is None:
+    for law in [law for law, group in LAWS.items() if group in groups]:
+        if LAWS[law] == "group" and inst.inversion is None:
             if require_group:
                 report.laws.append(LawVerdict(
                     law, FAIL, {"reason": "no inversion map installed"}))
@@ -288,13 +294,13 @@ def _run_laws(inst: SigmaInstance, budget: Budget, laws: tuple,
 
 def check_weak(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Singleton, neutral element, bracketing and flattening, within budget."""
-    return _run_laws(inst, budget, WEAK_LAWS)
+    return _run_laws(inst, budget, ("weak",))
 
 
 def check_strong(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
     """Subsummability plus unconstrained-shape regrouping, and the probe that
     families summing to zero contain only zeros."""
-    return _run_laws(inst, budget, STRONG_LAWS)
+    return _run_laws(inst, budget, ("strong",))
 
 
 def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
@@ -302,7 +308,7 @@ def check_ft_and_group(inst: SigmaInstance, budget: Budget = Budget(),
     """Finite totality; when an inversion map is installed (or the group laws
     were explicitly requested), also the group laws (inverse pairs, inversion
     preservation, family cancellation)."""
-    return _run_laws(inst, budget, FT_LAWS + GROUP_LAWS, require_group)
+    return _run_laws(inst, budget, ("ft", "group"), require_group)
 
 
 def check_hausdorff_axioms(inst: SigmaInstance,
@@ -310,26 +316,19 @@ def check_hausdorff_axioms(inst: SigmaInstance,
     """Weak and finitely-total laws, plus the group laws when an inversion map
     is installed, over one family pool, for an instance induced by a
     topological monoid (discrete table or certified families)."""
-    return _run_laws(inst, budget, WEAK_LAWS + FT_LAWS + GROUP_LAWS)
+    return _run_laws(inst, budget, ("weak", "ft", "group"))
 
 
 def conclude_flavor(inst: SigmaInstance, budget: Budget = Budget()) -> LawReport:
-    """Run everything and conclude the strongest flavor whose laws all hold
-    (modulo caps: truncated counts as non-failing and is reported as such)."""
-    report = _run_laws(inst, budget,
-                       WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS)
-    failed = {v.law for v in report.laws if v.failed}
-    if not failed.isdisjoint(WEAK_LAWS):
-        report.flavor = None
-    elif (inst.inversion is not None
-          and failed.isdisjoint(FT_LAWS + GROUP_LAWS)):
-        report.flavor = "sigma_group"
-    elif failed.isdisjoint(STRONG_LAWS):
-        report.flavor = "strong"
-    elif failed.isdisjoint(FT_LAWS):
-        report.flavor = "finitely_total"
-    else:
-        report.flavor = "weak"
+    """Run every law and conclude the first flavor of ``FLAVORS`` whose groups'
+    laws all ran and did not fail (modulo caps: truncated counts as
+    non-failing and is reported as such). The group laws run only when an
+    inversion map is installed, so only then can ``sigma_group`` hold."""
+    report = _run_laws(inst, budget, tuple(LAWS.values()))
+    held = {v.law for v in report.laws if not v.failed}
+    report.flavor = next((flavor for flavor, groups in FLAVORS.items()
+                          if {law for law, group in LAWS.items()
+                              if group in groups} <= held), None)
     return report
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -37,10 +38,8 @@ from sigmasum.instances import (
     unit_interval_instance,
 )
 from sigmasum.checker import (
-    FT_LAWS,
-    GROUP_LAWS,
-    STRONG_LAWS,
-    WEAK_LAWS,
+    LAWS,
+    LawVerdict,
     check_ft_and_group,
     check_strong,
     check_weak,
@@ -332,7 +331,7 @@ def test_each_law_runs_through_its_module_function(monkeypatch):
     # the runner looks each law up when it runs it, so a wrapper installed on
     # the module (as a tracer does) sees every law
     seen = []
-    for law in WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS:
+    for law in LAWS:
         def wrapped(*args, _law=getattr(checker, "_law_" + law)):
             verdict = _law(*args)
             seen.append(verdict.law)
@@ -340,7 +339,7 @@ def test_each_law_runs_through_its_module_function(monkeypatch):
         monkeypatch.setattr(checker, "_law_" + law, wrapped)
     report = conclude_flavor(int_group_instance(), BUDGET)
     assert seen == [v.law for v in report.laws] == \
-        list(WEAK_LAWS + STRONG_LAWS + FT_LAWS + GROUP_LAWS)
+        list(LAWS)
 
 
 # -- failing branches of the neutral-element, group and flavor logic -----------
@@ -429,6 +428,100 @@ def test_a_weak_run_builds_its_partition_caps_once(caps_built):
         assert [v.status for v in report.laws][2:] in (
             ["truncated", "truncated"], ["fail", "fail"])
         assert len(caps_built) == 1
+
+
+# -- the flavor table against the if-chain it replaces ------------------------
+
+# the law groups and the flavor rule as the checker spelt them before the
+# flavor table, kept as the oracle
+ORACLE_GROUPS = {
+    "weak": ("singleton", "neutral_element", "bracketing", "flattening"),
+    "strong": ("subsummability", "strong_bracketing", "strong_flattening",
+               "zero_sum_all_zero"),
+    "ft": ("finite_totality",),
+    "group": ("inverses_exist", "inversion_hom", "inverse_cancellation"),
+}
+ALL_PASS = dict.fromkeys(sum(ORACLE_GROUPS.values(), ()), "pass")
+
+
+def oracle_flavor(inst, report):
+    failed = {v.law for v in report.laws if v.failed}
+    groups = ORACLE_GROUPS
+    if not failed.isdisjoint(groups["weak"]):
+        return None
+    if (inst.inversion is not None
+            and failed.isdisjoint(groups["ft"] + groups["group"])):
+        return "sigma_group"
+    if failed.isdisjoint(groups["strong"]):
+        return "strong"
+    if failed.isdisjoint(groups["ft"]):
+        return "finitely_total"
+    return "weak"
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries(
+    {law: st.sampled_from(["pass", "fail", "truncated"]) for law in ALL_PASS}))
+@example(ALL_PASS)
+@example(dict(ALL_PASS, finite_totality="fail"))
+@example(dict(ALL_PASS, zero_sum_all_zero="truncated", inversion_hom="fail"))
+def test_flavor_table_matches_the_if_chain(statuses):
+    # each law returns its drawn verdict; int has an inversion map, so its
+    # group laws run, and extnat has none, so its group laws are skipped
+    instances = (int_group_instance(), ext_nat_instance())
+    assert [inst.inversion is not None for inst in instances] == [True, False]
+    with pytest.MonkeyPatch.context() as mp:
+        for law, status in statuses.items():
+            mp.setattr(checker, "_law_" + law,
+                       lambda *args, _law=law, _status=status:
+                       LawVerdict(_law, _status))
+        for inst in instances:
+            report = conclude_flavor(inst, Budget(max_finite_size=1, trials=0))
+            ran = [law for law in ALL_PASS if inst.inversion is not None
+                   or law not in ORACLE_GROUPS["group"]]
+            assert [(v.law, v.status) for v in report.laws] == [
+                (law, statuses[law]) for law in ran]
+            assert report.flavor == oracle_flavor(inst, report)
+
+
+def _readme_tiny_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return json.loads(fh.read().split("```json\n")[1].split("```")[0])
+
+
+def _fixture_table():
+    with open(REGROUPING_FAILS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("table, names", [
+    (_fixture_table(), {"0": "z", "a": "b"}),
+    (_readme_tiny_table(), {"0": "z", "a": "y", "b": "x"}),
+], ids=["regrouping_fails", "readme_tiny"])
+def test_verdicts_do_not_depend_on_element_names(tmp_path, table, names):
+    # the renaming reverses the elements' sort order; without trial families
+    # no family is drawn by name, so each law reaches the same status, and a
+    # law that does not fail scans the same number of families
+    renamed = dict(table, zero=names[table["zero"]],
+                   elements=[names[e] for e in table["elements"]],
+                   sums=[{"finite": [names[e] for e in row.get("finite", [])],
+                          "omega": [names[e] for e in row.get("omega", [])],
+                          "value": names[row["value"]]}
+                         for row in table["sums"]])
+    assert sorted(renamed["elements"]) == [
+        names[e] for e in sorted(table["elements"], reverse=True)]
+    reports = []
+    for side, data in (("before", table), ("after", renamed)):
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(data))
+        reports.append(conclude_flavor(resolve_instance(str(path)), BUDGET))
+    before, after = reports
+    assert [(v.law, v.status) for v in before.laws] == [
+        (v.law, v.status) for v in after.laws]
+    assert before.flavor == after.flavor
+    assert [(v.law, v.checked) for v in before.laws if not v.failed] == [
+        (v.law, v.checked) for v in after.laws if not v.failed]
 
 
 # -- the per-sample laws against their former loops ---------------------------

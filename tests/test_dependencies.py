@@ -4,12 +4,15 @@ level (the package's lazy exports are the one deferred import), uses every
 name it imports, takes no private name of a sibling module, reads no
 private attribute of anything but ``self`` and uses each private name it
 binds at module level, and reads every parameter it takes; every law a suite
-names has its function. The package
+names has its function, and the benchmark's tracer and the command line
+spell the checker's law and flavor names alike. The package
 exports, by defining submodule, the names listed here, a cold
 ``sigmasum net`` loads only the net engine, and every module is written
 in the Python 3.10 grammar that ``requires-python`` declares."""
+import argparse
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import sigmasum
-from sigmasum import checker
+from sigmasum import checker, cli
 
 
 def test_library_imports_only_the_standard_library():
@@ -151,14 +154,40 @@ def test_library_reads_private_attributes_only_of_self():
 
 def test_every_law_in_a_suite_has_its_function_and_no_other():
     """The runner dispatches law ``x`` to ``checker._law_x`` by name, so a
-    misspelt law or a law function no suite names shows only here."""
-    named = checker.WEAK_LAWS + checker.STRONG_LAWS + checker.FT_LAWS \
-        + checker.GROUP_LAWS
+    misspelt law or a law function no suite names shows only here; each
+    law's group is one that some flavor requires."""
     defined = sorted(n.removeprefix("_law_") for n in vars(checker)
                      if n.startswith("_law_"))
-    assert len(set(named)) == len(named)
-    assert sorted(named) == defined
-    assert all(callable(getattr(checker, "_law_" + law)) for law in named)
+    assert sorted(checker.LAWS) == defined
+    assert all(callable(getattr(checker, "_law_" + law))
+               for law in checker.LAWS)
+    assert set(checker.LAWS.values()) == set().union(*checker.FLAVORS.values())
+
+
+def test_the_law_and_flavor_names_agree_wherever_they_are_spelt():
+    """The benchmark's tracer, the command line's flavor check and its
+    ``--laws`` choices spell the checker's names again without importing
+    them; a law the tracer no longer names would read 0 without any error."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tuple(checker.LAWS) == tracing.LAWS
+    assert set(cli._FLAVORS) == set(checker.FLAVORS)
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    check = commands.choices["check"]
+    choices = next(action.choices for action in check._actions
+                   if action.dest == "laws")
+    near = set(checker.LAWS) | set(checker.LAWS.values()) \
+        | set(checker.FLAVORS) | {"", "ALL", "weak "}
+    for selector in sorted(near | set(choices)):
+        try:
+            checker.suite_for(selector)
+        except KeyError:
+            assert selector not in choices
+        else:
+            assert selector in choices
 
 
 def test_every_private_module_level_name_is_used_in_its_module():
