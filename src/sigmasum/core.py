@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from typing import Any, Callable
 
 from .family import (
@@ -77,16 +76,30 @@ def fold_rule(fold, omega_copies=1) -> Callable[[Family], SumResult]:
     return rule
 
 
-class FiniteCarrier:
+class SymbolicCarrier:
+    """Membership predicate ``contains`` plus a fixed, deterministic sample pool."""
+
+    is_finite = False
+
+    def __init__(self, contains: Callable[[Any], bool], samples):
+        self.contains = contains
+        self.samples = tuple(samples)
+
+    def __contains__(self, e):
+        return self.contains(e)
+
+    def where(self, keep):
+        """Members that satisfy ``keep``; the samples are filtered alike."""
+        return SymbolicCarrier(lambda e: self.contains(e) and keep(e),
+                               tuple(e for e in self.samples if keep(e)))
+
+
+class FiniteCarrier(SymbolicCarrier):
     is_finite = True
 
     def __init__(self, elements):
         self.elements = tuple(sorted(dict.fromkeys(elements), key=canonical_key))
-        self.samples = self.elements
-        self._set = frozenset(self.elements)
-
-    def __contains__(self, e):
-        return e in self._set
+        super().__init__(frozenset(self.elements).__contains__, self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -94,24 +107,6 @@ class FiniteCarrier:
     def where(self, keep):
         """The elements that satisfy ``keep``, in the same order."""
         return FiniteCarrier(e for e in self.elements if keep(e))
-
-
-class SymbolicCarrier:
-    """Membership predicate plus a fixed, deterministic sample pool."""
-
-    is_finite = False
-
-    def __init__(self, contains: Callable[[Any], bool], samples):
-        self._contains = contains
-        self.samples = tuple(samples)
-
-    def __contains__(self, e):
-        return self._contains(e)
-
-    def where(self, keep):
-        """Members that satisfy ``keep``; the samples are filtered alike."""
-        return SymbolicCarrier(lambda e: e in self and keep(e),
-                               tuple(e for e in self.samples if keep(e)))
 
 
 class SigmaInstance:
@@ -141,13 +136,17 @@ class SigmaInstance:
         cached = self._cache.get(fam)
         if cached is not None:
             return cached
-        for e in chain((e for e, _ in fam.finite), fam.omega):
-            if e not in self.carrier:
+        contains = self.carrier.contains
+        for e, _ in fam.finite:
+            if not contains(e):
+                raise CarrierError(f"{e!r} is not in the carrier of {self.name}")
+        for e in fam.omega:
+            if not contains(e):
                 raise CarrierError(f"{e!r} is not in the carrier of {self.name}")
         result = self._rule(fam)
         if not isinstance(result, SumResult):
             raise TypeError(f"rule of {self.name} returned {result!r}")
-        if result.defined and result.value not in self.carrier:
+        if result.defined and not contains(result.value):
             result = UNDEFINED
         self._cache[fam] = result
         return result
@@ -285,8 +284,8 @@ def check_hom(f, source: SigmaInstance, target: SigmaInstance,
         if not r.defined:
             continue
         checked += 1
-        raw = (tuple((f(x), c) for x, c in fam.finite),
-               tuple(f(e) for e in fam.omega))
+        raw = (tuple([(f(x), c) for x, c in fam.finite]),
+               tuple(map(f, fam.omega)))
         ri = images.get(raw)
         if ri is None:
             ri = images[raw] = target.sum(Family.from_counts(*raw))
@@ -318,9 +317,8 @@ def compose_homs(g: Hom, f: Hom) -> Hom:
         vb = f.verified_budget.meet(g.verified_budget)
     inv = None
     if f.inverse and g.inverse:
-        f_inv, g_inv = f.inverse, g.inverse
         def inv(y):
-            mid = g_inv(y)
-            return None if mid is None else f_inv(mid)
+            mid = g.inverse(y)
+            return None if mid is None else f.inverse(mid)
     return Hom(f.source, g.target, lambda x: g.fn(f.fn(x)),
                name=f"{g.name}.{f.name}", verified_budget=vb, inverse=inv)

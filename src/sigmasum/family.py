@@ -77,8 +77,7 @@ class Family(CachedHash):
 
     @staticmethod
     def from_counts(pairs, omega=()) -> "Family":
-        raw = list(pairs) + [(e, OMEGA) for e in omega]
-        return canonicalize(raw)
+        return canonicalize(list(pairs) + [(e, OMEGA) for e in omega])
 
     def count(self, e):
         for x in self.omega:
@@ -279,20 +278,22 @@ def families_within(pool, max_size: int, max_omega: int) -> list:
     Each family comes once, canonical, in ``Family.sort_key`` order: finite
     size, omega count, word, omega part. (Distinct elements of equal
     ``canonical_key`` keep their order in ``pool``, and then the word decides
-    before the omega part.)
+    before the omega part.) Only the dedup hashes elements.
     """
     pool = sorted(dict.fromkeys(pool), key=canonical_key)
+    ids = range(len(pool))  # words and omega parts are drawn as positions
     fams = []
     for k in range(max_size + 1):
         for j in range(max_omega + 1):
-            for word in itertools.combinations_with_replacement(pool, k):
-                finite = tuple(Counter(word).items())
-                support = set(word)
-                for osub in itertools.combinations(pool, j):
+            omegas = [(frozenset(osub), tuple([pool[i] for i in osub]))
+                      for osub in itertools.combinations(ids, j)]
+            for word in itertools.combinations_with_replacement(ids, k):
+                finite = tuple([(pool[i], c) for i, c in Counter(word).items()])
+                for osub, omega in omegas:
                     # an omega element of the word absorbs its finite copies:
                     # that family is a smaller one, emitted under its own size
-                    if support.isdisjoint(osub):
-                        fams.append(Family(finite, osub))
+                    if osub.isdisjoint(word):
+                        fams.append(Family(finite, omega))
     return fams
 
 

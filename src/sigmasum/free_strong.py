@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .family import (
     EMPTY,
+    OMEGA,
     UNCONSTRAINED,
     BlockSumEngine,
     Caps,
@@ -205,8 +206,7 @@ def equivalent(inst: SigmaInstance, a: Family, b: Family,
     at most ``caps.depth``, inside the cap-bounded universe over the samples
     and the elements of ``a`` and ``b``?"""
     pool = list(inst.samples()) + [e for f in (a, b) for e in f.support()]
-    graph = CongruenceGraph(inst, caps, pool=pool)
-    return graph.related(a, b, caps.depth)
+    return CongruenceGraph(inst, caps, pool=pool).related(a, b, caps.depth)
 
 
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
@@ -216,7 +216,8 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     restricted to classes whose image under ``f`` is summable in the strong
     target; a class family sums to the class of the disjoint union of
     representatives whenever that class is again in the carrier. The union is
-    counted, not canonicalized: the class is looked up by its counts.
+    counted, not canonicalized: one index from counts to ``Defined(class)``
+    serves the class sum and ``class_of``.
 
     For several (target, hom) pairs build one quotient per pair and combine
     with ``intersect_instances``; the class elements coincide across quotients
@@ -232,7 +233,7 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         raise ConstructionError("target instance is not declared strong")
 
     graph = CongruenceGraph(weak, caps)
-    by_counts: dict = {}  # frozenset(fam.items()) -> class
+    index: dict = {}  # frozenset(fam.items()) -> Defined(its class)
     classes = []
     admitted = []
     for comp in graph.components():
@@ -243,23 +244,26 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         if len(summable) > 1:
             raise ConstructionError(
                 "component mixes summable and unsummable images")
-        by_counts.update((frozenset(fam.items()), cls) for fam in comp)
+        index.update(dict.fromkeys(
+            (frozenset(fam.items()) for fam in comp), Defined(cls)))
         classes.append(cls)
         if summable == {True}:
             admitted.append(cls)
 
-    reps = {cls: cls.rep.items() for cls in classes}
-
     def class_of(fam: Family):
-        return by_counts.get(frozenset(fam.items()))
+        return index.get(frozenset(fam.items()), UNDEFINED).value
 
     def rule(fam_of_classes: Family):
-        counts = {}
-        for cls, c in fam_of_classes.items():
-            for e, ce in reps[cls]:  # counts are nonzero; omega is inf
+        counts = {}  # counts are nonzero: a product with omega is omega
+        for cls, c in fam_of_classes.finite:
+            for e, ce in cls.rep.finite:
                 counts[e] = counts.get(e, 0) + c * ce
-        cls = by_counts.get(frozenset(counts.items()))
-        return UNDEFINED if cls is None else Defined(cls)
+            for e in cls.rep.omega:
+                counts[e] = OMEGA
+        for cls in fam_of_classes.omega:
+            for e in cls.rep.support():
+                counts[e] = OMEGA
+        return index.get(frozenset(counts.items()), UNDEFINED)
 
     return QuotientInstance(
         f"free_strong({weak.name})",
@@ -286,11 +290,8 @@ def intersect_instances(instances) -> SigmaInstance:
         lambda e: all(e in i.carrier for i in instances[1:]))
 
     def rule(fam: Family):
-        results = [i.sum(fam) for i in instances]
-        head = results[0]
-        if head.defined and all(r == head for r in results[1:]):
-            return head
-        return UNDEFINED
+        head, *rest = [i.sum(fam) for i in instances]
+        return head if head.defined and all(r == head for r in rest) else UNDEFINED
 
     flavor = "strong" if all(i.flavor == "strong" for i in instances) else "weak"
     return SigmaInstance("&".join(i.name for i in instances),

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigmasum.core import (
     Budget,
@@ -11,6 +14,7 @@ from sigmasum.core import (
     HomVerificationError,
     SigmaInstance,
     SumResult,
+    SymbolicCarrier,
     UNDEFINED,
     budget_families,
     check_hom,
@@ -197,6 +201,58 @@ def test_finite_carrier_sorted_and_membership():
     c = FiniteCarrier(("0", "+", "-", "+"))
     assert c.elements == c.samples == ("+", "-", "0")
     assert "+" in c and "x" not in c
+
+
+def _chain_sum(inst, fam):
+    """``SigmaInstance.sum`` as it was, uncached: one ``in self.carrier`` test
+    per element over the chained finite and omega parts."""
+    for e in chain((e for e, _ in fam.finite), fam.omega):
+        if e not in inst.carrier:
+            raise CarrierError(f"{e!r} is not in the carrier of {inst.name}")
+    result = inst._rule(fam)
+    if result.defined and result.value not in inst.carrier:
+        result = UNDEFINED
+    return result
+
+
+def _weighted_total(fam):
+    """A rule whose values leave a small carrier: the weighted total of the
+    finite part, undefined when some omega element is odd."""
+    if any(e % 2 for e in fam.omega):
+        return UNDEFINED
+    return Defined(sum(e * c for e, c in fam.finite))
+
+
+def _carriers():
+    finite = FiniteCarrier(range(5))
+    symbolic = SymbolicCarrier(lambda e: type(e) is int and 0 <= e < 5,
+                               samples=range(5))
+    even = lambda e: e % 2 == 0  # noqa: E731
+    return {"finite": finite, "symbolic": symbolic,
+            "finite-where": finite.where(even),
+            "symbolic-where": symbolic.where(even)}
+
+
+_ELEMENTS = st.integers(min_value=-2, max_value=7)
+
+
+@given(st.sampled_from(sorted(_carriers())),
+       st.lists(st.tuples(_ELEMENTS, st.integers(1, 3)), max_size=5),
+       st.lists(_ELEMENTS, max_size=3))
+def test_membership_check_matches_the_chained_loop(name, pairs, omega):
+    carrier = _carriers()[name]
+    inst = SigmaInstance(name, carrier, 0, _weighted_total)
+    fam = Family.from_counts(pairs, omega)
+    try:
+        expected = _chain_sum(inst, fam)
+    except CarrierError as exc:
+        with pytest.raises(CarrierError) as got:
+            inst.sum(fam)
+        assert str(got.value) == str(exc)
+    else:
+        assert inst.sum(fam) == expected
+    for x in [*range(-2, 8), 2.0, "2", None, True]:
+        assert (x in carrier) == carrier.contains(x)
 
 
 def test_symbolic_carrier_without_samples_is_unsupported():

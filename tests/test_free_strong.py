@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from sigmasum.core import (
     ClassElement,
     ConstructionError,
     Defined,
+    FiniteCarrier,
     Hom,
     SigmaInstance,
     UNDEFINED,
@@ -26,6 +28,7 @@ from sigmasum.family import (
     canonicalize,
     count_mul,
     disjoint_union,
+    families_within,
     is_omega,
     map_family,
 )
@@ -34,6 +37,7 @@ from sigmasum.instances import (
     ext_nat_instance,
     int_group_instance,
     pm_instance,
+    real_abs_instance,
     restrict_instance,
 )
 from sigmasum.core import SymbolicCarrier
@@ -503,6 +507,70 @@ def test_class_sum_matches_the_union_oracle(make, pool, defined):
         assert (len(fams), sum(r.defined for r in sums)) == (pool, defined)
 
 
+def _reps_oracle(quotient):
+    """The class sum and ``class_of`` as they were before the rule read the
+    representatives directly: a ``reps`` dict of ``Family.items()``, a
+    ``by_counts`` index from counts to class, and a fresh ``Defined``."""
+    by_counts = {}
+    for comp in quotient.graph.components():
+        cls = ClassElement(comp[0])
+        by_counts.update((frozenset(fam.items()), cls) for fam in comp)
+    reps = {cls: cls.rep.items() for cls in quotient.classes}
+
+    def class_of(fam):
+        return by_counts.get(frozenset(fam.items()))
+
+    def rule(fam_of_classes):
+        counts = {}
+        for cls, c in fam_of_classes.items():
+            for e, ce in reps[cls]:
+                counts[e] = counts.get(e, 0) + c * ce
+        cls = by_counts.get(frozenset(counts.items()))
+        return UNDEFINED if cls is None else Defined(cls)
+
+    return class_of, SigmaInstance("oracle", quotient.carrier, quotient.zero,
+                                   rule)
+
+
+def _identity_quotient():
+    """extnat into itself along the identity, universe up to size 2."""
+    en = ext_nat_instance()
+    ident = verify_hom(lambda e: e, en, en, BUDGET, name="id")
+    return free_strong_quotient(en, en, ident, CongruenceCaps(max_family_size=2))
+
+
+@pytest.mark.parametrize("make, caps, classes, pool", [
+    (lambda: _quotient()[3], CAPS, 11, 12376),
+    (_identity_quotient, CongruenceCaps(max_family_size=2), 6, 154),
+    (_count_quotient, CAPS, None, None),
+], ids=["const0", "identity", "count"])
+def test_class_sum_and_class_of_match_the_reps_oracle(make, caps, classes,
+                                                      pool):
+    quotient = make()
+    oracle_class_of, oracle = _reps_oracle(quotient)
+    budget = Budget(min(caps.max_family_size, caps.block_size),
+                    caps.max_omega_elems, caps.block_count, caps.block_size,
+                    caps.omega_splits, trials=0)  # factorize's budget
+    fams = budget_families(quotient, budget)
+    assert len(quotient.classes) > 1
+    if classes is not None:
+        assert (len(quotient.classes), len(fams)) == (classes, pool)
+    # and larger class families, and some with two omega classes
+    fams += budget_families(quotient, replace(budget, trials=200))[len(fams):]
+    fams += families_within(quotient.samples(), 2, 2)
+    for fam in fams:
+        assert quotient.sum(fam) == oracle.sum(fam), fam
+    universe = quotient.graph.universe
+    members = set(universe)
+    elements = list(dict.fromkeys(e for f in universe for e in f.support()))
+    outside = [f for f in families_within(elements, caps.max_family_size + 1,
+                                          caps.max_omega_elems + 1)
+               if f not in members]
+    assert outside and all(oracle_class_of(f) is None for f in outside)
+    for fam in universe + outside:
+        assert quotient.class_of(fam) == oracle_class_of(fam), fam
+
+
 def test_class_hash_is_the_dataclass_value():
     quotient = _quotient()[3]
     for cls in quotient.classes:
@@ -530,6 +598,52 @@ def test_factorize_canonicalizes_few_families(monkeypatch):
     calls.clear()
     assert factorize(pm, en, const0).commutes
     assert len(calls) <= 8000  # 18,247 when it canonicalized the union
+
+
+def test_factorize_hashes_few_classes_and_tests_membership_once(monkeypatch):
+    """A work count, not a wall clock: the class sum reads representatives
+    directly and membership is the carrier's one bound test, so the check of
+    the extension hashes classes only for the sum cache's keys, the membership
+    tests and the extension's table (205,028 calls with a reps lookup per
+    class entry and the carrier's ``__contains__`` per element)."""
+    pm, en = pm_instance(), ext_nat_instance()
+    const0 = verify_hom(lambda e: 0, pm, en, BUDGET, name="const0")
+    hashes, member_tests = [], []
+    class_hash = ClassElement.__hash__
+    finite_contains = FiniteCarrier.__contains__
+
+    def counted_hash(self):
+        hashes.append(None)
+        return class_hash(self)
+
+    def counted_contains(self, e):
+        member_tests.append(None)
+        return finite_contains(self, e)
+
+    monkeypatch.setattr(ClassElement, "__hash__", counted_hash)
+    monkeypatch.setattr(FiniteCarrier, "__contains__", counted_contains)
+    assert factorize(pm, en, const0).commutes
+    assert len(hashes) <= 130_000  # 123,507 when this was written
+    assert member_tests == []
+
+
+def test_family_pool_hashes_each_sample_once(monkeypatch):
+    """``families_within`` counts pool positions, so a pool of rationals
+    hashes each sample once, in the dedup (845 calls when it counted the
+    elements)."""
+    real = real_abs_instance()
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(None)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    fams = budget_families(real, Budget(max_finite_size=3, max_omega_elems=1,
+                                        trials=0))
+    assert len(fams) == 231 and len(real.samples()) == 5
+    assert len(calls) <= 5
 
 
 def test_congruence_search_builds_its_partition_caps_once(caps_built):
