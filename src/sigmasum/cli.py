@@ -94,8 +94,7 @@ def load_definition_file(path: str) -> lib.SigmaInstance:
         for e in finite + omega:
             if e not in elements:
                 raise ValueError(f"table element {e!r} not among the elements")
-        fam = lib.canonicalize([(e, 1) for e in finite]
-                               + [(e, lib.OMEGA) for e in omega])
+        fam = lib.Family.from_counts([(e, 1) for e in finite], omega)
         value = str(row["value"])
         if value not in elements:
             raise ValueError(f"table value {value!r} not among the elements")

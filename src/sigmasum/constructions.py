@@ -103,8 +103,10 @@ def chain_colimit(stages, homs) -> QuotientInstance:
     """Colimit of a finite chain of instances along verified homs.
 
     Two stage elements are identified when they agree after pushing forward;
-    with a finite chain that means agreeing at the last stage. A class family
-    sums by pushing representatives to the last stage and summing there.
+    with a finite chain that means agreeing at the last stage. A class is
+    named by stepping back from the last stage to first preimages, in carrier
+    order, while the stage before is finite; a class family sums by pushing
+    representatives to the last stage and summing there.
     """
     stages = list(stages)
     homs = list(homs)
@@ -125,16 +127,11 @@ def chain_colimit(stages, homs) -> QuotientInstance:
     def min_rep(value):
         # earliest (stage, element) pushing to this final value
         stage, elem = last, value
-        while stage > 0:
-            hom, carrier = homs[stage - 1], stages[stage - 1].carrier
-            if hom.inverse is not None:
-                prev = hom.inverse(elem)
-            elif carrier.is_finite:  # the first preimage in carrier order
-                prev = next((e for e in carrier.elements if hom(e) == elem),
-                            None)
-            else:
-                break
-            if prev is None or hom(prev) != elem:
+        while stage > 0 and stages[stage - 1].carrier.is_finite:
+            hom = homs[stage - 1]
+            prev = next((e for e in stages[stage - 1].carrier.elements
+                         if hom(e) == elem), None)
+            if prev is None:
                 break
             elem = prev
             stage -= 1
@@ -184,7 +181,6 @@ def chain_colimit(stages, homs) -> QuotientInstance:
         carrier, class_of((0, stages[0].zero)), rule,
         class_of=class_of, classes=tuple(classes.values()),
         flavor=stages[0].flavor if len({s.flavor for s in stages}) == 1 else "weak",
-        stage_map=lambda i: (lambda e: class_of((i, e))),
     )
 
 

@@ -115,12 +115,11 @@ class SigmaInstance:
     The rule is a pure function of the canonical family; a value it gives
     outside the carrier is read as Undefined, and results are cached.
     Instances are immutable after construction. ``factors`` is the pair of
-    instances a product was built from and ``embed`` the map of a restricted
-    instance into its parent, None elsewhere.
+    instances a product was built from, None elsewhere.
     """
 
     def __init__(self, name, carrier, zero, rule, flavor="weak",
-                 inversion=None, codec=None, factors=None, embed=None):
+                 inversion=None, codec=None, factors=None):
         self.name = name
         self.carrier = carrier
         self.zero = zero
@@ -129,7 +128,6 @@ class SigmaInstance:
         self.inversion = inversion
         self.codec = codec
         self.factors = factors
-        self.embed = embed
         self._cache: dict = {}
 
     def sum(self, fam: Family) -> SumResult:
@@ -179,16 +177,14 @@ class ClassElement(CachedHash):
 class QuotientInstance(SigmaInstance):
     """Instance whose carrier elements are equivalence classes with a
     representative store and a class-level summation rule; ``graph`` is the
-    congruence graph the classes were read from, when there is one, and
-    ``stage_map(i)`` the map of a colimit's stage i into it."""
+    congruence graph the classes were read from, when there is one."""
 
     def __init__(self, name, carrier, zero, rule, class_of, classes,
-                 flavor="weak", graph=None, stage_map=None):
+                 flavor="weak", graph=None):
         super().__init__(name, carrier, zero, rule, flavor=flavor)
         self.class_of = class_of
         self.classes = tuple(classes)
         self.graph = graph
-        self.stage_map = stage_map
 
 
 @dataclass(frozen=True)
@@ -252,15 +248,14 @@ class HomVerdict:
 
 @dataclass(frozen=True)
 class Hom:
-    """Verified structure-preserving map; ``verified_budget`` records the
-    family bounds within which preservation was checked."""
+    """Verified structure-preserving map, forward only; ``verified_budget``
+    records the family bounds within which preservation was checked."""
 
     source: SigmaInstance
     target: SigmaInstance
     fn: Callable
     name: str = ""
     verified_budget: Budget | None = None
-    inverse: Callable | None = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -294,7 +289,7 @@ def check_hom(f, source: SigmaInstance, target: SigmaInstance,
     return HomVerdict(True, None, checked)
 
 
-def verify_hom(f, source, target, budget, name="", inverse=None) -> Hom:
+def verify_hom(f, source, target, budget, name="") -> Hom:
     """check_hom over the source's budget pool, packaged: returns a Hom on
     success, raises with the witness otherwise."""
     verdict = check_hom(f, source, target, budget_families(source, budget))
@@ -304,8 +299,7 @@ def verify_hom(f, source, target, budget, name="", inverse=None) -> Hom:
             f"on {verdict.counterexample!r}",
             counterexample=verdict.counterexample,
         )
-    return Hom(source, target, f, name=name, verified_budget=budget,
-               inverse=inverse)
+    return Hom(source, target, f, name=name, verified_budget=budget)
 
 
 def compose_homs(g: Hom, f: Hom) -> Hom:
@@ -315,10 +309,5 @@ def compose_homs(g: Hom, f: Hom) -> Hom:
     vb = None
     if f.verified_budget and g.verified_budget:
         vb = f.verified_budget.meet(g.verified_budget)
-    inv = None
-    if f.inverse and g.inverse:
-        def inv(y):
-            mid = g.inverse(y)
-            return None if mid is None else f.inverse(mid)
     return Hom(f.source, g.target, lambda x: g.fn(f.fn(x)),
-               name=f"{g.name}.{f.name}", verified_budget=vb, inverse=inv)
+               name=f"{g.name}.{f.name}", verified_budget=vb)

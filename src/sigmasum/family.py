@@ -196,10 +196,10 @@ def parse_family_literal(text: str, codec) -> Family:
         sections[key] = _split_top_level(rest[1:-1])
     try:
         pairs = [(codec.parse(e), 1) for e in sections.get("finite", [])]
-        omegas = [(codec.parse(e), OMEGA) for e in sections.get("omega", [])]
+        omega = [codec.parse(e) for e in sections.get("omega", [])]
     except ValueError as exc:
         raise ValueError(f"bad element: {exc}")
-    return canonicalize(pairs + omegas)
+    return Family.from_counts(pairs, omega)
 
 
 def canonicalize(raw) -> Family:

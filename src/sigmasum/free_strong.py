@@ -217,7 +217,10 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     target; a class family sums to the class of the disjoint union of
     representatives whenever that class is again in the carrier. The union is
     counted, not canonicalized: one index from counts to ``Defined(class)``
-    serves the class sum and ``class_of``.
+    serves the class sum and ``class_of``. The sum depends on the chosen
+    representatives: it is ``Undefined`` when their union leaves the universe,
+    so ``factorize(extnat, extnat, id)`` does not commute: ``{omega: [1]}``
+    with omega copies of ``{2}`` has 2 omega elements, above the cap of 1.
 
     For several (target, hom) pairs build one quotient per pair and combine
     with ``intersect_instances``; the class elements coincide across quotients

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .family import OMEGA, Family, count_mul, is_omega, map_family
+from .family import OMEGA, Family, count_mul, is_omega
 from .core import (
     Defined,
     UNDEFINED,
@@ -202,55 +202,18 @@ def cyclic_instance(n: int) -> SigmaInstance:
                          codec=INT_CODEC)
 
 
-def _identity(x):
-    return x
-
-
-def restrict_instance(parent: SigmaInstance, carrier, embed=None, *,
-                      inverse=None, name=None,
+def restrict_instance(parent: SigmaInstance, carrier, *, name=None,
                       flavor="weak") -> SigmaInstance:
-    """Pull the parent's summation back along an injective embedding.
-
-    A family is summable exactly when its image is summable in the parent
-    with the value inside the embedded carrier; the embedding is then
-    structure preserving by construction. Along the identity this is the
-    parent's rule and codec on the smaller carrier. Along another embedding the sum is
-    the preimage x of the parent's value y, from the carrier's table or from
-    ``inverse`` (required on a symbolic carrier), provided embed(x) == y.
-    """
+    """The parent's rule, zero and codec on a smaller carrier that holds the
+    zero: a family is summable when the parent's sum lies in the carrier, so
+    the inclusion is structure preserving by construction."""
     if isinstance(carrier, (list, tuple)):
         carrier = FiniteCarrier(carrier)
-
-    if embed is None:
-        zero, rule, embed = parent.zero, parent.sum, _identity
-        codec = parent.codec
-    else:
-        codec = None
-        if carrier.is_finite:
-            table = {embed(e): e for e in carrier.elements}
-            if len(table) != len(carrier):
-                raise ConstructionError(
-                    "embedding is not injective on the carrier")
-            inverse = table.get
-        elif inverse is None:
-            raise ConstructionError("symbolic restriction with a nontrivial "
-                                    "embedding needs an inverse")
-
-        def preimage(y):
-            x = inverse(y)
-            return x if x is not None and embed(x) == y else None
-
-        def rule(fam: Family):
-            r = parent.sum(map_family(embed, fam))
-            x = preimage(r.value) if r.defined else None
-            return UNDEFINED if x is None else Defined(x)
-
-        zero = preimage(parent.zero)
-    if zero is None or zero not in carrier:
+    if parent.zero not in carrier:
         raise ConstructionError("the parent zero has no preimage in the carrier")
-
-    return SigmaInstance(name or f"{parent.name}|restricted", carrier, zero,
-                         rule, flavor=flavor, codec=codec, embed=embed)
+    return SigmaInstance(name or f"{parent.name}|restricted", carrier,
+                         parent.zero, parent.sum, flavor=flavor,
+                         codec=parent.codec)
 
 
 def unit_interval_instance() -> SigmaInstance:

@@ -70,17 +70,14 @@ def old_equaliser(f, g):
     return carrier, rule
 
 
-def old_restriction(parent, carrier, embed=None, inverse=None):
-    fn = (lambda x: x) if embed is None else embed
+def old_restriction(parent, carrier):
     if carrier.is_finite:
-        inv = {fn(e): e for e in carrier.elements}.get
-    elif inverse is not None:
-        inv = inverse
+        inv = {e: e for e in carrier.elements}.get
     else:
         inv = lambda y: y if y in carrier else None  # noqa: E731
 
     def rule(fam):
-        r = parent.sum(map_family(fn, fam))
+        r = parent.sum(fam)
         if not r.defined:
             return UNDEFINED
         x = inv(r.value)
@@ -190,33 +187,6 @@ def unit_interval():
     return iv, old_restriction(real, iv.carrier), real
 
 
-def restriction_finite_embedding():
-    parent = int_group_instance()
-    table = {"z": 0, "a": 1, "b": 2, "m": -1}
-    carrier = FiniteCarrier(table)
-    return (restrict_instance(parent, carrier, table.__getitem__),
-            old_restriction(parent, carrier, table.__getitem__), parent)
-
-
-def restriction_symbolic_embedding():
-    # integers in [-2, 2] as the halves in [-1, 1] of the rationals
-    parent = real_abs_instance()
-
-    def is_small(n):
-        return isinstance(n, int) and -2 <= n <= 2
-
-    def halve(n):
-        return Fraction(n, 2)
-
-    def double(y):
-        n = 2 * y
-        return int(n) if n.denominator == 1 and is_small(int(n)) else None
-
-    carrier = SymbolicCarrier(is_small, samples=(0, 1, -1, 2))
-    return (restrict_instance(parent, carrier, halve, inverse=double),
-            old_restriction(parent, carrier, halve, double), parent)
-
-
 def internal_hom_parity():
     parity = powerset_parity_instance(("a", "b"))
     h = internal_hom(parity, parity, SMALL)
@@ -295,11 +265,10 @@ def intersection_finite():
 
 CASES = [equaliser_finite_swap, equaliser_finite_low, equaliser_symbolic_clamp,
          restriction_identity_finite, restriction_identity_symbolic,
-         unit_interval, restriction_finite_embedding,
-         restriction_symbolic_embedding, internal_hom_parity,
-         internal_hom_unit_pm, internal_hom_leaving_sum, quotient_pm,
-         quotient_pm_counted, intersection_symbolic,
-         intersection_finite_then_symbolic, intersection_finite]
+         unit_interval, internal_hom_parity, internal_hom_unit_pm,
+         internal_hom_leaving_sum, quotient_pm, quotient_pm_counted,
+         intersection_symbolic, intersection_finite_then_symbolic,
+         intersection_finite]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])

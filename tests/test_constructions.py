@@ -20,10 +20,12 @@ from sigmasum.family import (EMPTY, Family, canonicalize, families_within,
                              map_family)
 from sigmasum.instances import (
     INFINITY,
+    cyclic_instance,
     ext_nat_instance,
     pm_instance,
     powerset_parity_instance,
     real_abs_instance,
+    unit_interval_instance,
 )
 from sigmasum.constructions import (
     HomElement,
@@ -184,7 +186,7 @@ def test_identity_chain_colimit_is_isomorphic():
     ident = verify_hom(lambda e: e, pm, pm, BUDGET, name="id")
     C = chain_colimit([pm, pm], [ident])
     assert len(C.classes) == 3
-    stage0 = C.stage_map(0)
+    stage0 = lambda e: C.class_of((0, e))  # noqa: E731
     for fam in budget_families(pm, BUDGET):
         lifted = map_family(stage0, fam)
         r, rc = pm.sum(fam), C.sum(lifted)
@@ -204,52 +206,117 @@ def test_parity_inclusion_chain_colimit():
     assert ca.rep == (0, frozenset({"a"}))
     assert C.class_of((1, frozenset({"b"}))).rep == (1, frozenset({"b"}))
     # stage maps are homs
-    assert check_hom(C.stage_map(0), pa, C, budget_families(pa, BUDGET)).ok
-    assert check_hom(C.stage_map(1), pab, C, budget_families(pab, BUDGET)).ok
+    assert check_hom(lambda e: C.class_of((0, e)), pa, C,
+                     budget_families(pa, BUDGET)).ok
+    assert check_hom(lambda e: C.class_of((1, e)), pab, C,
+                     budget_families(pab, BUDGET)).ok
 
 
 def test_colimit_family_becomes_summable_at_later_stage():
     # stage 0: rationals restricted to [-1, 1]; stage 1: all rationals.
-    from sigmasum.instances import unit_interval_instance
     iv = unit_interval_instance()
     real = real_abs_instance()
-    inc = verify_hom(lambda e: e, iv, real, BUDGET, name="inc",
-                     inverse=lambda y: y if y in iv.carrier else None)
+    inc = verify_hom(lambda e: e, iv, real, BUDGET, name="inc")
     C = chain_colimit([iv, real], [inc])
-    lift0 = C.stage_map(0)
     fam = Family.of(Fraction(3, 4), Fraction(1, 2))
     assert iv.sum(fam) == UNDEFINED
-    lifted = map_family(lift0, fam)
+    lifted = map_family(lambda e: C.class_of((0, e)), fam)
     assert C.sum(lifted) == Defined(C.class_of((1, Fraction(5, 4))))
-    # representative of an interval value is found at stage 0
-    assert C.class_of((1, Fraction(1, 2))).rep == (0, Fraction(1, 2))
 
 
 def test_symbolic_colimit_carrier_holds_only_the_classes_it_names():
     # a class is a member when its representative (i, e) has e in stage i
     # and is the representative class_of picks
     real = real_abs_instance()
-    ident = verify_hom(lambda e: e, real, real, BUDGET, name="id",
-                       inverse=lambda y: y)
+    ident = verify_hom(lambda e: e, real, real, BUDGET, name="id")
     C = chain_colimit([real, real], [ident])
-    one = C.stage_map(1)(Fraction(1))
-    assert one.rep == (0, Fraction(1)) and one in C.carrier
-    assert C.sum(Family.of(one, one)) == Defined(C.stage_map(0)(Fraction(2)))
+    one = C.class_of((1, Fraction(1)))
+    assert one.rep == (1, Fraction(1)) and one in C.carrier
+    assert C.sum(Family.of(one, one)) == Defined(C.class_of((0, Fraction(2))))
     for stranger in (ClassElement((5, Fraction(1))), ClassElement((-1, 0)),
                      ClassElement("x"), ClassElement((0, "x")),
-                     ClassElement((1, Fraction(1))), Fraction(1)):
+                     ClassElement((0, Fraction(1))), Fraction(1)):
         assert stranger not in C.carrier
         with pytest.raises(CarrierError):
             C.sum(Family.of(stranger))
 
 
 def test_symbolic_stage_without_inverse_keeps_the_later_representative():
-    # no inverse and no finite carrier to search: min_rep stays at stage 1
+    # no finite carrier to search for a preimage: min_rep stays at stage 1
     real = real_abs_instance()
     ident = verify_hom(lambda e: e, real, real, BUDGET, name="id")
     C = chain_colimit([real, real], [ident])
-    assert C.stage_map(0)(Fraction(1)).rep == (1, Fraction(1))
+    assert C.class_of((0, Fraction(1))).rep == (1, Fraction(1))
     assert C.class_of((0, Fraction(1))) == C.class_of((1, Fraction(1)))
+
+
+def old_min_rep(stages, homs, value):
+    """The representative search ``chain_colimit`` replaced, for chains
+    without inverses: step back to the first preimage in carrier order, then
+    confirm it maps to the element, while the stage before is finite."""
+    stage, elem = len(stages) - 1, value
+    while stage > 0:
+        hom, carrier = homs[stage - 1], stages[stage - 1].carrier
+        if not carrier.is_finite:
+            break
+        prev = next((e for e in carrier.elements if hom(e) == elem), None)
+        if prev is None or hom(prev) != elem:
+            break
+        elem = prev
+        stage -= 1
+    return (stage, elem)
+
+
+def _z4_z2():
+    z4, z2 = cyclic_instance(4), cyclic_instance(2)
+    return [z4, z2], [(lambda x: x % 2)]
+
+
+def _z2_z4():
+    z2, z4 = cyclic_instance(2), cyclic_instance(4)
+    return [z2, z4], [(lambda x: 2 * x)]
+
+
+def _z4_z4_z2():
+    a, b, z2 = cyclic_instance(4), cyclic_instance(4), cyclic_instance(2)
+    return [a, b, z2], [(lambda x: 2 * x % 4), (lambda x: x % 2)]
+
+
+def _parity_inclusion():
+    pa = powerset_parity_instance(("a",))
+    return [pa, powerset_parity_instance(("a", "b"))], [(lambda s: s)]
+
+
+def _pm_swap():
+    pm, again = pm_instance(), pm_instance()
+    return [pm, again], [{"+": "-", "-": "+", "0": "0"}.__getitem__]
+
+
+def _interval_real():
+    return [unit_interval_instance(), real_abs_instance()], [(lambda e: e)]
+
+
+CHAINS = [_z4_z2, _z2_z4, _z4_z4_z2, _parity_inclusion, _pm_swap,
+          _interval_real]
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=[c.__name__ for c in CHAINS])
+def test_colimit_representatives_match_the_old_search(chain):
+    stages, fns = chain()
+    small = Budget(max_finite_size=2, max_omega_elems=1, trials=0)
+    homs = [verify_hom(fn, stages[i], stages[i + 1], small)
+            for i, fn in enumerate(fns)]
+    C = chain_colimit(stages, homs)
+
+    def push(i, e):
+        for fn in fns[i:]:
+            e = fn(e)
+        return e
+
+    pairs = [(i, e) for i, s in enumerate(stages) for e in s.samples()]
+    expected = [old_min_rep(stages, homs, push(i, e)) for i, e in pairs]
+    assert [C.class_of(p).rep for p in pairs] == expected
+    assert [c.rep for c in C.classes] == list(dict.fromkeys(expected))
 
 
 def test_colimit_rejects_non_composable_chain():

@@ -150,18 +150,6 @@ def test_homs_that_do_not_compose_are_refused():
         compose_homs(ident, zero)  # zero lands in en, ident starts at pm
 
 
-def test_composed_inverse_undoes_the_composite_and_propagates_none():
-    pm = pm_instance()
-    swap_fn = {"+": "-", "-": "+", "0": "0"}.__getitem__
-    swap = verify_hom(swap_fn, pm, pm, BUDGET, name="swap", inverse=swap_fn)
-    twice = compose_homs(swap, swap)
-    for x in pm.samples():
-        assert twice.inverse(twice(x)) == x
-    lost = verify_hom(swap_fn, pm, pm, BUDGET, name="lost",
-                      inverse=lambda y: None)
-    assert compose_homs(lost, swap).inverse("+") is None
-
-
 def test_hom_repr_names_the_map_and_its_ends():
     pm, en = pm_instance(), ext_nat_instance()
     assert repr(verify_hom(lambda e: 0, pm, en, BUDGET, name="z")) == (

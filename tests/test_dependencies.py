@@ -3,10 +3,11 @@ imports only the standard library and ``sigmasum`` itself, only at module
 level (the package's lazy exports are the one deferred import), uses every
 name it imports, takes no private name of a sibling module, reads no
 private attribute of anything but ``self`` and uses each private name it
-binds at module level, and reads every parameter it takes; every law a suite
-names has its function, and the benchmark's tracer and the command line
-spell the checker's law and flavor names alike. The package
-exports, by defining submodule, the names listed here, a cold
+binds at module level, reads every parameter it takes, and stores no
+attribute that only unit tests read; every law a suite names has its
+function, and the benchmark's tracer and the command line spell the
+checker's law and flavor names alike. The package exports, by defining
+submodule, the names listed here, a cold
 ``sigmasum net`` loads only the net engine, and every module is written
 in the Python 3.10 grammar that ``requires-python`` declares."""
 import argparse
@@ -238,6 +239,60 @@ def test_every_parameter_is_read():
                        for name in params
                        if name not in read and name not in exempt]
     assert unread == []
+
+
+def _stored_attributes(tree):
+    """``Class.name`` for each public dataclass field and each public
+    ``self.name = ...`` in an ``__init__``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = []
+        if any(ast.unparse(d).startswith("dataclass")
+               for d in cls.decorator_list):
+            names += [node.target.id for node in cls.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)]
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                names += [node.attr for node in ast.walk(init)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "self"]
+        yield from (f"{cls.name}.{name}" for name in names
+                    if not name.startswith("_"))
+
+
+def _attributes_read(tree):
+    """Names read as ``x.name`` or as ``getattr``/``hasattr`` strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_stored_attribute_is_read():
+    """A public field or ``__init__`` attribute of a library class is read
+    by the library, the benchmark, a demo or the acceptance tests; a value
+    only unit tests read is an option no caller needs."""
+    root = Path(sigmasum.__file__).parent
+    repo = Path(__file__).resolve().parent.parent
+    readers = [*root.rglob("*.py"), *(repo / "bench").rglob("*.py"),
+               *(repo / "demos").rglob("*.py"),
+               repo / "tests" / "test_acceptance.py"]
+    read = {name for path in readers
+            for name in _attributes_read(ast.parse(path.read_text(), str(path)))}
+    stored = [name for path in sorted(root.rglob("*.py"))
+              for name in _stored_attributes(ast.parse(path.read_text(),
+                                                       str(path)))]
+    assert stored
+    assert [name for name in stored
+            if name.partition(".")[2] not in read] == []
 
 
 def test_omega_is_spelled_only_as_family_omega():

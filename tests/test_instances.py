@@ -9,12 +9,10 @@ from sigmasum.core import (
     ConstructionError,
     Defined,
     FiniteCarrier,
-    SymbolicCarrier,
     UNDEFINED,
     budget_families,
     check_hom,
 )
-from sigmasum.checker import check_weak
 from sigmasum.family import EMPTY, Family, OMEGA, disjoint_union, map_family
 from sigmasum.instances import (
     INFINITY,
@@ -171,48 +169,13 @@ def test_restrict_pm_to_nonnegative_signs():
     assert sub.sum(Family.of("+")) == Defined("+")
     assert sub.sum(Family.of("+", "+")) == UNDEFINED
     # the embedding is a hom by construction
-    assert check_hom(sub.embed, sub, pm, budget_families(sub, BUDGET)).ok
-
-
-def test_restrict_requires_injectivity():
-    pm = pm_instance()
-    with pytest.raises(ConstructionError):
-        restrict_instance(pm, FiniteCarrier(("0", "+")),
-                          embed=lambda e: "0")
+    assert check_hom(lambda e: e, sub, pm, budget_families(sub, BUDGET)).ok
 
 
 def test_restrict_requires_zero_preimage():
     pm = pm_instance()
     with pytest.raises(ConstructionError):
         restrict_instance(pm, FiniteCarrier(("+",)))
-
-
-def test_symbolic_restriction_along_an_embedding_needs_an_inverse():
-    with pytest.raises(ConstructionError, match=r"^symbolic restriction with "
-                       r"a nontrivial embedding needs an inverse$"):
-        restrict_instance(int_group_instance(),
-                          SymbolicCarrier(lambda e: True, (0, 1)),
-                          lambda x: 2 * x)
-
-
-def test_caller_inverse_restriction_keeps_sums_in_its_carrier():
-    sub = restrict_instance(int_group_instance(),
-                            SymbolicCarrier(lambda e: e in (0, 1), (0, 1)),
-                            lambda x: x, inverse=lambda y: y)
-    assert sub.sum(Family.of(1, 0)) == Defined(1)
-    assert sub.sum(Family.of(1, 1)) == UNDEFINED  # 2 is outside the carrier
-    report = check_weak(sub, BUDGET)
-    assert report.verdict("singleton").status == "pass"
-
-
-def test_restriction_rejects_an_inverse_that_misses_the_embedding():
-    # inverse(2) = 0, but embed(0) = 0 != 2: {1} has no sum, not the sum 0
-    sub = restrict_instance(int_group_instance(),
-                            SymbolicCarrier(lambda e: e in (0, 1), (0, 1)),
-                            lambda x: 2 * x, inverse=lambda y: y // 3)
-    assert sub.sum(EMPTY) == Defined(0)
-    assert sub.sum(Family.of(1)) == UNDEFINED
-    assert check_weak(sub, BUDGET).verdict("singleton").status == "fail"
 
 
 def test_restriction_value_outside_carrier_is_undefined():
