@@ -81,11 +81,9 @@ def _format_family(inst, fam: Family) -> str:
 
 
 def _format_partition(inst, part) -> list:
-    out = []
-    for block, mult in part.blocks:
-        out.append({"block": _format_family(inst, block),
-                    "multiplicity": "omega" if is_omega(mult) else mult})
-    return out
+    return [{"block": _format_family(inst, block),
+             "multiplicity": "omega" if is_omega(mult) else mult}
+            for block, mult in part.blocks]
 
 
 def _shrink_candidates(fam: Family):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .family import Family, canonical_key, map_family
 from .core import (
@@ -24,12 +25,7 @@ from .core import (
 from .instances import INT_CODEC, restrict_instance
 
 
-def _fst(p):
-    return p[0]
-
-
-def _snd(p):
-    return p[1]
+_fst, _snd = itemgetter(0), itemgetter(1)
 
 
 def product(x: SigmaInstance, y: SigmaInstance, *,

@@ -284,7 +284,7 @@ def check_hom(f, source: SigmaInstance, target: SigmaInstance,
         ri = images.get(raw)
         if ri is None:
             ri = images[raw] = target.sum(Family.from_counts(*raw))
-        if ri != Defined(f(r.value)):
+        if (ri.defined, ri.value) != (True, f(r.value)):  # builds no Defined
             return HomVerdict(False, fam, checked)
     return HomVerdict(True, None, checked)
 

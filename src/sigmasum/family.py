@@ -8,7 +8,6 @@ keep families in a canonical sorted form so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -281,20 +280,19 @@ def families_within(pool, max_size: int, max_omega: int) -> list:
     before the omega part.) Only the dedup hashes elements.
     """
     pool = sorted(dict.fromkeys(pool), key=canonical_key)
-    ids = range(len(pool))  # words and omega parts are drawn as positions
-    fams = []
-    for k in range(max_size + 1):
-        for j in range(max_omega + 1):
-            omegas = [(frozenset(osub), tuple([pool[i] for i in osub]))
-                      for osub in itertools.combinations(ids, j)]
-            for word in itertools.combinations_with_replacement(ids, k):
-                finite = tuple([(pool[i], c) for i, c in Counter(word).items()])
-                for osub, omega in omegas:
-                    # an omega element of the word absorbs its finite copies:
-                    # that family is a smaller one, emitted under its own size
-                    if osub.isdisjoint(word):
-                        fams.append(Family(finite, omega))
-    return fams
+    omegas = [[(frozenset(osub), tuple([pool[i] for i in osub]))
+               for osub in itertools.combinations(range(len(pool)), j)]
+              for j in range(max_omega + 1)]
+    words = [[((), frozenset())]] if max_size >= 0 else []  # by size: (fin, used)
+    for _ in range(max_size):  # each word, then its last position or a later one
+        words.append([(fin[:-1] + ((pool[i], fin[-1][1] + 1),) if i in used
+                       else fin + ((pool[i], 1),), used | {i})
+                      for fin, used in words[-1]
+                      for i in range(max(used, default=0), len(pool))])
+    # an omega element of the word absorbs its copies: a smaller family's
+    return [Family(fin, omega) for sized in words for subsets in omegas
+            for fin, used in sized for osub, omega in subsets
+            if osub.isdisjoint(used)]
 
 
 class NonNegative:
@@ -445,13 +443,17 @@ class BlockSumEngine:
     memo entries too.
     States are keyed by element ids, so the subfamilies of a family pool share
     entries; nothing is evicted, so scope an engine to one batch of queries.
+    Given a ``pool``, it forms no block-sum family with a value outside it (a
+    law scan must see them all); ``dropped`` says if an asked family had one.
     """
 
-    def __init__(self, inst, caps: Caps):
+    def __init__(self, inst, caps: Caps, pool=None):
         self.inst = inst
         self.caps = caps
         self._ids: dict = {}     # element -> id
         self._elems: list = []   # id -> element
+        self._pool = None if pool is None else {self._id(e) for e in pool}
+        self.dropped = False
         self._memo: dict = {}
         self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
         self._results: dict = {}  # key -> the instance's result on it
@@ -529,7 +531,10 @@ class BlockSumEngine:
 
     def _extend(self, found: set, subs, value: int, mult):
         """Add ``mult`` copies of ``value`` to each family of ``subs``; the
-        sums are interned, so sets hold small ids."""
+        sums are interned, so sets hold small ids; none outside the pool."""
+        if self._pool is not None and value not in self._pool:
+            self.dropped |= bool(subs)
+            return
         plus = self._plus
         for sub in subs:
             key = (sub, value, mult)

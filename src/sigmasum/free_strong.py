@@ -109,15 +109,15 @@ class CongruenceGraph:
     of the zig-zag equivalence closure. Edges come from one
     ``BlockSumEngine``'s keys: each distinct block-sum key is matched once
     against the universe, indexed by zero-free key, so no block-sum family is
-    built as a ``Family``.
+    built as a ``Family``, and none with a value outside the pool is formed.
     """
 
     def __init__(self, inst: SigmaInstance, caps: CongruenceCaps = CongruenceCaps(),
                  pool=None):
-        self.universe = families_within(
-            list(inst.samples() if pool is None else pool) + [inst.zero],
-            caps.max_family_size, caps.max_omega_elems)
-        engine = BlockSumEngine(inst, caps.caps)
+        elems = list(inst.samples() if pool is None else pool) + [inst.zero]
+        self.universe = families_within(elems, caps.max_family_size,
+                                        caps.max_omega_elems)
+        engine = BlockSumEngine(inst, caps.caps, elems)
         zero = engine.key(Family(((inst.zero, 1),)))[0][0]  # its element id
         bucket: dict = {}
         for fam in self.universe:
@@ -142,6 +142,7 @@ class CongruenceGraph:
             self._undirected[fam] |= targets
             for t in targets:
                 self._undirected[t].add(fam)
+        self.truncated |= engine.dropped
 
     def successors(self, fam: Family) -> set:
         return self._succ[fam]

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmasum.core import (
@@ -11,6 +11,7 @@ from sigmasum.core import (
     ConstructionError,
     Defined,
     FiniteCarrier,
+    HomVerdict,
     HomVerificationError,
     SigmaInstance,
     SumResult,
@@ -23,6 +24,8 @@ from sigmasum.core import (
 )
 from sigmasum.family import EMPTY, Family
 from sigmasum.instances import (
+    FiniteMonoid,
+    discrete_instance,
     ext_nat_instance,
     int_group_instance,
     pm_instance,
@@ -183,6 +186,60 @@ def test_check_hom_enumeration_order_is_size_then_lex():
     assert sizes == sorted(sizes)
     pairs = [f for f in fams if f.finite_total == 2]
     assert pairs[0] == Family.of("+", "+")
+
+
+def _check_hom_building_defined(f, source, target, fams):
+    """check_hom as it was: each checked family compares its image's result
+    with a ``Defined`` built for it. The oracle of the tuple comparison."""
+    checked = 0
+    images = {}
+    for fam in fams:
+        r = source.sum(fam)
+        if not r.defined:
+            continue
+        checked += 1
+        raw = (tuple([(f(x), c) for x, c in fam.finite]),
+               tuple(map(f, fam.omega)))
+        ri = images.get(raw)
+        if ri is None:
+            ri = images[raw] = target.sum(Family.from_counts(*raw))
+        if ri != Defined(f(r.value)):
+            return HomVerdict(False, fam, checked)
+    return HomVerdict(True, None, checked)
+
+
+_MONOIDS = {
+    "cyclic": lambda n: lambda a, b: (a + b) % n,
+    "counter": lambda n: lambda a, b: min(a + b, n - 1),
+    "max": lambda n: max,
+}
+
+
+@st.composite
+def discrete_maps(draw):
+    """(source, target, table, budget): any map between two discrete
+    instances of small monoid tables, so many fail to be homs."""
+    x, y = (discrete_instance(FiniteMonoid(
+        range(n), _MONOIDS[draw(st.sampled_from(sorted(_MONOIDS)))](n), 0))
+        for n in (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    xs = x.carrier.elements
+    table = dict(zip(xs, draw(st.lists(st.sampled_from(y.carrier.elements),
+                                       min_size=len(xs), max_size=len(xs)))))
+    budget = Budget(max_finite_size=draw(st.integers(0, 3)),
+                    max_omega_elems=draw(st.integers(0, 1)),
+                    trials=draw(st.integers(0, 3)), seed=draw(st.integers(0, 9)))
+    return x, y, table, budget
+
+
+@settings(max_examples=200)
+@given(discrete_maps())
+def test_check_hom_compares_results_as_the_built_defined_did(drawn):
+    x, y, table, budget = drawn
+    fams = budget_families(x, budget)
+    got = check_hom(table.__getitem__, x, y, fams)
+    want = _check_hom_building_defined(table.__getitem__, x, y, fams)
+    assert (got.ok, got.counterexample, got.checked) == \
+        (want.ok, want.counterexample, want.checked)
 
 
 def test_finite_carrier_sorted_and_membership():

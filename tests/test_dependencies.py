@@ -4,7 +4,8 @@ level (the package's lazy exports are the one deferred import), uses every
 name it imports, takes no private name of a sibling module, reads no
 private attribute of anything but ``self`` and uses each private name it
 binds at module level, reads every parameter it takes, and stores no
-attribute that only unit tests read; every law a suite names has its
+attribute that only unit tests read, and bounds a block-sum engine by a
+pool only in the congruence graph; every law a suite names has its
 function, and the benchmark's tracer and the command line spell the
 checker's law and flavor names alike. The package exports, by defining
 submodule, the names listed here, a cold
@@ -293,6 +294,24 @@ def test_every_stored_attribute_is_read():
     assert stored
     assert [name for name in stored
             if name.partition(".")[2] not in read] == []
+
+
+def test_only_the_congruence_graph_bounds_a_block_sum_engine():
+    """A pool-bounded engine forms no block-sum family with a value outside
+    its pool. In a law scan that would hide block sums and turn a ``fail``
+    into a ``pass``, so only ``CongruenceGraph`` passes a pool."""
+    root = Path(sigmasum.__file__).parent
+    bounded, built = [], 0
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).endswith("BlockSumEngine")):
+                    built += 1
+                    if len(node.args) + len(node.keywords) > 2:
+                        bounded.append(f"{path.name}: {top.name}")
+    assert built >= 2
+    assert bounded == ["free_strong.py: CongruenceGraph"]
 
 
 def test_omega_is_spelled_only_as_family_omega():

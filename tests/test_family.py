@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -617,6 +618,48 @@ def test_families_within_matches_canonicalize_dedupe_and_sort(pool, size, omega)
     assert got == expected
     for fam in got:
         assert repr(canonicalize(fam.items())) == repr(fam)
+
+
+def _families_within_by_counting(pool, max_size, max_omega):
+    """families_within as it was: every word of positions drawn anew for each
+    omega size, its finite part counted with a ``Counter``. The oracle of the
+    word-by-word build."""
+    pool = sorted(dict.fromkeys(pool), key=canonical_key)
+    ids = range(len(pool))
+    fams = []
+    for k in range(max_size + 1):
+        for j in range(max_omega + 1):
+            omegas = [(frozenset(osub), tuple([pool[i] for i in osub]))
+                      for osub in itertools.combinations(ids, j)]
+            for word in itertools.combinations_with_replacement(ids, k):
+                finite = tuple([(pool[i], c) for i, c in Counter(word).items()])
+                for osub, omega in omegas:
+                    if osub.isdisjoint(word):
+                        fams.append(Family(finite, omega))
+    return fams
+
+
+# a number and its class element are unequal and share a canonical key
+_shared_keys = st.lists(st.one_of(st.integers(-1, 2), st.just(Fraction(1, 2)),
+                                  st.integers(-1, 2).map(ClassElement)),
+                        max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_pools, _shared_keys), st.integers(-1, 4), st.integers(-1, 2))
+def test_families_within_builds_the_counted_words_word_by_word(pool, size,
+                                                               omega):
+    # a negative size or omega count admits no family
+    try:
+        expected = _families_within_by_counting(pool, size, omega)
+    except TypeError:
+        with pytest.raises(TypeError):
+            families_within(pool, size, omega)
+        return
+    got = families_within(pool, size, omega)
+    assert [repr(f) for f in got] == [repr(f) for f in expected]
+    assert [(f.finite, f.omega) for f in got] == \
+        [(f.finite, f.omega) for f in expected]
 
 
 # -- canonical form against the code the fast paths replaced --------------------

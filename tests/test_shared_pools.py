@@ -5,7 +5,10 @@ it replaced, kept here as the oracle, plus call counts that pin the
 sharing."""
 import inspect
 import itertools
+import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ import sigmasum.core as core
 import sigmasum.family as family
 import sigmasum.free_strong as free_strong
 from sigmasum.checker import conclude_flavor
+from sigmasum.cli import load_definition_file
 from sigmasum.constructions import (
     BilinearVerdict,
     HomElement,
@@ -408,7 +412,8 @@ GRAPHS = [
     ("int-size3", int_group_instance, CongruenceCaps(max_family_size=3), None),
     # block sums outside the universe: 11,743 of the 11,943 (member, block-sum
     # family) pairs here, and 189 of 1,345 in the next case, where they have
-    # two omega elements or four finite ones
+    # two omega elements or four finite ones; the oracle's unbounded engine
+    # forms them all, the graph's engine none with a value outside the pool
     ("extnat-size3", ext_nat_instance, CongruenceCaps(max_family_size=3),
      (0, 1, 2)),
     ("parity-size3", lambda: powerset_parity_instance(("a", "b")),
@@ -427,6 +432,87 @@ def test_congruence_graph_matches_unpruned_paddings(name, make, caps, pool):
     for fam in universe:
         assert graph.successors(fam) == succ[fam]
     assert graph.components() == components
+
+
+def assert_bounded_engine_matches(inst, caps, pool, asks):
+    """An engine bounded by ``pool`` gives, for each asked family, exactly
+    the unbounded engine's block-sum families whose values all lie in the
+    pool, and has ``dropped`` once some asked family had one outside it."""
+    bounded = BlockSumEngine(inst, caps, list(pool))
+    unbounded = BlockSumEngine(inst, caps)
+    left_out = False
+    for fam in asks:
+        everything = block_sum_families(unbounded, fam)
+        inside = {s for s in everything if all(e in pool for e in s.support())}
+        left_out |= inside != everything
+        assert block_sum_families(bounded, fam) == inside, fam
+        assert bounded.dropped == left_out, fam
+
+
+@pytest.mark.parametrize("name, make, caps, pool", GRAPHS,
+                         ids=[g[0] for g in GRAPHS])
+def test_pool_bounded_engine_keeps_the_keys_inside_the_pool(name, make, caps,
+                                                            pool):
+    inst = make()
+    elems = list(inst.samples() if pool is None else pool) + [inst.zero]
+    assert_bounded_engine_matches(
+        inst, caps.caps, elems,
+        families_within(elems, caps.max_family_size, caps.max_omega_elems))
+
+
+@st.composite
+def table_engines(draw):
+    """(instance, caps, pool, asked families): a definition file's table of
+    summable families over 0, a and b, each singleton summing to itself, an
+    element pool holding the zero, and families over all three elements."""
+    elements = ["0", "a", "b"]
+    fams = st.builds(
+        lambda finite, omega: Family.from_counts([(e, 1) for e in finite],
+                                                 omega),
+        st.lists(st.sampled_from(elements), max_size=3),
+        st.lists(st.sampled_from(elements), max_size=2, unique=True))
+    rows = draw(st.dictionaries(fams, st.sampled_from(elements), max_size=12))
+    rows.update({Family.of(e): e for e in elements})  # the singleton law
+    spec = {"elements": elements, "zero": "0", "sums": [
+        {"finite": [e for e, c in fam.finite for _ in range(c)],
+         "omega": list(fam.omega), "value": value}
+        for fam, value in rows.items()]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        inst = load_definition_file(path)
+    pool = ["0"] + draw(st.lists(st.sampled_from(["a", "b"]), unique=True))
+    caps = draw(st.builds(family.Caps, st.integers(1, 3), st.integers(1, 3),
+                          st.integers(1, 2)))
+    unions = st.lists(st.sampled_from(list(rows)), min_size=1,
+                      max_size=3).map(lambda parts: disjoint_union(*parts))
+    asks = draw(st.lists(st.one_of(unions, fams), min_size=1, max_size=4))
+    return inst, caps, pool, asks
+
+
+@settings(max_examples=150)
+@given(table_engines())
+def test_pool_bounded_engine_matches_on_definition_file_tables(drawn):
+    assert_bounded_engine_matches(*drawn)
+
+
+def test_the_extnat_graph_interns_only_block_sums_inside_its_pool(monkeypatch):
+    # an unbounded engine interns 2,129 block-sum families here
+    built = []
+
+    class Counted(BlockSumEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(free_strong, "BlockSumEngine", Counted)
+    graph = CongruenceGraph(ext_nat_instance(),
+                            CongruenceCaps(max_family_size=2), pool=(0, 1, 2))
+    (engine,) = built
+    assert len(engine._counts) <= 60
+    assert len(engine._memo) == 78
+    assert engine.dropped and graph.truncated
 
 
 def oracle_related(graph, a, b, depth):
@@ -542,8 +628,8 @@ def test_leads_to_agrees_with_graph_successors(name, make, caps, pool, sample):
 def test_congruence_graph_builds_only_the_blocks_it_sums(monkeypatch):
     """The edges come from the engine's keys: a ``Family`` is built only for
     a block handed to the rule, once per distinct block, never for a
-    block-sum family (at size 2, 6,188 of the 6,275 (member, block-sum
-    family) pairs lie outside the universe)."""
+    block-sum family (at size 2, an unbounded engine's 6,275 (member,
+    block-sum family) pairs have 6,188 outside the universe)."""
     built, summed = [], []
 
     def counted(raw, _canonicalize=family.canonicalize):
