@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from .family import (
     UNCONSTRAINED,
@@ -32,6 +33,7 @@ from .core import (
 )
 
 PASS, FAIL, TRUNCATED = "pass", "fail", "truncated"
+_defined = attrgetter("defined")
 
 # each law's group, in run order; law ``x`` runs as the module's ``_law_x``
 LAWS = {"singleton": "weak", "neutral_element": "weak", "bracketing": "weak",
@@ -184,9 +186,11 @@ def _regroup(law, inst, fams, engine):
             return r.defined and rs != r
         return rs.defined and r != rs
 
-    def violates(fam):
-        r = inst.sum(fam)
-        return any(bad(r, rs) for rs in engine.block_sum_results(fam, shape))
+    def violates(fam):  # ``bad`` over the results, read lazily
+        r, results = inst.sum(fam), engine.block_sum_results(fam, shape)
+        if direction == "bracketing":
+            return r.defined and any(map(r.__ne__, results))
+        return any(map(r.__ne__, filter(_defined, results)))
 
     def extra(fam):
         r = inst.sum(fam)
@@ -249,11 +253,10 @@ def _law_inverses_exist(inst, fams, engine):
 
 def _law_inversion_hom(inst, fams, engine):
     verdict = check_hom(inst.inversion, inst, inst, fams)
-    if not verdict.ok:
-        return LawVerdict("inversion_hom", FAIL,
-                          {"family": _format_family(inst, verdict.counterexample)},
-                          checked=verdict.checked)
-    return LawVerdict("inversion_hom", PASS, checked=verdict.checked)
+    witness = (None if verdict.ok else
+               {"family": _format_family(inst, verdict.counterexample)})
+    return LawVerdict("inversion_hom", PASS if verdict.ok else FAIL, witness,
+                      verdict.checked)
 
 
 def _law_inverse_cancellation(inst, fams, engine):

@@ -46,9 +46,8 @@ def product(x: SigmaInstance, y: SigmaInstance, *,
         carrier = FiniteCarrier(itertools.product(x.carrier.elements,
                                                   y.carrier.elements))
     else:
-        pool = samples
-        if pool is None:
-            pool = [(a, b) for a in x.samples() for b in y.samples()]
+        pool = (samples if samples is not None
+                else [(a, b) for a in x.samples() for b in y.samples()])
         carrier = SymbolicCarrier(
             lambda p: isinstance(p, tuple) and len(p) == 2
             and p[0] in x.carrier and p[1] in y.carrier,
@@ -104,8 +103,7 @@ def chain_colimit(stages, homs) -> QuotientInstance:
     order, while the stage before is finite; a class family sums by pushing
     representatives to the last stage and summing there.
     """
-    stages = list(stages)
-    homs = list(homs)
+    stages, homs = list(stages), list(homs)
     if len(homs) != len(stages) - 1 or not stages:
         raise ConstructionError("need n stages and n-1 connecting homs")
     for i, h in enumerate(homs):
@@ -142,8 +140,7 @@ def chain_colimit(stages, homs) -> QuotientInstance:
         value = push(i, e)
         cls = classes.get(value)
         if cls is None:
-            cls = ClassElement(min_rep(value))
-            classes[value] = cls
+            cls = classes[value] = ClassElement(min_rep(value))
         return cls
 
     def is_class(c):
@@ -158,9 +155,7 @@ def chain_colimit(stages, homs) -> QuotientInstance:
     def rule(fam: Family) -> SumResult:
         pushed = map_family(lambda cls: push(*cls.rep), fam)
         r = stages[last].sum(pushed)
-        if not r.defined:
-            return UNDEFINED
-        return Defined(class_of((last, r.value)))
+        return Defined(class_of((last, r.value))) if r.defined else UNDEFINED
 
     if all(s.carrier.is_finite for s in stages):
         for i, s in enumerate(stages):
@@ -242,12 +237,7 @@ def unit_instance() -> SigmaInstance:
     exactly one 1, to 0 when it contains none, and is undefined otherwise."""
 
     def rule(fam: Family) -> SumResult:
-        ones = fam.count(1)
-        if ones == 0:
-            return Defined(0)
-        if ones == 1:
-            return Defined(1)
-        return UNDEFINED
+        return {0: Defined(0), 1: Defined(1)}.get(fam.count(1), UNDEFINED)
 
     return SigmaInstance("unit", FiniteCarrier((0, 1)), 0, rule,
                          flavor="weak", codec=INT_CODEC)

@@ -221,15 +221,13 @@ def budget_families(inst: SigmaInstance, budget: Budget) -> list:
     fams = families_within(pool, budget.max_finite_size, budget.max_omega_elems)
     if budget.trials:
         rng = random.Random(budget.seed)
-        seen = set(fams)
-        extras = []
+        seen, extras = set(fams), []
         ordered = sorted(pool, key=canonical_key)
         for _ in range(budget.trials):
             size = rng.randint(budget.max_finite_size + 1, budget.max_finite_size + 2)
             pairs = [(rng.choice(ordered), 1) for _ in range(size)]
-            omega = []
-            if budget.max_omega_elems and rng.random() < 0.5:
-                omega = rng.sample(ordered, min(budget.max_omega_elems, len(ordered)))
+            omega = (rng.sample(ordered, min(budget.max_omega_elems, len(ordered)))
+                     if budget.max_omega_elems and rng.random() < 0.5 else [])
             fam = Family.from_counts(pairs, omega)
             if fam not in seen:
                 seen.add(fam)
@@ -261,8 +259,7 @@ class Hom:
         return self.fn(x)
 
     def __repr__(self):
-        label = self.name or "hom"
-        return f"<Hom {label}: {self.source.name} -> {self.target.name}>"
+        return f"<Hom {self.name or 'hom'}: {self.source.name} -> {self.target.name}>"
 
 
 def check_hom(f, source: SigmaInstance, target: SigmaInstance,
@@ -306,8 +303,7 @@ def compose_homs(g: Hom, f: Hom) -> Hom:
     """g after f; verified budget is the meet of the two budgets."""
     if f.target is not g.source:
         raise ConstructionError("homs are not composable")
-    vb = None
-    if f.verified_budget and g.verified_budget:
-        vb = f.verified_budget.meet(g.verified_budget)
+    vb = (f.verified_budget.meet(g.verified_budget)
+          if f.verified_budget and g.verified_budget else None)
     return Hom(f.source, g.target, lambda x: g.fn(f.fn(x)),
                name=f"{g.name}.{f.name}", verified_budget=vb)

@@ -184,8 +184,7 @@ def parse_family_literal(text: str, codec) -> Family:
     sections = {}
     for part in _split_top_level(text[1:-1]):
         key, _, rest = part.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+        key, rest = key.strip(), rest.strip()
         if key not in ("finite", "omega"):
             raise ValueError(f"unknown family section {key!r}")
         if not (rest.startswith("[") and rest.endswith("]")):
@@ -207,8 +206,7 @@ def canonicalize(raw) -> Family:
     Zero counts are dropped, repeated entries accumulate, and an omega count
     absorbs any finite count of the same element.
     """
-    counts: dict = {}
-    om: dict = {}
+    counts, om = {}, {}
     for e, c in raw:
         if type(c) is not int or c < 0:  # a natural int needs no check
             if is_omega(c):
@@ -262,12 +260,19 @@ def subfamilies(fam: Family, omega_finite_cap: int = 2) -> list:
 
 
 def subfamily_product(fam: Family, omega_finite_cap: int):
-    """The same subfamilies, unsorted, in the product order of the counts."""
+    """The same subfamilies, unsorted, in the product order of the counts, built
+    canonical from canonical ``fam``, sorted only when it has an omega part."""
     axes = [[(e, t) for t in range(c + 1)] for e, c in fam.finite]
     axes += [[(e, t) for t in range(omega_finite_cap + 1)] + [(e, OMEGA)]
              for e in fam.omega]
     # one axis per distinct element, so no two combinations give one family
-    return map(canonicalize, itertools.product(*axes))
+    combos = itertools.product(*axes)
+    if not fam.omega:
+        return (Family(tuple([p for p in combo if p[1]])) for combo in combos)
+    return (Family(tuple(sorted([p for p in combo if 0 != p[1] != OMEGA],
+                                key=lambda p: canonical_key(p[0]))),
+                   tuple([e for e, t in combo if t == OMEGA]))
+            for combo in combos)
 
 
 def families_within(pool, max_size: int, max_omega: int) -> list:
@@ -438,9 +443,10 @@ class BlockSumEngine:
     (remaining counts, omega elements), and the block-sum families, interned
     as keys (sorted (value id, count) tuples): ``block_sum_keys`` returns
     them, ``key`` gives any family's, and ``block_sum_results`` yields their
-    sums lazily, each block or family summed once. A memo entry is the set of
-    ids ``_solve`` built. Without omega elements the shapes coincide and share
-    memo entries too.
+    sums lazily, each block or family summed once, as a ``Family`` built from
+    its key by a canonical key kept per id, and each block's sum kept as one
+    value id. A memo entry is the set of ids ``_solve`` built. Without omega
+    elements the shapes coincide and share memo entries too.
     States are keyed by element ids, so the subfamilies of a family pool share
     entries; nothing is evicted, so scope an engine to one batch of queries.
     Given a ``pool``, it forms no block-sum family with a value outside it (a
@@ -457,6 +463,8 @@ class BlockSumEngine:
         self._memo: dict = {}
         self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
         self._results: dict = {}  # key -> the instance's result on it
+        self._keys: dict = {}    # id -> canonical key, once sorted
+        self._values: dict = {}  # block key -> its sum's id, -1 if undefined
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
         self._counts: list = [()]        # sums id -> sorted (value id, count)
         self._count_ids: dict = {(): 0}
@@ -493,9 +501,16 @@ class BlockSumEngine:
 
     def _result(self, key):
         r = self._results.get(key)
-        if r is None:
-            r = self._results[key] = self.inst.sum(canonicalize(
-                (self._elems[v], c) for v, c in key))
+        if r is None:  # ids are distinct elements: sort each part stably
+            elems, keys = self._elems, self._keys
+            keys.update((v, canonical_key(elems[v])) for v, _ in key
+                        if v not in keys)
+            fin = sorted([p for p in key if p[1] != OMEGA],
+                         key=lambda p: keys[p[0]])
+            om = sorted([v for v, c in key if c == OMEGA], key=keys.__getitem__)
+            r = self._results[key] = self.inst.sum(Family(
+                tuple([(elems[v], c) for v, c in fin]),
+                tuple(map(elems.__getitem__, om))))
         return r
 
     def _solve(self, shape, rem, om, used, room):
@@ -565,7 +580,7 @@ class BlockSumEngine:
             combos = [(takes + (t,), n + t) for takes, n in combos
                       for t in range(k == 0, min(c, size - n) + 1)]
         for _ in om:
-            combos = [(takes + (t,), n + (1 if is_omega(t) else t))
+            combos = [(takes + (t,), n + (1 if t == OMEGA else t))
                       for takes, n in combos
                       for t in list(range(size - n + 1))
                       + ([OMEGA] if n < size else [])]
@@ -574,25 +589,25 @@ class BlockSumEngine:
         for combo, n in combos:
             if n == 0:
                 continue
-            r = self._result(tuple(sorted(
-                (i, t) for i, t in zip(ids, combo) if t)))
-            if not r.defined:
+            block = tuple(sorted([(i, t) for i, t in zip(ids, combo) if t]))
+            value = self._values.get(block)
+            if value is None:
+                r = self._result(block)
+                value = self._values[block] = self._id(r.value) if r.defined else -1
+            if value < 0:
                 continue
-            value = self._id(r.value)
-            steps = []
-            for m in range(1, min([count] + [c // t for (_, c), t
-                                             in zip(rem, combo) if t]) + 1):
-                left = ((e, c - m * t) for (e, c), t in zip(rem, combo))
-                steps.append((m, tuple(p for p in left if p[1])))
+            mmax = min([count] + [c // t for (_, c), t in zip(rem, combo) if t])
+            steps = [(m, tuple([(e, c - m * t) for (e, c), t in zip(rem, combo)
+                                if c != m * t])) for m in range(1, mmax + 1)]
             # omega copies of a block must leave the finite counts alone (with
             # some left, every block holds one); then each of its elements is
             # an omega element and gains a supplier
             om_part = combo[len(rem):]
             blocks.append((
                 value,
-                tuple(j for j, t in enumerate(om_part) if is_omega(t)),
+                tuple([j for j, t in enumerate(om_part) if t == OMEGA]),
                 tuple(steps),
-                () if rem else tuple(j for j, t in enumerate(om_part) if t),
+                () if rem else tuple([j for j, t in enumerate(om_part) if t]),
             ))
         return blocks
 

@@ -152,9 +152,7 @@ class CongruenceGraph:
         ``Family.sort_key`` order, for at most ``depth`` levels, stopping once
         ``b`` is reached. Returns each reached family's parent and the last
         level's frontier."""
-        parent = {a: None}
-        frontier = [a]
-        level = 0
+        parent, frontier, level = {a: None}, [a], 0
         while frontier and level < depth and b not in parent:
             new = []
             for fam in frontier:
@@ -190,8 +188,7 @@ class CongruenceGraph:
         """Connected components, each the set the walk reaches from its least
         member, sorted by ``Family.sort_key``, in the order of their least
         members: the universe is in that order."""
-        seen = set()
-        comps = []
+        seen, comps = set(), []
         for fam in self.universe:
             if fam not in seen:
                 comp = sorted(self._walk(fam, len(self.universe))[0],
@@ -238,8 +235,7 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
 
     graph = CongruenceGraph(weak, caps)
     index: dict = {}  # frozenset(fam.items()) -> Defined(its class)
-    classes = []
-    admitted = []
+    classes, admitted = [], []
     for comp in graph.components():
         cls = ClassElement(comp[0])
         # image summability is constant on a component: every step is a

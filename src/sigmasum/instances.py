@@ -50,17 +50,11 @@ def pm_instance() -> SigmaInstance:
     one; everything else is undefined."""
 
     def rule(fam: Family):
-        n_plus = fam.count("+")
-        n_minus = fam.count("-")
+        n_plus, n_minus = fam.count("+"), fam.count("-")
         if is_omega(n_plus) or is_omega(n_minus):
             return UNDEFINED
-        if n_plus == n_minus:
-            return Defined("0")
-        if n_plus == n_minus + 1:
-            return Defined("+")
-        if n_plus == n_minus - 1:
-            return Defined("-")
-        return UNDEFINED
+        sign = {0: "0", 1: "+", -1: "-"}.get(n_plus - n_minus)
+        return UNDEFINED if sign is None else Defined(sign)
 
     return SigmaInstance("pm", FiniteCarrier(("0", "+", "-")), "0", rule,
                          flavor="weak", codec=PM_CODEC)
@@ -96,9 +90,8 @@ def powerset_parity_instance(universe) -> SigmaInstance:
     often. On finite families this is iterated symmetric difference."""
     universe = tuple(sorted(dict.fromkeys(universe)))
     uset = frozenset(universe)
-    subsets = []
-    for mask in range(1 << len(universe)):
-        subsets.append(frozenset(u for i, u in enumerate(universe) if mask >> i & 1))
+    subsets = [frozenset(u for i, u in enumerate(universe) if mask >> i & 1)
+               for mask in range(1 << len(universe))]
 
     def odd_points(pairs):
         return frozenset(x for x in uset
@@ -124,12 +117,20 @@ def _is_rational(e) -> bool:
     return isinstance(e, (int, Fraction)) and not isinstance(e, bool)
 
 
+def _rational_sum(pairs) -> Fraction:
+    """``c`` copies of each ``e`` over (e, c) pairs of ints and Fractions,
+    summed as numerators over their least common denominator."""
+    lcm = math.lcm(*[e.denominator for e, _ in pairs])
+    return Fraction(sum([e.numerator * (lcm // e.denominator) * c
+                         for e, c in pairs]), lcm)
+
+
 def real_abs_instance() -> SigmaInstance:
     """Exact rationals under unordered absolute-convergence summation.
 
     Within this representation a family is summable iff its omega part is
     contained in {0} (a nonzero value repeated infinitely often has unbounded
-    partial sums); the value is the exact finite sum.
+    partial sums); the value is the exact sum over one common denominator.
     """
 
     carrier = SymbolicCarrier(
@@ -137,8 +138,7 @@ def real_abs_instance() -> SigmaInstance:
         samples=(Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4),
                  Fraction(1)),
     )
-    rule = fold_rule(lambda pairs: sum((e * c for e, c in pairs), Fraction(0)))
-    return SigmaInstance("real", carrier, Fraction(0), rule,
+    return SigmaInstance("real", carrier, Fraction(0), fold_rule(_rational_sum),
                          flavor="sigma_group", inversion=lambda x: -x,
                          codec=RATIONAL_CODEC)
 

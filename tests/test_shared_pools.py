@@ -626,21 +626,28 @@ def test_leads_to_agrees_with_graph_successors(name, make, caps, pool, sample):
 
 
 def test_congruence_graph_builds_only_the_blocks_it_sums(monkeypatch):
-    """The edges come from the engine's keys: a ``Family`` is built only for
-    a block handed to the rule, once per distinct block, never for a
-    block-sum family (at size 2, an unbounded engine's 6,275 (member,
-    block-sum family) pairs have 6,188 outside the universe)."""
-    built, summed = [], []
+    """The edges come from the engine's keys: the engine builds a ``Family``
+    only for a block it hands to the rule, once per distinct block, never for
+    a block-sum family (at size 2, an unbounded engine's 6,275 (member,
+    block-sum family) pairs have 6,188 outside the universe). Built counts
+    the families summed inside ``BlockSumEngine._result``, which builds them
+    from keys."""
+    built, summed, inside = [], [], []
 
-    def counted(raw, _canonicalize=family.canonicalize):
-        built.append(_canonicalize(raw))
-        return built[-1]
+    def counted_result(engine, key, _result=BlockSumEngine._result):
+        inside.append(key)
+        try:
+            return _result(engine, key)
+        finally:
+            inside.pop()
 
     def counted_sum(inst, fam, _sum=SigmaInstance.sum):
         summed.append(fam)
+        if inside:
+            built.append(fam)
         return _sum(inst, fam)
 
-    monkeypatch.setattr(family, "canonicalize", counted)
+    monkeypatch.setattr(BlockSumEngine, "_result", counted_result)
     monkeypatch.setattr(SigmaInstance, "sum", counted_sum)
     CongruenceGraph(ext_nat_instance(), CongruenceCaps(max_family_size=2),
                     pool=(0, 1, 2))
