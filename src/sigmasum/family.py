@@ -445,7 +445,9 @@ class BlockSumEngine:
     them, ``key`` gives any family's, and ``block_sum_results`` yields their
     sums lazily, each block or family summed once, as a ``Family`` built from
     its key by a canonical key kept per id, and each block's sum kept as one
-    value id. A memo entry is the set of ids ``_solve`` built. Without omega
+    value id. Blocks and block-sum families share one space of sums ids, so a
+    result is read by its id from a list, and a family that is both is summed
+    once. A memo entry is the set of ids ``_solve`` built. Without omega
     elements the shapes coincide and share memo entries too.
     States are keyed by element ids, so the subfamilies of a family pool share
     entries; nothing is evicted, so scope an engine to one batch of queries.
@@ -462,12 +464,13 @@ class BlockSumEngine:
         self.dropped = False
         self._memo: dict = {}
         self._blocks: dict = {}  # (rem, omega ids) -> compiled blocks
-        self._results: dict = {}  # key -> the instance's result on it
         self._keys: dict = {}    # id -> canonical key, once sorted
         self._values: dict = {}  # block key -> its sum's id, -1 if undefined
         self._plus: dict = {}    # (sums id, value id, mult) -> sums id
+        # sums ids number the block-sum families and the blocks alike
         self._counts: list = [()]        # sums id -> sorted (value id, count)
         self._count_ids: dict = {(): 0}
+        self._results: list = [None]     # sums id -> its result, once summed
 
     def block_sum_keys(self, fam: Family, shape: str) -> list:
         """The block-sum families of ``fam``'s partitions of ``shape`` as their
@@ -478,7 +481,7 @@ class BlockSumEngine:
     def block_sum_results(self, fam: Family, shape: str):
         """The instance's results on the same families, each summed as it is
         read; the ids are solved (and the shape checked) at the call."""
-        return (self._result(self._counts[i]) for i in self._solved(fam, shape))
+        return map(self._read, self._solved(fam, shape))
 
     def key(self, fam: Family) -> tuple:
         """``fam`` keyed as ``block_sum_keys`` keys its families."""
@@ -499,19 +502,33 @@ class BlockSumEngine:
         return self._solve(shape if om else UNCONSTRAINED, rem, om,
                            (0,) * len(om), self.caps.block_count)
 
-    def _result(self, key):
-        r = self._results.get(key)
-        if r is None:  # ids are distinct elements: sort each part stably
-            elems, keys = self._elems, self._keys
-            keys.update((v, canonical_key(elems[v])) for v, _ in key
-                        if v not in keys)
-            fin = sorted([p for p in key if p[1] != OMEGA],
-                         key=lambda p: keys[p[0]])
-            om = sorted([v for v, c in key if c == OMEGA], key=keys.__getitem__)
-            r = self._results[key] = self.inst.sum(Family(
-                tuple([(elems[v], c) for v, c in fin]),
-                tuple(map(elems.__getitem__, om))))
+    def _intern(self, counts: tuple) -> int:
+        """The sums id of a key, a block's or a block-sum family's."""
+        i = self._count_ids.get(counts)
+        if i is None:
+            i = self._count_ids[counts] = len(self._counts)
+            self._counts.append(counts)
+            self._results.append(None)
+        return i
+
+    def _read(self, i: int):
+        """The result on sums id ``i``, summed at its first read."""
+        r = self._results[i]
+        if r is None:
+            r = self._results[i] = self._result(self._counts[i])
         return r
+
+    def _result(self, key):
+        """The instance's result on the family of ``key``, built from it: ids
+        are distinct elements, so each part is sorted stably."""
+        elems, keys = self._elems, self._keys
+        keys.update((v, canonical_key(elems[v])) for v, _ in key
+                    if v not in keys)
+        fin = sorted([p for p in key if p[1] != OMEGA],
+                     key=lambda p: keys[p[0]])
+        om = sorted([v for v, c in key if c == OMEGA], key=keys.__getitem__)
+        return self.inst.sum(Family(tuple([(elems[v], c) for v, c in fin]),
+                                    tuple(map(elems.__getitem__, om))))
 
     def _solve(self, shape, rem, om, used, room):
         """Ids of the block-sum families that complete the residual state."""
@@ -557,12 +574,7 @@ class BlockSumEngine:
             if fid is None:
                 counts = dict(self._counts[sub])
                 counts[value] = counts.get(value, 0) + mult  # omega absorbs
-                counts = tuple(sorted(counts.items()))
-                fid = self._count_ids.get(counts)
-                if fid is None:
-                    fid = self._count_ids[counts] = len(self._counts)
-                    self._counts.append(counts)
-                plus[key] = fid
+                fid = plus[key] = self._intern(tuple(sorted(counts.items())))
             found.add(fid)
 
     def _compiled(self, rem, om):
@@ -592,7 +604,7 @@ class BlockSumEngine:
             block = tuple(sorted([(i, t) for i, t in zip(ids, combo) if t]))
             value = self._values.get(block)
             if value is None:
-                r = self._result(block)
+                r = self._read(self._intern(block))
                 value = self._values[block] = self._id(r.value) if r.defined else -1
             if value < 0:
                 continue

@@ -31,6 +31,7 @@ from .core import (
     Defined,
     FiniteCarrier,
     Hom,
+    HomVerdict,
     QuotientInstance,
     SigmaInstance,
     UNDEFINED,
@@ -207,18 +208,39 @@ def equivalent(inst: SigmaInstance, a: Family, b: Family,
     return CongruenceGraph(inst, caps, pool=pool).related(a, b, caps.depth)
 
 
+def _union(parts, omega_reps, index):
+    """The index entry of the disjoint union of the (representative, count)
+    parts and omega copies of the omega representatives: its class id, or
+    None when the union leaves the universe. The union is counted, not
+    canonicalized; counts are nonzero, as a product with omega is omega."""
+    counts = {}
+    for rep, c in parts:
+        for e, ce in rep.finite:
+            counts[e] = counts.get(e, 0) + c * ce
+        for e in rep.omega:
+            counts[e] = OMEGA
+    for rep in omega_reps:
+        for e, _ in rep.finite:
+            counts[e] = OMEGA
+        for e in rep.omega:
+            counts[e] = OMEGA
+    return index.get(frozenset(counts.items()))
+
+
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
                          caps: CongruenceCaps = CongruenceCaps()
                          ) -> QuotientInstance:
     """Quotient of the cap-bounded family universe by the zig-zag closure,
     restricted to classes whose image under ``f`` is summable in the strong
     target; a class family sums to the class of the disjoint union of
-    representatives whenever that class is again in the carrier. The union is
-    counted, not canonicalized: one index from counts to ``Defined(class)``
-    serves the class sum and ``class_of``. The sum depends on the chosen
-    representatives: it is ``Undefined`` when their union leaves the universe,
-    so ``factorize(extnat, extnat, id)`` does not commute: ``{omega: [1]}``
-    with omega copies of ``{2}`` has 2 omega elements, above the cap of 1.
+    representatives whenever that class is again in the carrier. One union
+    helper counts that union, without canonicalizing it, and looks it up in
+    one index from counts to class ids; the index serves the class sum,
+    ``class_of`` and ``factorize``'s check of the extension. The sum depends
+    on the chosen representatives: it is ``Undefined`` when their union leaves
+    the universe, so ``factorize(extnat, extnat, id)`` does not commute:
+    ``{omega: [1]}`` with omega copies of ``{2}`` has 2 omega elements, above
+    the cap of 1.
 
     For several (target, hom) pairs build one quotient per pair and combine
     with ``intersect_instances``; the class elements coincide across quotients
@@ -226,6 +248,12 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     The result is a lower approximation of the free strong structure, and all
     of its verdicts are relative to the caps.
     """
+    return _quotient_and_index(weak, strong, f, caps)[0]
+
+
+def _quotient_and_index(weak, strong, f, caps):
+    """``free_strong_quotient`` and its index from ``frozenset(fam.items())``
+    to the class id of ``fam``, its position in the quotient's ``classes``."""
     if not isinstance(f, Hom) or f.verified_budget is None:
         raise ConstructionError("f must be a verified hom")
     if f.source is not weak or f.target is not strong:
@@ -234,9 +262,9 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
         raise ConstructionError("target instance is not declared strong")
 
     graph = CongruenceGraph(weak, caps)
-    index: dict = {}  # frozenset(fam.items()) -> Defined(its class)
+    index: dict = {}
     classes, admitted = [], []
-    for comp in graph.components():
+    for i, comp in enumerate(graph.components()):
         cls = ClassElement(comp[0])
         # image summability is constant on a component: every step is a
         # genuine one-step move, which strong targets respect
@@ -245,32 +273,28 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             raise ConstructionError(
                 "component mixes summable and unsummable images")
         index.update(dict.fromkeys(
-            (frozenset(fam.items()) for fam in comp), Defined(cls)))
+            (frozenset(fam.items()) for fam in comp), i))
         classes.append(cls)
         if summable == {True}:
             admitted.append(cls)
+    sums = [Defined(cls) for cls in classes]
 
     def class_of(fam: Family):
-        return index.get(frozenset(fam.items()), UNDEFINED).value
+        i = index.get(frozenset(fam.items()))
+        return None if i is None else classes[i]
 
     def rule(fam_of_classes: Family):
-        counts = {}  # counts are nonzero: a product with omega is omega
-        for cls, c in fam_of_classes.finite:
-            for e, ce in cls.rep.finite:
-                counts[e] = counts.get(e, 0) + c * ce
-            for e in cls.rep.omega:
-                counts[e] = OMEGA
-        for cls in fam_of_classes.omega:
-            for e in cls.rep.support():
-                counts[e] = OMEGA
-        return index.get(frozenset(counts.items()), UNDEFINED)
+        i = _union([(cls.rep, c) for cls, c in fam_of_classes.finite],
+                   [cls.rep for cls in fam_of_classes.omega], index)
+        return UNDEFINED if i is None else sums[i]
 
-    return QuotientInstance(
+    quotient = QuotientInstance(
         f"free_strong({weak.name})",
         FiniteCarrier(admitted), class_of(EMPTY), rule,
         class_of=class_of, classes=classes, flavor="strong",
         graph=graph,
     )
+    return quotient, index
 
 
 def intersect_instances(instances) -> SigmaInstance:
@@ -320,9 +344,11 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     when that image has no sum), computed once per class of the quotient.
     ``commutes`` holds when f equals extension-after-unit pointwise on the
     samples and both maps pass check_hom at the budget the caps give: families
-    up to ``min(max_family_size, block_size)``, no random trials.
+    up to ``min(max_family_size, block_size)``, no random trials. The
+    extension's scan runs on class ids, through the union helper of the class
+    sum, with the verdict ``check_hom`` gives.
     """
-    quotient = free_strong_quotient(weak, strong, f, caps)
+    quotient, index = _quotient_and_index(weak, strong, f, caps)
     budget = Budget(min(caps.max_family_size, caps.block_size),
                     caps.max_omega_elems, caps.block_count, caps.block_size,
                     caps.omega_splits, trials=0)
@@ -333,11 +359,11 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
             raise ConstructionError(f"singleton of {x!r} is outside the universe")
         return cls
 
-    ext_fn = {cls: strong.sum(map_family(f.fn, cls.rep)).value
-              for cls in quotient.classes}.__getitem__
+    ext = [strong.sum(map_family(f.fn, cls.rep)).value
+           for cls in quotient.classes]
+    ext_fn = dict(zip(quotient.classes, ext)).__getitem__
     unit_ok = check_hom(unit_fn, weak, quotient, budget_families(weak, budget))
-    ext_ok = check_hom(ext_fn, quotient, strong,
-                       budget_families(quotient, budget))
+    ext_ok = _check_extension(quotient, strong, index, ext, budget)
     pointwise = all(f(x) == ext_fn(unit_fn(x)) for x in weak.samples())
     commutes = unit_ok.ok and ext_ok.ok and pointwise
     unit = Hom(weak, quotient, unit_fn, "unit",
@@ -345,3 +371,38 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     extension = Hom(quotient, strong, ext_fn, "extension",
                     budget if ext_ok.ok else None)
     return Factorization(quotient, unit, extension, commutes)
+
+
+def _check_extension(quotient: QuotientInstance, strong: SigmaInstance,
+                     index: dict, ext: list, budget: Budget) -> HomVerdict:
+    """``check_hom`` of the map sending class id i to ``ext[i]``, over
+    ``budget_families(quotient, budget)`` at no trials, on class ids: the pool
+    is over carrier positions, in the same order, and a family is skipped
+    exactly where the quotient's sum is Undefined, as its union leaves the
+    index or its class is not in the carrier. Each distinct raw image is summed
+    in the target once; a counterexample is mapped back to classes."""
+    carrier = quotient.carrier.elements
+    ids = dict(zip(quotient.classes, range(len(ext))))
+    at = [ids[cls] for cls in carrier]  # carrier position -> class id
+    reps = [cls.rep for cls in carrier]
+    image = [ext[i] for i in at]
+    admitted = set(at)
+    checked = 0
+    images: dict = {}  # raw image pairs -> the target's result
+    for fam in families_within(range(len(carrier)), budget.max_finite_size,
+                               budget.max_omega_elems):
+        i = _union([(reps[p], c) for p, c in fam.finite],
+                   [reps[p] for p in fam.omega], index)
+        if i not in admitted:
+            continue
+        checked += 1
+        raw = (tuple([(image[p], c) for p, c in fam.finite]),
+               tuple([image[p] for p in fam.omega]))
+        ri = images.get(raw)
+        if ri is None:
+            ri = images[raw] = strong.sum(Family.from_counts(*raw))
+        if (ri.defined, ri.value) != (True, ext[i]):
+            return HomVerdict(False, Family(
+                tuple([(carrier[p], c) for p, c in fam.finite]),
+                tuple([carrier[p] for p in fam.omega])), checked)
+    return HomVerdict(True, None, checked)

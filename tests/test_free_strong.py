@@ -612,11 +612,11 @@ def test_factorize_canonicalizes_few_families(monkeypatch):
 
 
 def test_factorize_hashes_few_classes_and_tests_membership_once(monkeypatch):
-    """A work count, not a wall clock: the class sum reads representatives
-    directly and membership is the carrier's one bound test, so the check of
-    the extension hashes classes only for the sum cache's keys, the membership
-    tests and the extension's table (205,028 calls with a reps lookup per
-    class entry and the carrier's ``__contains__`` per element)."""
+    """A work count, not a wall clock: the extension is checked on class ids,
+    so classes are hashed only to build the extension's tables and by the
+    unit's check, and membership is the carrier's one bound test. The
+    extension's scan through ``check_hom`` and the quotient's sum and cache
+    made 123,507 calls (205,028 with a reps lookup per class entry)."""
     pm, en = pm_instance(), ext_nat_instance()
     const0 = verify_hom(lambda e: 0, pm, en, BUDGET, name="const0")
     hashes, member_tests = [], []
@@ -634,7 +634,7 @@ def test_factorize_hashes_few_classes_and_tests_membership_once(monkeypatch):
     monkeypatch.setattr(ClassElement, "__hash__", counted_hash)
     monkeypatch.setattr(FiniteCarrier, "__contains__", counted_contains)
     assert factorize(pm, en, const0).commutes
-    assert len(hashes) <= 130_000  # 123,507 when this was written
+    assert len(hashes) <= 1_000  # 415 when written, a margin of 585
     assert member_tests == []
 
 

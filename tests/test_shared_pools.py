@@ -3,6 +3,7 @@ scan, one extension value per class, a congruence graph built from the
 block-sum engine's keys and one walk over it: each checked against the loop
 it replaced, kept here as the oracle, plus call counts that pin the
 sharing."""
+import functools
 import inspect
 import itertools
 import json
@@ -34,6 +35,7 @@ from sigmasum.constructions import (
 )
 from sigmasum.core import (
     Budget,
+    CarrierError,
     ConstructionError,
     Defined,
     FiniteCarrier,
@@ -366,6 +368,64 @@ def test_factorize_matches_per_call_extension(case):
     assert (None in values) == (case == 2)
 
 
+@functools.cache
+def _extension_case(case):
+    """The quotient of a ``_factorize_cases`` case, or of pm -> extnat along
+    const0 at family size 2, with its class index, the budget factorize
+    checks the extension at and the extension table."""
+    weak, strong, f, caps = (_factorize_cases() + [
+        _const0() + (CongruenceCaps(max_family_size=2),)])[case]
+    quotient, index = free_strong._quotient_and_index(weak, strong, f, caps)
+    budget = Budget(min(caps.max_family_size, caps.block_size),
+                    caps.max_omega_elems, caps.block_count, caps.block_size,
+                    caps.omega_splits, trials=0)
+    ext = [strong.sum(map_family(f.fn, cls.rep)).value
+           for cls in quotient.classes]
+    return quotient, strong, index, budget, ext
+
+
+def _outcome(check):
+    try:
+        return check()
+    except (CarrierError, TypeError) as exc:  # an image off the target
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", range(4))
+@settings(max_examples=25)
+@given(st.integers(0, 10 ** 6), st.sampled_from([None, 0, 1, 2, 3, OMEGA]))
+@example(0, None)  # the right table: no class is changed
+def test_extension_check_on_class_ids_matches_check_hom(case, which, value):
+    """The extension check on class ids gives ``check_hom``'s verdict over
+    the quotient's budget pool: the same ``ok``, ``checked`` and
+    counterexample, also when one class's value in the table is changed, so
+    a deliberately wrong extension is refused as ``check_hom`` refuses it."""
+    quotient, strong, index, budget, ext = _extension_case(case)
+    ext = list(ext)
+    if which:
+        ext[which % len(ext)] = value
+    ours = _outcome(lambda: free_strong._check_extension(
+        quotient, strong, index, ext, budget))
+    oracle = _outcome(lambda: core.check_hom(
+        dict(zip(quotient.classes, ext)).__getitem__, quotient, strong,
+        budget_families(quotient, budget)))
+    assert ours == oracle
+    if isinstance(ours, HomVerdict) and not ours.ok:
+        assert repr(ours.counterexample) == repr(oracle.counterexample)
+
+
+def test_a_wrong_extension_is_refused():
+    # the zero class sent to 1: the empty family of classes sums to it
+    quotient, strong, index, budget, ext = _extension_case(0)
+    right = free_strong._check_extension(quotient, strong, index, ext, budget)
+    assert right == HomVerdict(True, None, 5396)
+    zero = quotient.classes.index(quotient.zero)
+    wrong = ext[:zero] + [1] + ext[zero + 1:]
+    verdict = free_strong._check_extension(quotient, strong, index, wrong,
+                                           budget)
+    assert verdict == HomVerdict(False, Family(), 1)
+
+
 def _zero_block_toy():
     """{a, omega b} splits into {a, b} (sum 0), {b, b} (sum w) and {omega b}
     (sum u): block sums {0, w, u} over a size cap of 2, whose padding with an
@@ -510,7 +570,9 @@ def test_the_extnat_graph_interns_only_block_sums_inside_its_pool(monkeypatch):
     graph = CongruenceGraph(ext_nat_instance(),
                             CongruenceCaps(max_family_size=2), pool=(0, 1, 2))
     (engine,) = built
-    assert len(engine._counts) <= 60
+    # the sums ids number the summed blocks too: count the block-sum families
+    # the memo holds (53)
+    assert len(set().union(*engine._memo.values())) <= 60
     assert len(engine._memo) == 78
     assert engine.dropped and graph.truncated
 
@@ -684,11 +746,22 @@ def test_check_bilinear_builds_one_pool_per_slot(pool_calls):
     assert pool_calls == ["pm", "unit"]
 
 
-def test_factorize_builds_one_pool_per_check(pool_calls):
+def test_factorize_builds_one_pool_per_check(pool_calls, monkeypatch):
+    pools = []
+
+    def within(pool, *sizes, _within=free_strong.families_within):
+        pools.append(pool)
+        return _within(pool, *sizes)
+
+    monkeypatch.setattr(free_strong, "families_within", within)
     pm, en, const0 = _const0()
     pool_calls.clear()
     fac = factorize(pm, en, const0, CongruenceCaps(max_family_size=3))
-    assert pool_calls == ["pm", fac.quotient.name]
+    # the unit's budget pool over pm; the extension's pool is one over the
+    # quotient's carrier positions, after the congruence graph's universe
+    assert pool_calls == ["pm"]
+    assert pools == [list(pm.samples()) + [pm.zero],
+                     range(len(fac.quotient.carrier))]
 
 
 @pytest.fixture
