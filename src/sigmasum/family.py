@@ -275,6 +275,25 @@ def subfamily_product(fam: Family, omega_finite_cap: int):
             for combo in combos)
 
 
+def word_walk(letters, max_size: int, root=None, step=None):
+    """The finite parts over ``letters`` of each size up to ``max_size``, as
+    (letter, count) pairs in letter order, one list per size, in
+    ``families_within``'s order: each word's children add its last letter or
+    a later one. A word is (positions used, pairs, state): the empty word's
+    state is ``root``, a child's ``step(parent's state, i, i in used)`` for
+    one more copy of ``letters[i]``, or None without a ``step``. A size is
+    built once the one before it is read: two at most are alive."""
+    sized = [(frozenset(), (), root)]
+    for size in range(max_size + 1):
+        if size:
+            sized = [(used | {i}, fin[:-1] + ((letters[i], fin[-1][1] + 1),)
+                      if i in used else fin + ((letters[i], 1),),
+                      step(state, i, i in used) if step else None)
+                     for used, fin, state in sized
+                     for i in range(max(used, default=0), len(letters))]
+        yield sized
+
+
 def families_within(pool, max_size: int, max_omega: int) -> list:
     """Every family with finite part drawn from ``pool`` (total size <= max_size)
     and omega part a subset of ``pool`` (at most ``max_omega`` elements).
@@ -282,22 +301,17 @@ def families_within(pool, max_size: int, max_omega: int) -> list:
     Each family comes once, canonical, in ``Family.sort_key`` order: finite
     size, omega count, word, omega part. (Distinct elements of equal
     ``canonical_key`` keep their order in ``pool``, and then the word decides
-    before the omega part.) Only the dedup hashes elements.
+    before the omega part.) Each word's finite part is built from its
+    parent's by ``word_walk``; only the dedup hashes elements.
     """
     pool = sorted(dict.fromkeys(pool), key=canonical_key)
     omegas = [[(frozenset(osub), tuple([pool[i] for i in osub]))
                for osub in itertools.combinations(range(len(pool)), j)]
               for j in range(max_omega + 1)]
-    words = [[((), frozenset())]] if max_size >= 0 else []  # by size: (fin, used)
-    for _ in range(max_size):  # each word, then its last position or a later one
-        words.append([(fin[:-1] + ((pool[i], fin[-1][1] + 1),) if i in used
-                       else fin + ((pool[i], 1),), used | {i})
-                      for fin, used in words[-1]
-                      for i in range(max(used, default=0), len(pool))])
     # an omega element of the word absorbs its copies: a smaller family's
-    return [Family(fin, omega) for sized in words for subsets in omegas
-            for fin, used in sized for osub, omega in subsets
-            if osub.isdisjoint(used)]
+    return [Family(fin, omega) for sized in word_walk(pool, max_size)
+            for subsets in omegas for used, fin, _ in sized
+            for osub, omega in subsets if osub.isdisjoint(used)]
 
 
 class NonNegative:

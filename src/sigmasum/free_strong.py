@@ -9,33 +9,17 @@ to those caps and say so.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .family import (
-    EMPTY,
-    OMEGA,
-    UNCONSTRAINED,
-    BlockSumEngine,
-    Caps,
-    Family,
-    NonNegative,
-    families_within,
-    first_partition_sums,
-    map_family,
-    static_truncation,
+    EMPTY, OMEGA, UNCONSTRAINED, BlockSumEngine, Caps, Family, NonNegative,
+    families_within, first_partition_sums, map_family, static_truncation,
+    word_walk,
 )
 from .core import (
-    Budget,
-    ClassElement,
-    ConstructionError,
-    Defined,
-    FiniteCarrier,
-    Hom,
-    HomVerdict,
-    QuotientInstance,
-    SigmaInstance,
-    UNDEFINED,
-    budget_families,
+    Budget, ClassElement, ConstructionError, Defined, FiniteCarrier, Hom,
+    HomVerdict, QuotientInstance, SigmaInstance, UNDEFINED, budget_families,
     check_hom,
 )
 
@@ -124,9 +108,8 @@ class CongruenceGraph:
         for fam in self.universe:
             split = _zero_split(engine.key(fam), zero)
             bucket.setdefault(split[0], []).append((split, fam))
-        moves: dict = {}  # block-sum key -> the members it leads to
-        self.truncated = False
-        self._succ: dict = {}
+        # moves: each block-sum key -> the members it leads to
+        moves, self.truncated, self._succ = {}, False, {}
         self._undirected: dict = {fam: set() for fam in self.universe}
         for fam in self.universe:
             self.truncated |= static_truncation(fam, engine.caps)
@@ -208,23 +191,17 @@ def equivalent(inst: SigmaInstance, a: Family, b: Family,
     return CongruenceGraph(inst, caps, pool=pool).related(a, b, caps.depth)
 
 
-def _union(parts, omega_reps, index):
-    """The index entry of the disjoint union of the (representative, count)
-    parts and omega copies of the omega representatives: its class id, or
-    None when the union leaves the universe. The union is counted, not
-    canonicalized; counts are nonzero, as a product with omega is omega."""
-    counts = {}
+def _union(parts, key=()):
+    """The counts ``key`` plus the (representative, count) parts, keyed as the
+    index keys a family: a frozenset of (element, count) pairs, counted, not
+    canonicalized. A product with omega is omega, and omega absorbs."""
+    counts = dict(key)
     for rep, c in parts:
         for e, ce in rep.finite:
             counts[e] = counts.get(e, 0) + c * ce
         for e in rep.omega:
             counts[e] = OMEGA
-    for rep in omega_reps:
-        for e, _ in rep.finite:
-            counts[e] = OMEGA
-        for e in rep.omega:
-            counts[e] = OMEGA
-    return index.get(frozenset(counts.items()))
+    return frozenset(counts.items())
 
 
 def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
@@ -233,12 +210,10 @@ def free_strong_quotient(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     """Quotient of the cap-bounded family universe by the zig-zag closure,
     restricted to classes whose image under ``f`` is summable in the strong
     target; a class family sums to the class of the disjoint union of
-    representatives whenever that class is again in the carrier. One union
-    helper counts that union, without canonicalizing it, and looks it up in
-    one index from counts to class ids; the index serves the class sum,
-    ``class_of`` and ``factorize``'s check of the extension. The sum depends
-    on the chosen representatives: it is ``Undefined`` when their union leaves
-    the universe, so ``factorize(extnat, extnat, id)`` does not commute:
+    representatives whenever that class is again in the carrier, read from
+    one index from counts to class ids. The sum depends on the chosen
+    representatives: it is ``Undefined`` when their union leaves the
+    universe, so ``factorize(extnat, extnat, id)`` does not commute:
     ``{omega: [1]}`` with omega copies of ``{2}`` has 2 omega elements, above
     the cap of 1.
 
@@ -270,10 +245,8 @@ def _quotient_and_index(weak, strong, f, caps):
         # genuine one-step move, which strong targets respect
         summable = {strong.sum(map_family(f.fn, fam)).defined for fam in comp}
         if len(summable) > 1:
-            raise ConstructionError(
-                "component mixes summable and unsummable images")
-        index.update(dict.fromkeys(
-            (frozenset(fam.items()) for fam in comp), i))
+            raise ConstructionError("component mixes summable and unsummable images")
+        index.update((frozenset(fam.items()), i) for fam in comp)
         classes.append(cls)
         if summable == {True}:
             admitted.append(cls)
@@ -284,16 +257,13 @@ def _quotient_and_index(weak, strong, f, caps):
         return None if i is None else classes[i]
 
     def rule(fam_of_classes: Family):
-        i = _union([(cls.rep, c) for cls, c in fam_of_classes.finite],
-                   [cls.rep for cls in fam_of_classes.omega], index)
+        i = index.get(_union([(cls.rep, c)
+                              for cls, c in fam_of_classes.items()]))
         return UNDEFINED if i is None else sums[i]
 
     quotient = QuotientInstance(
-        f"free_strong({weak.name})",
-        FiniteCarrier(admitted), class_of(EMPTY), rule,
-        class_of=class_of, classes=classes, flavor="strong",
-        graph=graph,
-    )
+        f"free_strong({weak.name})", FiniteCarrier(admitted), class_of(EMPTY),
+        rule, class_of=class_of, classes=classes, flavor="strong", graph=graph)
     return quotient, index
 
 
@@ -345,8 +315,7 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
     ``commutes`` holds when f equals extension-after-unit pointwise on the
     samples and both maps pass check_hom at the budget the caps give: families
     up to ``min(max_family_size, block_size)``, no random trials. The
-    extension's scan runs on class ids, through the union helper of the class
-    sum, with the verdict ``check_hom`` gives.
+    extension is checked word by word, with the verdict ``check_hom`` gives.
     """
     quotient, index = _quotient_and_index(weak, strong, f, caps)
     budget = Budget(min(caps.max_family_size, caps.block_size),
@@ -375,34 +344,48 @@ def factorize(weak: SigmaInstance, strong: SigmaInstance, f: Hom,
 
 def _check_extension(quotient: QuotientInstance, strong: SigmaInstance,
                      index: dict, ext: list, budget: Budget) -> HomVerdict:
-    """``check_hom`` of the map sending class id i to ``ext[i]``, over
-    ``budget_families(quotient, budget)`` at no trials, on class ids: the pool
-    is over carrier positions, in the same order, and a family is skipped
-    exactly where the quotient's sum is Undefined, as its union leaves the
-    index or its class is not in the carrier. Each distinct raw image is summed
-    in the target once; a counterexample is mapped back to classes."""
+    """``check_hom`` of the map sending class id i to ``ext[i]`` over
+    ``budget_families(quotient, budget)`` at no trials, without that pool:
+    ``word_walk`` visits its class families in order, skipping those whose
+    union leaves the index or whose class is not admitted. A word of carrier
+    positions gets its union's counts and its raw image's and class family's
+    finite parts from its parent's in one step each. Each (word counts, omega
+    positions) is unioned and each distinct raw image summed once; only those
+    sums and the counterexample build a ``Family``."""
     carrier = quotient.carrier.elements
-    ids = dict(zip(quotient.classes, range(len(ext))))
-    at = [ids[cls] for cls in carrier]  # carrier position -> class id
-    reps = [cls.rep for cls in carrier]
-    image = [ext[i] for i in at]
-    admitted = set(at)
-    checked = 0
-    images: dict = {}  # raw image pairs -> the target's result
-    for fam in families_within(range(len(carrier)), budget.max_finite_size,
-                               budget.max_omega_elems):
-        i = _union([(reps[p], c) for p, c in fam.finite],
-                   [reps[p] for p in fam.omega], index)
-        if i not in admitted:
-            continue
-        checked += 1
-        raw = (tuple([(image[p], c) for p, c in fam.finite]),
-               tuple([image[p] for p in fam.omega]))
-        ri = images.get(raw)
-        if ri is None:
-            ri = images[raw] = strong.sum(Family.from_counts(*raw))
-        if (ri.defined, ri.value) != (True, ext[i]):
-            return HomVerdict(False, Family(
-                tuple([(carrier[p], c) for p, c in fam.finite]),
-                tuple([carrier[p] for p in fam.omega])), checked)
+    at = [index[frozenset(cls.rep.items())] for cls in carrier]  # class ids
+    reps, image, admitted = [c.rep for c in carrier], [ext[i] for i in at], set(at)
+    omegas = [[(frozenset(o), tuple([image[p] for p in o]))
+               for o in itertools.combinations(range(len(at)), j)]
+              for j in range(budget.max_omega_elems + 1)]
+
+    def step(word, p, again):
+        key, img = word
+        return _union(((reps[p], 1),), key), (
+            img[:-1] + ((image[p], img[-1][1] + 1),) if again
+            else img + ((image[p], 1),))
+
+    checked, classes, images = 0, {}, {}  # by word counts, then by raw image
+    for sized in word_walk(carrier, budget.max_finite_size,
+                           (frozenset(), ()), step):
+        for subsets in omegas:
+            for used, fin, (key, img) in sized:
+                at_key = classes.setdefault(key, {})  # omega positions -> id
+                at_img = images.setdefault(img, {})  # omega image -> result
+                for osub, om_img in subsets:
+                    if not osub.isdisjoint(used):
+                        continue
+                    if osub not in at_key:
+                        at_key[osub] = index.get(_union(
+                            [(reps[p], OMEGA) for p in osub], key))
+                    i = at_key[osub]
+                    if i not in admitted:
+                        continue
+                    checked += 1
+                    if om_img not in at_img:
+                        at_img[om_img] = strong.sum(Family.from_counts(img, om_img))
+                    ri = at_img[om_img]
+                    if (ri.defined, ri.value) != (True, ext[i]):
+                        return HomVerdict(False, Family(fin, tuple(
+                            [carrier[p] for p in sorted(osub)])), checked)
     return HomVerdict(True, None, checked)

@@ -368,13 +368,29 @@ def test_factorize_matches_per_call_extension(case):
     assert (None in values) == (case == 2)
 
 
+def _more_extension_cases():
+    """pm -> extnat along const0 at family size 2; pm -> the finite-support
+    or along const0, whose class [omega +] is admitted and not zero, so a
+    table sending it to 1 leaves omega copies of it without an image sum;
+    and extnat -> extnat along the identity at family size 2 and two omega
+    elements, where an omega part of two classes can be summable."""
+    pm, en, const0 = _const0()
+    bits = _finite_support_or()
+    ident = verify_hom(lambda e: e, en, en, SMALL, name="id")
+    return [(pm, en, const0, CongruenceCaps(max_family_size=2)),
+            (pm, bits, verify_hom(lambda e: 0, pm, bits, SMALL,
+                                  name="const0"), CongruenceCaps()),
+            (en, en, ident, CongruenceCaps(max_family_size=2,
+                                           max_omega_elems=2))]
+
+
 @functools.cache
 def _extension_case(case):
-    """The quotient of a ``_factorize_cases`` case, or of pm -> extnat along
-    const0 at family size 2, with its class index, the budget factorize
-    checks the extension at and the extension table."""
-    weak, strong, f, caps = (_factorize_cases() + [
-        _const0() + (CongruenceCaps(max_family_size=2),)])[case]
+    """The quotient of a ``_factorize_cases`` or ``_more_extension_cases``
+    case with its class index, the budget factorize checks the extension at
+    and the extension table."""
+    weak, strong, f, caps = (_factorize_cases()
+                             + _more_extension_cases())[case]
     quotient, index = free_strong._quotient_and_index(weak, strong, f, caps)
     budget = Budget(min(caps.max_family_size, caps.block_size),
                     caps.max_omega_elems, caps.block_count, caps.block_size,
@@ -391,15 +407,17 @@ def _outcome(check):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(6))
 @settings(max_examples=25)
 @given(st.integers(0, 10 ** 6), st.sampled_from([None, 0, 1, 2, 3, OMEGA]))
 @example(0, None)  # the right table: no class is changed
+@example(1, 1)  # in case 4, [omega +] to 1: {omega [omega +]} has no image sum
 def test_extension_check_on_class_ids_matches_check_hom(case, which, value):
     """The extension check on class ids gives ``check_hom``'s verdict over
     the quotient's budget pool: the same ``ok``, ``checked`` and
     counterexample, also when one class's value in the table is changed, so
-    a deliberately wrong extension is refused as ``check_hom`` refuses it."""
+    a deliberately wrong extension is refused as ``check_hom`` refuses it,
+    whether the image of the refused family has another sum or none."""
     quotient, strong, index, budget, ext = _extension_case(case)
     ext = list(ext)
     if which:
@@ -424,6 +442,20 @@ def test_a_wrong_extension_is_refused():
     verdict = free_strong._check_extension(quotient, strong, index, wrong,
                                            budget)
     assert verdict == HomVerdict(False, Family(), 1)
+
+
+def test_an_extension_leaving_an_image_without_a_sum_is_refused():
+    # [omega +] sent to 1 in the finite-support or: omega copies of it sum to
+    # it in the quotient, and their image, omega copies of 1, has no sum
+    quotient, strong, index, budget, ext = _extension_case(4)
+    plus = Family.from_counts([], ["+"])
+    i = next(i for i, cls in enumerate(quotient.classes) if cls.rep == plus)
+    wrong = ext[:i] + [1] + ext[i + 1:]
+    verdict = free_strong._check_extension(quotient, strong, index, wrong,
+                                           budget)
+    cls = quotient.classes[i]
+    assert verdict == HomVerdict(False, Family.from_counts([], [cls]), 3)
+    assert not strong.sum(Family.from_counts([], [1])).defined
 
 
 def _zero_block_toy():
@@ -756,12 +788,50 @@ def test_factorize_builds_one_pool_per_check(pool_calls, monkeypatch):
     monkeypatch.setattr(free_strong, "families_within", within)
     pm, en, const0 = _const0()
     pool_calls.clear()
-    fac = factorize(pm, en, const0, CongruenceCaps(max_family_size=3))
-    # the unit's budget pool over pm; the extension's pool is one over the
-    # quotient's carrier positions, after the congruence graph's universe
+    factorize(pm, en, const0, CongruenceCaps(max_family_size=3))
+    # the unit's budget pool over pm and the congruence graph's universe;
+    # the extension's class families are walked word by word, not pooled
     assert pool_calls == ["pm"]
-    assert pools == [list(pm.samples()) + [pm.zero],
-                     range(len(fac.quotient.carrier))]
+    assert pools == [list(pm.samples()) + [pm.zero]]
+
+
+def test_factorize_checks_the_extension_word_by_word(monkeypatch):
+    """At default caps the extension's budget holds 12,376 class families
+    over 11 classes, from 1,365 words of at most 4 classes. The walk makes
+    one union step per word but the empty one, one union per distinct (word
+    counts, omega positions) beyond those, and a ``Family`` only for a target
+    sum: the per-family scan built the pool of 12,376 families and made one
+    union of each."""
+    inside, unions, built = [], [], []
+
+    def check(*args, _check=free_strong._check_extension):
+        inside.append(True)
+        try:
+            return _check(*args)
+        finally:
+            inside.pop()
+
+    def union(parts, *key, _union=free_strong._union):
+        if inside:
+            unions.append([c for _, c in parts])
+        return _union(parts, *key)
+
+    def init(self, *args, _init=Family.__init__):
+        if inside:
+            built.append(args)
+        _init(self, *args)
+
+    monkeypatch.setattr(free_strong, "_check_extension", check)
+    monkeypatch.setattr(free_strong, "_union", union)
+    monkeypatch.setattr(Family, "__init__", init)
+    pm, en, const0 = _const0()
+    fac = factorize(pm, en, const0)
+    assert fac.commutes
+    assert len(fac.quotient.carrier) == 11
+    steps = unions.count([1])  # one representative added to a word
+    assert steps == 1364
+    assert len(unions) - steps <= 2000  # 1,718 (word counts, omega positions)
+    assert len(built) <= 40  # 32, one per distinct raw image
 
 
 @pytest.fixture
